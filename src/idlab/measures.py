@@ -2,10 +2,13 @@
 
 The module provides a small zoo of fully supported distributions behind one
 `Distribution` interface: exact densities in log space, samplers driven by
-counter-based streams, and conditional CDFs with their inverses.  Conditional
-quantiles are computed by bracketed bisection refined with a secant step, so
-every distribution that can evaluate a conditional CDF automatically supports
-Rosenblatt-style resampling and triangular transport.
+counter-based streams, and conditional CDFs with their inverses.  Gaussian
+laws and products of normal, Laplace, logistic or exponential marginals give
+their conditional quantiles in closed form.  Every other law (mixture
+marginals, exponential families) inverts its conditional CDF by bracketed
+bisection refined with a secant step, so every distribution that can
+evaluate a conditional CDF supports Rosenblatt-style resampling and
+triangular transport.
 
 Multivariate exponential families carry their carrier density, sufficient
 statistic and log-partition explicitly, which is what the environment and
@@ -161,12 +164,12 @@ class Univariate(abc.ABC):
     def pdf(self, x):
         return np.exp(self.log_pdf(x))
 
-    def ppf(self, p):
-        """Quantile function; closed form where available, else inversion."""
+    def ppf(self, p, tol: float = 1e-10):
+        """Quantile; closed form where available, else inverted to ``tol``."""
         p = np.asarray(p, dtype=float)
         flat = _invert_monotone_cdf(self.cdf, np.atleast_1d(p).ravel(),
                                     self.location, self.scale_hint,
-                                    self.support)
+                                    self.support, tol=tol)
         return flat.reshape(p.shape) if p.ndim else float(flat[0])
 
     def sample(self, rng: np.random.Generator, n: int):
@@ -194,7 +197,7 @@ class Normal1D(Univariate):
     def cdf(self, x):
         return special.ndtr((np.asarray(x, dtype=float) - self.loc) / self.scale)
 
-    def ppf(self, p):
+    def ppf(self, p, tol=None):
         return self.loc + self.scale * special.ndtri(np.asarray(p, dtype=float))
 
     def sample(self, rng, n):
@@ -223,7 +226,7 @@ class Laplace1D(Univariate):
         u = (np.asarray(x, dtype=float) - self.loc) / self.scale
         return np.where(u < 0, 0.5 * np.exp(u), 1.0 - 0.5 * np.exp(-np.abs(u)))
 
-    def ppf(self, p):
+    def ppf(self, p, tol=None):
         p = np.asarray(p, dtype=float)
         lower = self.loc + self.scale * np.log(2.0 * np.minimum(p, 0.5))
         upper = self.loc - self.scale * np.log(2.0 * np.minimum(1.0 - p, 0.5))
@@ -256,7 +259,7 @@ class Logistic1D(Univariate):
         u = (np.asarray(x, dtype=float) - self.loc) / self.scale
         return special.expit(u)
 
-    def ppf(self, p):
+    def ppf(self, p, tol=None):
         return self.loc + self.scale * special.logit(np.asarray(p, dtype=float))
 
     def sample(self, rng, n):
@@ -285,7 +288,7 @@ class Exponential1D(Univariate):
         x = np.asarray(x, dtype=float)
         return np.where(x > 0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
 
-    def ppf(self, p):
+    def ppf(self, p, tol=None):
         return -np.log1p(-np.asarray(p, dtype=float)) / self.rate
 
     def sample(self, rng, n):
@@ -348,6 +351,11 @@ def _rows(z, dim):
     if z.ndim != 2 or z.shape[1] != dim:
         raise DimensionMismatch(f"expected (n, {dim}) array")
     return z, False
+
+
+def _like_p(p, out):
+    """``out`` as a float when ``p`` is a scalar and gave one row."""
+    return float(out[0]) if np.ndim(p) == 0 and out.shape[0] == 1 else out
 
 
 class Distribution(abc.ABC):
@@ -413,15 +421,15 @@ class Distribution(abc.ABC):
         """Invert ``conditional_cdf`` at probabilities ``p``.
 
         Returns ``v`` with ``|conditional_cdf(m, prefix, v) - p| <= tol``,
-        computed by bracketed bisection plus a secant refinement.
+        computed by bracketed bisection plus a secant refinement; Gaussian
+        and product laws override this with closed forms.
         """
-        scalar = np.isscalar(p) or np.ndim(p) == 0
         prefix2, p2 = self._prep_conditional(m, prefix, p)
         center, width = self._quantile_seed(m, prefix2)
         out = _invert_monotone_cdf(
             lambda v: self.conditional_cdf(m, prefix2, v),
             p2, center, width, self.coordinate_support(m), tol=tol)
-        return float(out[0]) if scalar and out.shape[0] == 1 else out
+        return _like_p(p, out)
 
     def sample(self, rng: np.random.Generator, n: int):
         """Default sampler: invert the conditional chain at uniform draws."""
@@ -485,9 +493,12 @@ class GaussianDistribution(Distribution):
         mu, sd = self._cond_moments(m, prefix2)
         return special.ndtr((v2 - mu) / sd)
 
-    def _quantile_seed(self, m, prefix):
-        mu, sd = self._cond_moments(m, prefix)
-        return mu, np.full_like(mu, 2.0 * sd)
+    def conditional_quantile(self, m, prefix, p, tol=1e-10):
+        """Closed form ``mu + sd * ndtri(p)``; ``tol`` is not needed."""
+        prefix2, p2 = self._prep_conditional(m, prefix, p)
+        mu, sd = self._cond_moments(m, prefix2)
+        return _like_p(p, mu + sd * special.ndtri(
+            np.clip(p2, _P_FLOOR, _P_CEIL)))
 
     def sample(self, rng, n):
         return self.mean + rng.standard_normal((n, self.dim)) @ self.cholesky.T
@@ -527,10 +538,11 @@ class ProductDistribution(Distribution):
         _, v2 = self._prep_conditional(m, prefix, values)
         return self.marginals[m].cdf(v2)
 
-    def _quantile_seed(self, m, prefix):
-        n = prefix.shape[0]
-        marg = self.marginals[m]
-        return np.full(n, marg.location), np.full(n, 2.0 * marg.scale_hint)
+    def conditional_quantile(self, m, prefix, p, tol=1e-10):
+        """The marginal's quantile: closed form, or inverted to ``tol``."""
+        _, p2 = self._prep_conditional(m, prefix, p)
+        return _like_p(p, self.marginals[m].ppf(
+            np.clip(p2, _P_FLOOR, _P_CEIL), tol=tol))
 
     def sample(self, rng, n):
         return np.column_stack([marg.sample(rng, n) for marg in self.marginals])

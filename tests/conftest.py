@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from idlab import GaussianDistribution, Laplace1D, ProductDistribution, stream
+from idlab import (
+    Exponential1D,
+    GaussianDistribution,
+    Laplace1D,
+    Logistic1D,
+    Normal1D,
+    ProductDistribution,
+    stream,
+)
 
 ACCEPTANCE_LINES = []
 
@@ -35,3 +44,28 @@ def probe_grid(dim, half_width=3.0, per_axis=7):
     axes = [np.linspace(-half_width, half_width, per_axis)] * dim
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+@st.composite
+def gaussian_laws(draw, dim=None):
+    """Gaussian laws on R^d, d <= 4, with covariance A A^T + I / 2."""
+    d = draw(st.integers(1, 4)) if dim is None else dim
+    mean = draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d))
+    a = np.reshape(draw(st.lists(st.floats(-1.0, 1.0), min_size=d * d, max_size=d * d)), (d, d))
+    return GaussianDistribution(mean, a @ a.T + 0.5 * np.eye(d))
+
+
+@st.composite
+def product_laws(draw, dim=None, kinds=("normal", "laplace", "logistic", "exponential")):
+    """Products of d <= 4 marginals whose quantiles have closed forms."""
+    d = draw(st.integers(1, 4)) if dim is None else dim
+    marginals = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(kinds))
+        scale = draw(st.floats(0.2, 3.0))
+        if kind == "exponential":
+            marginals.append(Exponential1D(1.0 / scale))
+        else:
+            law = {"normal": Normal1D, "laplace": Laplace1D, "logistic": Logistic1D}[kind]
+            marginals.append(law(draw(st.floats(-3.0, 3.0)), scale))
+    return ProductDistribution(marginals)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from idlab import (
+    Distribution,
     Exponential1D,
     ExpFamily,
     GaussianDistribution,
@@ -22,6 +23,8 @@ from idlab import (
     interdecile_box,
     stream,
 )
+
+from conftest import gaussian_laws, product_laws
 
 GRID = np.linspace(-6.0, 6.0, 301)
 PROBS = np.linspace(0.001, 0.999, 97)
@@ -129,6 +132,31 @@ class TestGaussianDistribution:
     def test_rejects_non_psd(self):
         with pytest.raises(Exception):
             GaussianDistribution([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+
+
+closed_form_laws = st.one_of(gaussian_laws(), product_laws())
+
+
+@settings(max_examples=40, deadline=None)
+@given(dist=closed_form_laws, p=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=8))
+def test_closed_form_quantile_matches_bisection(dist, p):
+    p = np.array(p)
+    z = dist.sample(stream(13, 0), p.size)
+    for m in range(dist.dim):
+        v = dist.conditional_quantile(m, z[:, :m], p)
+        generic = Distribution.conditional_quantile(dist, m, z[:, :m], p)
+        assert np.all(np.abs(v - generic) <= 1e-9 * (1.0 + np.abs(v)))
+        assert_allclose(dist.conditional_cdf(m, z[:, :m], v), p, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dist=closed_form_laws)
+def test_closed_form_quantile_edges_and_scalars(dist):
+    z = dist.sample(stream(13, 1), 2)
+    for m in range(dist.dim):
+        # a source CDF can return exactly 0 or 1 in its tails
+        assert np.all(np.isfinite(dist.conditional_quantile(m, z[:, :m], np.array([0.0, 1.0]))))
+        assert type(dist.conditional_quantile(m, z[0, :m], 0.3)) is float
 
 
 class TestProductDistribution:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from idlab import (
@@ -10,11 +12,13 @@ from idlab import (
     Automorphism,
     CdfChainMap,
     ComposedMap,
+    Exponential1D,
     GaussianDistribution,
     GaussianMixture1D,
     Laplace1D,
     Normal1D,
     ProductDistribution,
+    TriangularMap,
     component_wise_check,
     compose,
     interdecile_box,
@@ -28,9 +32,10 @@ from idlab import (
     rosenblatt,
     stream,
 )
-from idlab.errors import DimensionMismatch
+from idlab.errors import DimensionMismatch, NonFiniteDerivative
+from idlab.indeterminacy import TransportedDistribution
 
-from conftest import probe_grid
+from conftest import gaussian_laws, probe_grid, product_laws
 
 
 class TestAffineMap:
@@ -110,6 +115,45 @@ class TestCdfChain:
         x = amap.forward(src.sample(rng, 8000))[:, 0]
         stat = scipy.stats.kstest(x, mix.marginals[0].cdf).statistic
         assert stat < 0.025
+
+
+class TestCdfChainLogDet:
+    """The chain's log-det is the density ratio log p_src(z) - log p_tgt(T z)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_affine_closed_form(self, data):
+        d = data.draw(st.integers(1, 4))
+        src, tgt = data.draw(gaussian_laws(d)), data.draw(gaussian_laws(d))
+        z = src.sample(stream(17, 0), 20)
+        chain = CdfChainMap(src, tgt)
+        assert_allclose(chain.log_det_jacobian(z), kr_transport(src, tgt).log_det_jacobian(z), rtol=0, atol=1e-9)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_matches_finite_differences(self, data):
+        d = data.draw(st.integers(1, 4))
+        ends = [data.draw(gaussian_laws(d)), data.draw(product_laws(d, kinds=("logistic",)))]
+        if data.draw(st.booleans()):
+            ends.reverse()
+        chain = CdfChainMap(*ends)
+        z = ends[0].sample(stream(17, 1), 20)
+        assert_allclose(chain.log_det_jacobian(z), TriangularMap.log_det_jacobian(chain, z), rtol=0, atol=1e-6)
+
+    def test_outside_source_support_raises(self):
+        chain = CdfChainMap(ProductDistribution([Exponential1D(1.0)]), ProductDistribution([Normal1D()]))
+        assert np.isfinite(chain.log_det_jacobian(np.array([0.5])))
+        with pytest.raises(NonFiniteDerivative):
+            chain.log_det_jacobian(np.array([[0.5], [-1.0]]))
+
+    @pytest.mark.parametrize("mixture_target", [False, True])
+    def test_transported_density_is_target_density(self, laplace_product, gauss2, rng, mixture_target):
+        tgt = gauss2
+        if mixture_target:
+            tgt = ProductDistribution([GaussianMixture1D([0.4, 0.6], [-1.5, 1.2], [0.7, 1.1]), Normal1D(0.5, 2.0)])
+        pushed = TransportedDistribution(laplace_product, CdfChainMap(laplace_product, tgt))
+        x = tgt.sample(rng, 200)
+        assert_allclose(pushed.log_density(x), tgt.log_density(x), rtol=0, atol=1e-8)
 
 
 class TestClosureLaws:
