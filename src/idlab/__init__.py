@@ -6,10 +6,10 @@ and checks at desk scale which model configurations (and which downstream
 tasks) pin their latents down.
 """
 
-from .errors import (BracketFailure, ConfigError, DegenerateMeans,
-                     DimensionMismatch, IdlabError, MismatchedFamily,
-                     NonFiniteDerivative, RangeMismatch, RankDeficient,
-                     SingularCovariance, SingularMatrix, UncertifiedTransform)
+from .errors import (BracketFailure, DegenerateMeans, DimensionMismatch,
+                     IdlabError, MismatchedFamily, NonFiniteDerivative,
+                     RangeMismatch, RankDeficient, SingularCovariance,
+                     SingularMatrix, UncertifiedTransform)
 from .rng import stream
 from .measures import (Distribution, ExpFamily, GaussianDistribution,
                        GaussianMixture1D, Laplace1D, Logistic1D, Normal1D,

@@ -18,7 +18,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .experiments import EXPERIMENTS, experiment_info, run_experiment
+from .experiments import (EXPERIMENTS, check_params, experiment_info,
+                          run_experiment)
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -105,15 +106,32 @@ def _load_config(path: str):
         raise ValueError(f"config is not valid JSON: {exc}") from exc
 
 
-def _validate_config(config) -> None:
+def _validate_config(config) -> dict:
+    """Check a config; return each experiment to run with its overrides.
+
+    Every experiment's overrides are checked against its registered
+    defaults here, so a bad entry rejects the run before any experiment
+    starts.
+    """
     import jsonschema
     try:
         jsonschema.validate(config, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
         raise ValueError(f"config rejected: {exc.message}") from exc
     name = config["experiment"]
-    if name != "all" and name not in EXPERIMENTS:
+    params = config.get("params", {})
+    if name == "all":
+        unknown = sorted(set(params) - set(EXPERIMENTS))
+        if unknown:
+            raise ValueError(f"params name unknown experiments: {unknown}")
+        plan = {n: params.get(n, {}) for n in EXPERIMENTS}
+    elif name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment: {name!r}")
+    else:
+        plan = {name: params}
+    for exp_name, overrides in plan.items():
+        check_params(exp_name, overrides)
+    return plan
 
 
 def _write_experiment_artifacts(out_dir, result, echo):
@@ -131,7 +149,7 @@ def _write_experiment_artifacts(out_dir, result, echo):
 def _cmd_run(args) -> int:
     try:
         config = _load_config(args.config)
-        _validate_config(config)
+        plan = _validate_config(config)
     except ValueError as exc:
         return _fail(str(exc))
 
@@ -147,16 +165,11 @@ def _cmd_run(args) -> int:
         except ValueError:
             return _fail("IDLAB_JOBS must be an integer")
 
-    names = list(EXPERIMENTS) if name == "all" else [name]
-    raw_params = config.get("params", {})
-
     statuses = {}
-    for exp_name in names:
-        params = (raw_params.get(exp_name, {}) if name == "all"
-                  else raw_params)
+    for exp_name, params in plan.items():
         try:
             result = run_experiment(exp_name, params, seed=seed, jobs=jobs)
-        except Exception as exc:  # bad params surface before artifacts
+        except Exception as exc:  # a bad value surfaces before its artifacts
             return _fail(f"{exp_name}: {exc}")
         echo = {"experiment": exp_name, "seed": seed, "jobs": jobs,
                 "params": {**EXPERIMENTS[exp_name].defaults, **params},

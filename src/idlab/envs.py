@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DimensionMismatch, RankDeficient, SingularCovariance)
+from .linear import LinearGenerator, _svd_rank
 from .measures import (Distribution, GaussianDistribution, ProductDistribution,
                        _LOG_2PI)
 from .transport import AffineMap, TriangularMap
@@ -40,18 +41,6 @@ __all__ = [
     "fit_env_affine_generator",
     "verify_multiview",
 ]
-
-_RANK_REL_TOL = 1e-8
-
-
-def _svd_rank(M: np.ndarray) -> int:
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > _RANK_REL_TOL * s[0]))
-
 
 @dataclass
 class ModelParams:
@@ -157,18 +146,42 @@ class EnvironmentSet:
         return worst
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnvironmentData:
-    """Paired observations, latents and environment codes."""
+    """Paired observations, latents and environment codes, env-blocked.
+
+    Rows are grouped by environment: the rows of each code are contiguous,
+    and the blocks appear in ascending code order (ragged blocks, and codes
+    with no rows at all, are allowed).  Construction checks the layout and
+    raises ``ValueError`` for any other order.  ``blocks`` maps each code
+    present to the slice of its rows, and ``rows_for`` returns views of
+    ``x`` and ``z`` through it, not copies.
+    """
 
     x: np.ndarray
     z: np.ndarray
     env: np.ndarray
     n_per_env: int
+    blocks: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        env = self.env
+        if not (len(self.x) == len(self.z) == len(env)):
+            raise DimensionMismatch("x, z and env need one row per sample")
+        if np.any(env[1:] < env[:-1]):
+            raise ValueError("env codes must come in ascending blocks")
+        blocks, lo = {}, 0
+        while lo < len(env):
+            code = env[lo].item()
+            hi = int(np.searchsorted(env, code, side="right"))
+            blocks[code] = slice(lo, hi)
+            lo = hi
+        object.__setattr__(self, "blocks", blocks)
 
     def rows_for(self, code: int):
-        mask = self.env == code
-        return self.x[mask], self.z[mask]
+        """Views of the observations and latents of environment ``code``."""
+        rows = self.blocks.get(code, slice(0, 0))
+        return self.x[rows], self.z[rows]
 
     def to_csv(self, path):
         dx, dz = self.x.shape[1], self.z.shape[1]
@@ -190,6 +203,9 @@ class EnvironmentData:
         dx = sum(1 for h in header if h.startswith("x_"))
         dz = sum(1 for h in header if h.startswith("z_"))
         data = np.array([[float(v) for v in r] for r in rows])
+        # a stable sort makes the rows env-blocked and keeps their order
+        # within each environment
+        data = data[np.argsort(data[:, -1], kind="stable")]
         env = data[:, -1].astype(int)
         counts = np.bincount(env)
         return cls(x=data[:, :dx], z=data[:, dx:dx + dz], env=env,
@@ -440,7 +456,6 @@ def fit_env_affine_generator(data: EnvironmentData, envset: EnvironmentSet):
     matrix ``W`` including any rotation part.  Requires at least
     ``latent_dim + 1`` environments in general position.
     """
-    from .linear import LinearGenerator
     E = envset.n_envs
     dz = envset.latent_dim
     mus = np.array([np.asarray(p.mean, dtype=float) for p in envset.priors])

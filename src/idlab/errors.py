@@ -18,7 +18,6 @@ __all__ = [
     "RankDeficient",
     "SingularCovariance",
     "UncertifiedTransform",
-    "ConfigError",
 ]
 
 
@@ -64,7 +63,3 @@ class SingularCovariance(IdlabError):
 
 class UncertifiedTransform(IdlabError):
     """A candidate indeterminacy transform failed its invariance re-check."""
-
-
-class ConfigError(IdlabError):
-    """An experiment configuration is malformed or names an unknown experiment."""

@@ -101,6 +101,27 @@ class TestUsageErrors:
         cfg = write_config(tmp_path / "cfg.json", experiment="fa-rotation", bogus=1)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
+    def test_unknown_override_key_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", experiment="kr-gaussian", params={"n_probs": 2})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        assert "n_probs" in capsys.readouterr().err
+
+    def test_all_with_unknown_experiment_in_params_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", experiment="all", params={"not-a-thing": {}})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        assert "not-a-thing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [{"n_probs": 2}, 5])
+    def test_all_with_one_bad_entry_writes_nothing(self, tmp_path, bad):
+        # the bad entry belongs to the last experiment, so nothing may run
+        # ahead of the check
+        params = {"kr-gaussian": {"n_pairs": 2}, "multiview": bad}
+        cfg = write_config(tmp_path / "cfg.json", experiment="all", params=params)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
 
 def test_claim_failure_still_writes_reports(tmp_path, capsys):
     # a statistic bound calibrated for n=1000 will not hold at n=40 — this is

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from idlab import (
     AffineMap,
@@ -24,7 +26,8 @@ from idlab import (
     validate_strong_vae_config,
     verify_multiview,
 )
-from idlab.errors import RankDeficient, SingularCovariance
+from idlab.errors import DimensionMismatch, RankDeficient, SingularCovariance
+from idlab.experiments import _split_halves
 
 MEANS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -88,6 +91,75 @@ class TestEnvironmentData:
         assert_allclose(again.x, data.x, atol=0)
         assert_allclose(again.z, data.z, atol=0)
         assert list(again.env) == list(data.env)
+
+    def test_rows_for_returns_views(self):
+        data = generate_environment_data(self.es, self.gen, 0.0, 50, stream(41, 2))
+        for code in range(3):
+            x_e, z_e = data.rows_for(code)
+            assert np.shares_memory(data.x, x_e) and np.shares_memory(data.z, z_e)
+
+    def test_csv_interleaved_rows_load_env_blocked(self, tmp_path):
+        # interleave the environments but keep each one's own row order:
+        # a stable sort at load must give back the blocked file exactly
+        data = generate_environment_data(self.es, self.gen, 0.05, 200, stream(41, 3))
+        path = tmp_path / "data.csv"
+        data.to_csv(path)
+        header, *lines = path.read_text().splitlines()
+        per_env = [iter(lines[c * 200:(c + 1) * 200]) for c in range(3)]
+        order = stream(41, 4).permutation(np.repeat(np.arange(3), 200))
+        assert np.any(np.diff(order) < 0)
+        path.write_text("\n".join([header] + [next(per_env[c]) for c in order]) + "\n")
+        again = EnvironmentData.from_csv(path)
+        assert_array_equal(again.env, data.env)
+        for code in range(3):
+            for got, want in zip(again.rows_for(code), data.rows_for(code)):
+                assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("env", [[0, 1, 0], [1, 0], [2, 2, 1, 3]])
+    def test_non_blocked_env_is_rejected(self, env):
+        n = len(env)
+        with pytest.raises(ValueError):
+            EnvironmentData(x=np.zeros((n, 3)), z=np.zeros((n, 2)), env=np.array(env), n_per_env=n)
+
+    def test_row_count_mismatch_is_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            EnvironmentData(x=np.zeros((4, 3)), z=np.zeros((3, 2)), env=np.zeros(4, dtype=int), n_per_env=4)
+
+
+def _masked_halves(data):
+    """Reference split: the mask-and-gather version of ``_split_halves``."""
+    half = data.n_per_env // 2
+    idx_a, idx_b = [], []
+    for code in np.unique(data.env):
+        where = np.nonzero(data.env == code)[0]
+        idx_a.append(where[:half])
+        idx_b.append(where[half:2 * half])
+    return [(data.x[idx], data.z[idx], data.env[idx])
+            for idx in (np.concatenate(idx_a), np.concatenate(idx_b))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.lists(st.integers(0, 12), min_size=1, max_size=5),
+       n_per_env=st.integers(0, 16), seed=st.integers(0, 2**16))
+@example(counts=[4, 0, 7], n_per_env=6, seed=0)
+def test_blocked_rows_match_mask_reference(counts, n_per_env, seed):
+    if sum(counts) == 0:
+        counts = counts + [1]
+    env = np.repeat(np.arange(len(counts)), counts)
+    rng = stream(seed, 0)
+    data = EnvironmentData(x=rng.normal(size=(env.size, 3)), z=rng.normal(size=(env.size, 2)),
+                           env=env, n_per_env=n_per_env)
+    # every code, an empty one and one past the last included
+    for code in range(len(counts) + 1):
+        mask = data.env == code
+        x_e, z_e = data.rows_for(code)
+        assert_array_equal(x_e, data.x[mask])
+        assert_array_equal(z_e, data.z[mask])
+    for half, reference in zip(_split_halves(data), _masked_halves(data)):
+        assert half.n_per_env == n_per_env // 2
+        for got, want in zip((half.x, half.z, half.env), reference):
+            assert got.shape == want.shape
+            assert_array_equal(got, want)
 
 
 class TestFitGaussianKr:

@@ -28,6 +28,11 @@ def test_unknown_name_raises_before_computing():
         run_experiment("definitely-not-registered")
 
 
+def test_unknown_param_raises_before_computing():
+    with pytest.raises(ValueError, match="n_probs"):
+        run_experiment("kr-gaussian", {"n_probs": 2})
+
+
 def test_param_override_merges_with_defaults():
     res = run_experiment("fa-rotation", {"mu1": [2.0, 0.0]}, seed=3)
     assert isinstance(res, ExperimentResult)
