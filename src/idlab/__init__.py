@@ -18,15 +18,13 @@ from .measures import (Distribution, ExpFamily, GaussianDistribution,
                        distribution_to_spec, expfam_density_ratio_log,
                        interdecile_box, sample)
 from .transport import (AffineMap, Automorphism, CdfChainMap, ComposedMap,
-                        ExplicitMap, PushforwardReport, StructureReport,
-                        TriangularMap, component_wise_check, compose,
-                        invert, jacobian_fd, kr_transport, log_det_jacobian,
-                        map_from_spec, map_to_spec, pushforward_check,
-                        register_explicit_map, rosenblatt)
+                        PushforwardReport, StructureReport, TriangularMap,
+                        component_wise_check, compose, invert, jacobian_fd,
+                        kr_transport, log_det_jacobian, map_from_spec,
+                        map_to_spec, pushforward_check, rosenblatt)
 from .linear import (ComonReport, EnvConstraintSystem, LinearGenerator,
                      UniquenessReport, comon_structure_check,
-                     linear_generator_transform, rotation_counterexample,
-                     solve_multi_env_linear)
+                     rotation_counterexample, solve_multi_env_linear)
 from .envs import (AffineRelation, EnvironmentData, EnvironmentSet,
                    MarginalQuantileMap, ModelParams, MultiViewModel,
                    SharedStatistic, SpanReport, ValidationReport,

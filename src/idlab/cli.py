@@ -164,6 +164,11 @@ def _cmd_run(args) -> int:
             jobs = int(os.environ["IDLAB_JOBS"])
         except ValueError:
             return _fail("IDLAB_JOBS must be an integer")
+    # flags and the environment bypass the schema's minimums
+    if seed < 0:
+        return _fail(f"seed must be >= 0, got {seed}")
+    if jobs < 1:
+        return _fail(f"jobs must be >= 1, got {jobs}")
 
     statuses = {}
     for exp_name, params in plan.items():

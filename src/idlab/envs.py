@@ -406,10 +406,13 @@ class MarginalQuantileMap(TriangularMap):
             out = np.where(hi, fp[-1] + (x - xp[-1]) * slope, out)
         return out
 
-    def component(self, m, prefix, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        u = self.prior.marginals[m].cdf(x)
-        return self._interp(u, self.levels, self.knots[m])
+    def forward_prefix(self, P):
+        P = np.asarray(P, dtype=float)
+        out = np.empty_like(P)
+        for m in range(P.shape[1]):
+            u = self.prior.marginals[m].cdf(P[:, m])
+            out[:, m] = self._interp(u, self.levels, self.knots[m])
+        return out
 
     def inverse(self, X):
         X2 = np.atleast_2d(np.asarray(X, dtype=float))

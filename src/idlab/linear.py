@@ -2,9 +2,10 @@
 
 Covers the factor-analysis side of the laboratory: building a rotation
 counterexample that leaves two-environment observations unchanged, showing
-that enough spanning environments force the loading to be unique, checking
-the permutation-scaling structure that linear ICA allows, and forming the
-latent transform connecting two linear generators with a common range.
+that enough spanning environments force the loading to be unique, and
+checking the permutation-scaling structure that linear ICA allows.  The
+latent transform connecting two linear generators is
+``indeterminacy.generator_transform``.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateMeans, DimensionMismatch, RangeMismatch,
-                     SingularMatrix)
+from .errors import DegenerateMeans, DimensionMismatch, SingularMatrix
 
 __all__ = [
     "LinearGenerator",
@@ -24,7 +24,6 @@ __all__ = [
     "rotation_counterexample",
     "solve_multi_env_linear",
     "comon_structure_check",
-    "linear_generator_transform",
 ]
 
 _RANK_REL_TOL = 1e-8
@@ -197,23 +196,3 @@ def comon_structure_check(matrix, tol: float = 1e-6) -> ComonReport:
     counts = np.sum(np.abs(A) > tol, axis=0)
     return ComonReport(component_wise=bool(np.all(counts == 1)),
                        condition_number=cond, column_counts=counts, tol=tol)
-
-
-def linear_generator_transform(gen_a: LinearGenerator,
-                               gen_b: LinearGenerator) -> np.ndarray:
-    """Latent matrix of ``gen_b^{-1} . gen_a`` for range-compatible loadings.
-
-    Raises ``RangeMismatch`` when a column of the first loading leaves the
-    range of the second beyond numerical tolerance.
-    """
-    if gen_a.latent_dim != gen_b.latent_dim:
-        raise DimensionMismatch("latent dimensions differ")
-    if gen_a.obs_dim != gen_b.obs_dim:
-        raise DimensionMismatch("observation dimensions differ")
-    Fa = gen_a.loading
-    Q = gen_b._range_basis
-    resid = Fa - Q @ (Q.T @ Fa)
-    scale = max(1.0, float(np.linalg.norm(Fa)))
-    if float(np.abs(resid).max()) > 1e-8 * scale:
-        raise RangeMismatch("loadings do not share their column space")
-    return gen_b._pinv @ Fa

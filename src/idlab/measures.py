@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -60,21 +59,18 @@ _P_CEIL = 1.0 - 1e-16
 # ---------------------------------------------------------------------------
 
 def _invert_monotone_cdf(cdf, p, center, width, support, tol=1e-10,
-                         max_iter=200, unit_interval=True):
-    """Invert a monotone increasing vectorized function at targets ``p``.
+                         max_iter=200):
+    """Invert a monotone increasing vectorized CDF at probabilities ``p``.
 
     ``cdf`` maps an array of points to an array of values, row for row.  The
+    targets are clipped to the representable open interval first.  The
     bracket starts at ``center +- width`` (clamped to ``support``) and
     expands geometrically on uncovered sides until it covers ``p``.
     Bisection then shrinks it until the residual is below ``tol`` (scalar or
     per-row array) and the bracket is spatially tight; a final secant
-    interpolation inside the last bracket polishes the root.  With
-    ``unit_interval`` the targets are treated as probabilities and clipped
-    to the representable open interval.
+    interpolation inside the last bracket polishes the root.
     """
-    p = np.asarray(p, dtype=float)
-    if unit_interval:
-        p = np.clip(p, _P_FLOOR, _P_CEIL)
+    p = np.clip(np.asarray(p, dtype=float), _P_FLOOR, _P_CEIL)
     n = p.shape[0]
     center = np.broadcast_to(np.asarray(center, dtype=float), (n,)).copy()
     width = np.broadcast_to(np.asarray(width, dtype=float), (n,)).copy()

@@ -2,14 +2,17 @@
 
 A triangular monotone increasing (TMI) map sends coordinate ``m`` to a value
 that depends only on coordinates ``0..m`` and increases strictly in
-coordinate ``m``.  Four representations cover the laboratory's needs:
+coordinate ``m``.  Every map is written as a sweep over coordinates:
+``forward_prefix`` maps the first ``k`` input columns to the first ``k``
+output columns, and ``forward``, the finite-difference log-det fallback and
+every composition are built on it.  Three representations cover the
+laboratory's needs:
 
 * ``AffineMap`` - lower-triangular matrix with positive diagonal plus offset;
 * ``CdfChainMap`` - the conditional-CDF recursion between two distributions,
   which is the canonical coordinatewise transport (source conditional CDF
   composed with the target's conditional quantile, sweeping coordinates);
-* ``ComposedMap`` - composition chain of TMI maps (closed under composition);
-* ``ExplicitMap`` - closed-form components, registrable by name.
+* ``ComposedMap`` - composition chain of TMI maps (closed under composition).
 
 The module also ships the statistical verifiers used throughout: a
 Rosenblatt-reduction goodness-of-fit check for pushforwards and
@@ -26,16 +29,14 @@ from scipy import stats as _sstats
 from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, NonFiniteDerivative
-from .measures import (Distribution, GaussianDistribution,
-                       _invert_monotone_cdf, distribution_from_spec,
-                       distribution_to_spec)
+from .measures import (Distribution, GaussianDistribution, _rows,
+                       distribution_from_spec, distribution_to_spec)
 
 __all__ = [
     "TriangularMap",
     "AffineMap",
     "CdfChainMap",
     "ComposedMap",
-    "ExplicitMap",
     "Automorphism",
     "PushforwardReport",
     "StructureReport",
@@ -47,21 +48,9 @@ __all__ = [
     "pushforward_check",
     "component_wise_check",
     "jacobian_fd",
-    "register_explicit_map",
     "map_to_spec",
     "map_from_spec",
 ]
-
-
-def _as_rows(Z, dim):
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim == 1:
-        if Z.shape[0] != dim:
-            raise DimensionMismatch(f"expected point of dimension {dim}")
-        return Z[None, :], True
-    if Z.ndim != 2 or Z.shape[1] != dim:
-        raise DimensionMismatch(f"expected (n, {dim}) array")
-    return Z, False
 
 
 class TriangularMap(abc.ABC):
@@ -74,101 +63,54 @@ class TriangularMap(abc.ABC):
         return self.dim
 
     @abc.abstractmethod
-    def component(self, m: int, prefix, x):
-        """Value of output coordinate ``m`` at ``(prefix, x)``.
+    def forward_prefix(self, P):
+        """Apply the map to the first ``k`` coordinates only, (n, k) rows.
 
-        ``prefix`` holds input coordinates ``0..m-1`` (rows), ``x`` the input
-        coordinate ``m``; the result is strictly increasing in ``x``.
+        Output column ``m`` reads input columns ``0..m`` alone, so the first
+        ``k`` columns of ``forward`` equal ``forward_prefix`` on the first
+        ``k`` input columns.
         """
         ...
 
-    def forward_prefix(self, P):
-        """Apply the map to the first ``k`` coordinates only, (n, k) rows."""
-        P = np.asarray(P, dtype=float)
-        n, k = P.shape
-        out = np.empty((n, k))
-        for m in range(k):
-            out[:, m] = self.component(m, P[:, :m], P[:, m])
-        return out
+    @abc.abstractmethod
+    def inverse(self, X):
+        """Solve ``forward(z) = x`` for ``z``, row by row."""
+        ...
+
+    @abc.abstractmethod
+    def inverted(self) -> "TriangularMap":
+        """The inverse map as a TMI object."""
+        ...
 
     def forward(self, Z):
-        Z2, was_1d = _as_rows(Z, self.dim)
+        Z2, was_1d = _rows(Z, self.dim)
         out = self.forward_prefix(Z2)
         return out[0] if was_1d else out
 
-    def _inverse_sweep(self, Y):
-        """Solve the triangular system coordinate by coordinate."""
-        Y = np.asarray(Y, dtype=float)
-        n, k = Y.shape
-        X = np.empty((n, k))
-        for m in range(k):
-            y = Y[:, m]
-            X[:, m] = _invert_monotone_cdf(
-                lambda v, m=m: self.component(m, X[:, :m], v),
-                y, y, 1.0 + 0.5 * np.abs(y), (-np.inf, np.inf),
-                tol=1e-11 * (1.0 + np.abs(y)), unit_interval=False)
-        return X
-
-    def inverse(self, X):
-        X2, was_1d = _as_rows(X, self.dim)
-        out = self._inverse_sweep(X2)
-        return out[0] if was_1d else out
-
-    def inverted(self) -> "TriangularMap":
-        """The inverse map as a TMI object (recursive inverse formula)."""
-        return _InverseView(self)
-
     def log_det_jacobian(self, Z, step: float = 1e-5):
-        """Sum over coordinates of log d(component_m)/dx_m, central FD."""
-        Z2, was_1d = _as_rows(Z, self.dim)
+        """Sum over coordinates of log dT_m/dz_m, central differences.
+
+        Column ``m`` of the input is moved by ``+step`` and ``-step`` and
+        column ``m`` of ``forward_prefix`` on the first ``m + 1`` columns is
+        read off.
+        """
+        Z2, was_1d = _rows(Z, self.dim)
         out = np.zeros(Z2.shape[0])
         for m in range(self.dim):
-            hi = self.component(m, Z2[:, :m], Z2[:, m] + step)
-            lo = self.component(m, Z2[:, :m], Z2[:, m] - step)
-            slope = (np.asarray(hi) - np.asarray(lo)) / (2.0 * step)
+            hi = Z2[:, :m + 1].copy()
+            hi[:, m] = Z2[:, m] + step
+            lo = Z2[:, :m + 1].copy()
+            lo[:, m] = Z2[:, m] - step
+            slope = (self.forward_prefix(hi)[:, m]
+                     - self.forward_prefix(lo)[:, m]) / (2.0 * step)
             if np.any(~np.isfinite(slope)) or np.any(slope <= 0):
                 raise NonFiniteDerivative(
                     f"component {m} has non-positive or non-finite slope")
             out += np.log(slope)
         return float(out[0]) if was_1d else out
 
-    def as_automorphism(self, **tags) -> "Automorphism":
-        tags.setdefault("triangular", True)
-        return Automorphism(self.dim, self.forward, self.inverse, tags=tags,
-                            source_map=self)
-
     def to_spec(self) -> dict:
         raise NotImplementedError
-
-
-class _InverseView(TriangularMap):
-    """Inverse of a TMI map, solved componentwise; itself TMI."""
-
-    def __init__(self, base: TriangularMap):
-        self.base = base
-        self.dim = base.dim
-
-    def component(self, m, prefix, x):
-        prefix = np.asarray(prefix, dtype=float)
-        if prefix.ndim <= 1:
-            prefix = prefix.reshape(1, -1)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if prefix.shape[0] == 1 and x.shape[0] > 1:
-            prefix = np.broadcast_to(prefix, (x.shape[0], m))
-        xpre = self.base._inverse_sweep(prefix) if m else prefix
-        return _invert_monotone_cdf(
-            lambda v: self.base.component(m, xpre, v),
-            x, x, 1.0 + 0.5 * np.abs(x), (-np.inf, np.inf),
-            tol=1e-11 * (1.0 + np.abs(x)), unit_interval=False)
-
-    def forward_prefix(self, P):
-        return self.base._inverse_sweep(np.asarray(P, dtype=float))
-
-    def inverse(self, X):
-        return self.base.forward(X)
-
-    def inverted(self):
-        return self.base
 
 
 class AffineMap(TriangularMap):
@@ -189,21 +131,13 @@ class AffineMap(TriangularMap):
                        else np.asarray(offset, dtype=float).reshape(L.shape[0]))
         self.dim = L.shape[0]
 
-    def component(self, m, prefix, x):
-        prefix = np.asarray(prefix, dtype=float)
-        if prefix.ndim <= 1:
-            prefix = prefix.reshape(1, -1)
-        x = np.asarray(x, dtype=float)
-        lin = prefix @ self.matrix[m, :m] if m else 0.0
-        return self.offset[m] + lin + self.matrix[m, m] * x
-
     def forward_prefix(self, P):
         P = np.asarray(P, dtype=float)
         k = P.shape[1]
         return self.offset[:k] + P @ self.matrix[:k, :k].T
 
     def inverse(self, X):
-        X2, was_1d = _as_rows(X, self.dim)
+        X2, was_1d = _rows(X, self.dim)
         out = solve_triangular(self.matrix, (X2 - self.offset).T, lower=True).T
         return out[0] if was_1d else out
 
@@ -212,7 +146,7 @@ class AffineMap(TriangularMap):
         return AffineMap(inv, -inv @ self.offset)
 
     def log_det_jacobian(self, Z, step=1e-5):
-        Z2, was_1d = _as_rows(Z, self.dim)
+        Z2, was_1d = _rows(Z, self.dim)
         val = float(np.sum(np.log(np.diag(self.matrix))))
         return val if was_1d else np.full(Z2.shape[0], val)
 
@@ -252,23 +186,12 @@ class CdfChainMap(TriangularMap):
                 m, out[:, :m], u, tol=self.tol)
         return out
 
-    def component(self, m, prefix, x):
-        prefix = np.asarray(prefix, dtype=float)
-        if prefix.ndim <= 1:
-            prefix = prefix.reshape(1, -1)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if prefix.shape[0] == 1 and x.shape[0] > 1:
-            prefix = np.broadcast_to(prefix, (x.shape[0], m))
-        u = self.source.conditional_cdf(m, prefix, x)
-        ypre = self.forward_prefix(prefix) if m else prefix
-        return self.target.conditional_quantile(m, ypre, u, tol=self.tol)
-
     def inverse(self, X):
         return self.inverted().forward(X)
 
     def log_det_jacobian(self, Z, step=1e-5):
         """Exact ``log p_source(z) - log p_target(T z)``; ``step`` is unused."""
-        Z2, was_1d = _as_rows(Z, self.dim)
+        Z2, was_1d = _rows(Z, self.dim)
         out = (self.source.log_density(Z2)
                - self.target.log_density(self.forward_prefix(Z2)))
         if not np.all(np.isfinite(out)):
@@ -307,19 +230,6 @@ class ComposedMap(TriangularMap):
             out = p.forward_prefix(out)
         return out
 
-    def component(self, m, prefix, x):
-        prefix = np.asarray(prefix, dtype=float)
-        if prefix.ndim <= 1:
-            prefix = prefix.reshape(1, -1)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if prefix.shape[0] == 1 and x.shape[0] > 1:
-            prefix = np.broadcast_to(prefix, (x.shape[0], m))
-        cur_prefix, cur_x = prefix, x
-        for p in self.parts:
-            cur_x = np.atleast_1d(np.asarray(p.component(m, cur_prefix, cur_x)))
-            cur_prefix = p.forward_prefix(cur_prefix)
-        return cur_x
-
     def inverse(self, X):
         out = np.asarray(X, dtype=float)
         for p in reversed(self.parts):
@@ -331,7 +241,7 @@ class ComposedMap(TriangularMap):
 
     def log_det_jacobian(self, Z, step=1e-5):
         """Exact chain rule: triangular Jacobians multiply diagonal-wise."""
-        Z2, was_1d = _as_rows(Z, self.dim)
+        Z2, was_1d = _rows(Z, self.dim)
         out = np.zeros(Z2.shape[0])
         cur = Z2
         for p in self.parts:
@@ -343,77 +253,13 @@ class ComposedMap(TriangularMap):
         return {"kind": "composed", "parts": [p.to_spec() for p in self.parts]}
 
 
-class ExplicitMap(TriangularMap):
-    """TMI map from closed-form component callables.
-
-    ``components[m](prefix, x)`` gives output coordinate ``m``;
-    ``inverse_components[m](prefix, y)``, when declared, solves it for ``x``
-    given the recovered source prefix.  Without declared inverses the
-    componentwise root finder takes over.
-    """
-
-    def __init__(self, dim, components, inverse_components=None,
-                 name: str | None = None):
-        if len(components) != dim:
-            raise DimensionMismatch("need one component per coordinate")
-        if inverse_components is not None and len(inverse_components) != dim:
-            raise DimensionMismatch("need one inverse per coordinate")
-        self.dim = dim
-        self.components = list(components)
-        self.inverse_components = (None if inverse_components is None
-                                   else list(inverse_components))
-        self.name = name
-
-    def component(self, m, prefix, x):
-        prefix = np.asarray(prefix, dtype=float)
-        if prefix.ndim <= 1:
-            prefix = prefix.reshape(1, -1)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if prefix.shape[0] == 1 and x.shape[0] > 1:
-            prefix = np.broadcast_to(prefix, (x.shape[0], m))
-        return np.asarray(self.components[m](prefix, x), dtype=float)
-
-    def inverse(self, X):
-        if self.inverse_components is None:
-            return super().inverse(X)
-        X2, was_1d = _as_rows(X, self.dim)
-        out = np.empty_like(X2)
-        for m in range(self.dim):
-            out[:, m] = self.inverse_components[m](out[:, :m], X2[:, m])
-        return out[0] if was_1d else out
-
-    def inverted(self):
-        if self.inverse_components is None:
-            return _InverseView(self)
-        fwd = list(self.components)
-        inv = list(self.inverse_components)
-        return ExplicitMap(self.dim, inv, fwd,
-                           name=None if self.name is None else f"~{self.name}")
-
-    def to_spec(self):
-        if self.name is None or self.name not in _EXPLICIT_REGISTRY:
-            raise NotImplementedError(
-                "only registry-named explicit maps serialize")
-        return {"kind": "explicit_named", "name": self.name}
-
-
-_EXPLICIT_REGISTRY: dict[str, ExplicitMap] = {}
-
-
-def register_explicit_map(name: str, mapping: ExplicitMap) -> ExplicitMap:
-    """Register a closed-form map under a stable name for serialization."""
-    mapping.name = name
-    _EXPLICIT_REGISTRY[name] = mapping
-    return mapping
-
-
 @dataclass
 class Automorphism:
     """Invertible self-map of the latent space, with structure tags.
 
-    ``tags`` may carry a ``"linear"`` payload ``(matrix, offset)`` and
-    boolean structure hints; downstream code uses them to keep pushforwards
-    in closed form when possible.
+    ``tags`` may carry a ``"linear"`` payload ``(matrix, offset)``;
+    downstream code uses it to keep pushforwards in closed form when
+    possible.
     """
 
     dim: int
@@ -427,12 +273,12 @@ class Automorphism:
         return self.dim
 
     def forward(self, Z):
-        Z2, was_1d = _as_rows(Z, self.dim)
+        Z2, was_1d = _rows(Z, self.dim)
         out = np.asarray(self._forward(Z2), dtype=float)
         return out[0] if was_1d else out
 
     def inverse(self, X):
-        X2, was_1d = _as_rows(X, self.dim)
+        X2, was_1d = _rows(X, self.dim)
         out = np.asarray(self._inverse(X2), dtype=float)
         return out[0] if was_1d else out
 
@@ -479,7 +325,8 @@ class Automorphism:
 
     @classmethod
     def from_map(cls, mapping: TriangularMap) -> "Automorphism":
-        return mapping.as_automorphism()
+        return cls(mapping.dim, mapping.forward, mapping.inverse,
+                   source_map=mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +387,7 @@ def rosenblatt(dist: Distribution, X) -> np.ndarray:
 
     Under ``X ~ dist`` every output column is i.i.d. uniform on (0, 1).
     """
-    X2, _ = _as_rows(X, dist.dim)
+    X2, _ = _rows(X, dist.dim)
     U = np.empty_like(X2)
     for m in range(dist.dim):
         U[:, m] = dist.conditional_cdf(m, X2[:, :m], X2[:, m])
@@ -685,9 +532,4 @@ def map_from_spec(spec: dict) -> TriangularMap:
                            tol=spec.get("tol", 1e-10))
     if kind == "composed":
         return ComposedMap([map_from_spec(p) for p in spec["parts"]])
-    if kind == "explicit_named":
-        name = spec.get("name")
-        if name not in _EXPLICIT_REGISTRY:
-            raise ValueError(f"explicit map {name!r} is not registered")
-        return _EXPLICIT_REGISTRY[name]
     raise ValueError(f"unknown map kind: {kind!r}")

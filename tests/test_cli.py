@@ -122,6 +122,21 @@ class TestUsageErrors:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, env_jobs, message", [
+        (["--jobs", "0"], None, "jobs must be >= 1"),
+        ([], "0", "jobs must be >= 1"),
+        (["--seed", "-1"], None, "seed must be >= 0"),
+    ])
+    def test_bad_seed_or_jobs_writes_nothing(self, tmp_path, monkeypatch, capsys, flags, env_jobs, message):
+        if env_jobs is None:
+            monkeypatch.delenv("IDLAB_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("IDLAB_JOBS", env_jobs)
+        cfg = write_config(tmp_path / "cfg.json", experiment="kr-gaussian", params={"n_pairs": 2})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 2
+        assert not (tmp_path / "out").exists()
+        assert message in capsys.readouterr().err
+
 
 def test_claim_failure_still_writes_reports(tmp_path, capsys):
     # a statistic bound calibrated for n=1000 will not hold at n=40 — this is

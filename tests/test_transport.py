@@ -16,11 +16,13 @@ from idlab import (
     GaussianDistribution,
     GaussianMixture1D,
     Laplace1D,
+    MarginalQuantileMap,
     Normal1D,
     ProductDistribution,
     TriangularMap,
     component_wise_check,
     compose,
+    fit_marginal_quantile_transport,
     interdecile_box,
     invert,
     jacobian_fd,
@@ -55,12 +57,33 @@ class TestAffineMap:
         with pytest.raises(Exception):
             AffineMap(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
-    def test_component_prefix_contract(self, rng):
-        amap = AffineMap(np.array([[2.0, 0.0], [0.7, 1.5]]), np.array([0.5, 0.5]))
-        z = rng.normal(size=(8, 2))
-        full = amap.forward(z)
-        head = amap.component(1, z[:, :1], z[:, 1])
-        assert_allclose(head, full[:, 1], atol=1e-14)
+
+def _sweep_maps(laplace, gauss):
+    mixture = ProductDistribution([GaussianMixture1D([0.4, 0.6], [-1.5, 1.2], [0.7, 1.1]), Normal1D(0.5, 2.0)])
+    affine = AffineMap(np.array([[2.0, 0.0], [0.7, 1.5]]), np.array([0.5, 0.5]))
+    return {
+        "affine": affine,
+        "cdf-chain-laplace-gaussian": CdfChainMap(laplace, gauss),
+        "cdf-chain-mixture": CdfChainMap(laplace, mixture),
+        "composed": ComposedMap([CdfChainMap(laplace, gauss), affine]),
+        "marginal-quantile": fit_marginal_quantile_transport(gauss.sample(stream(41, 0), 400), laplace, grid_size=33),
+    }
+
+
+@pytest.mark.parametrize("name", ["affine", "cdf-chain-laplace-gaussian", "cdf-chain-mixture", "composed", "marginal-quantile"])
+def test_sweep_contract(name, laplace_product, gauss2, rng):
+    """Prefix sweeps agree with the full map, and every inverse round-trips."""
+    mapping = _sweep_maps(laplace_product, gauss2)[name]
+    z = laplace_product.sample(rng, 64)
+    x = mapping.forward(z)
+    for k in range(1, mapping.dim + 1):
+        assert np.array_equal(mapping.forward_prefix(z[:, :k]), x[:, :k])
+    assert_allclose(mapping.inverse(x), z, rtol=0, atol=1e-7)
+    if isinstance(mapping, MarginalQuantileMap):
+        with pytest.raises(NotImplementedError):
+            mapping.inverted()
+    else:
+        assert_allclose(mapping.inverted().forward(x), mapping.inverse(x), rtol=0, atol=1e-9)
 
 
 class TestGaussianClosedForm:
@@ -198,7 +221,7 @@ def test_rosenblatt_uniformises(gauss2):
 def test_log_det_jacobian_fd_agrees_with_exact(rng):
     amap = AffineMap(np.array([[1.5, 0.0], [-0.4, 0.8]]), np.array([0.2, 0.0]))
     z = rng.normal(size=(20, 2))
-    assert_allclose(log_det_jacobian(amap, z), amap.log_det_jacobian(z), atol=1e-6)
+    assert_allclose(TriangularMap.log_det_jacobian(amap, z), log_det_jacobian(amap, z), rtol=0, atol=1e-6)
 
 
 def test_jacobian_fd_linear(rng):
@@ -284,6 +307,11 @@ def test_spec_roundtrip_cdf_chain(laplace_product, gauss2, rng):
     again = map_from_spec(map_to_spec(amap))
     z = laplace_product.sample(rng, 32)
     assert_allclose(again.forward(z), amap.forward(z), atol=1e-10)
+
+
+def test_spec_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown map kind"):
+        map_from_spec({"kind": "explicit_named", "name": "x"})
 
 
 def test_kr_rejects_dimension_mismatch(gauss2):
