@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, RankDeficient, SingularCovariance)
 from .linear import LinearGenerator, _svd_rank
-from .measures import (Distribution, GaussianDistribution, ProductDistribution,
-                       _LOG_2PI)
+from .measures import (Distribution, ExpFamily, GaussianDistribution,
+                       ProductDistribution)
 from .transport import AffineMap, TriangularMap
 
 __all__ = [
@@ -111,20 +111,9 @@ class EnvironmentSet:
         means = np.atleast_2d(np.asarray(means, dtype=float))
         d = means.shape[1]
         priors = [GaussianDistribution(mu, np.eye(d)) for mu in means]
-
-        def suff_stat(z):
-            return np.atleast_2d(np.asarray(z, dtype=float))
-
-        def log_base(z):
-            z2 = np.atleast_2d(np.asarray(z, dtype=float))
-            return -0.5 * np.sum(z2 * z2, axis=1) - 0.5 * d * _LOG_2PI
-
-        def log_partition(eta):
-            eta = np.asarray(eta, dtype=float)
-            return 0.5 * float(eta @ eta)
-
-        stat = SharedStatistic(suff_stat=suff_stat, log_base=log_base,
-                               log_partition=log_partition, stat_dim=d,
+        fam = ExpFamily.gaussian_mean_family(means[0])
+        stat = SharedStatistic(suff_stat=fam.suff_stat, log_base=fam.log_base,
+                               log_partition=fam.log_partition, stat_dim=d,
                                injective_coord=0)
         return cls(priors, eta_matrix=means, shared_stat=stat)
 

@@ -192,7 +192,8 @@ def generator_transform(gen_a, gen_b, probes=None,
     ``gen_b``'s left inverse after ``gen_a``, inverse is the song played
     backwards.  Affine pairs come back in closed form with a linear tag;
     triangular-map pairs compose exactly and carry their composition as the
-    source map.  Probes (default: origin plus unit directions) certify that
+    source map, unless ``gen_b`` has no inverted map, in which case they
+    compose pointwise like any other pair.  Probes (default: origin plus unit directions) certify that
     ``gen_a``'s outputs lie on ``gen_b``'s range, else ``RangeMismatch``.
     """
     dz_a = getattr(gen_a, "latent_dim", None)
@@ -213,7 +214,12 @@ def generator_transform(gen_a, gen_b, probes=None,
         return Automorphism.from_matrix(M, c)
 
     if isinstance(gen_a, TriangularMap) and isinstance(gen_b, TriangularMap):
-        return Automorphism.from_map(ComposedMap([gen_a, gen_b.inverted()]))
+        try:
+            b_inv = gen_b.inverted()
+        except NotImplementedError:
+            b_inv = None  # a fit artifact that inverts only pointwise
+        if b_inv is not None:
+            return Automorphism.from_map(ComposedMap([gen_a, b_inv]))
 
     _range_guard(gen_a, gen_b, probes, tol)
 

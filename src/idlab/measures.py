@@ -4,10 +4,11 @@ The module provides a small zoo of fully supported distributions behind one
 `Distribution` interface: exact densities in log space, samplers driven by
 counter-based streams, and conditional CDFs with their inverses.  Gaussian
 laws and products of normal, Laplace, logistic or exponential marginals give
-their conditional quantiles in closed form.  Every other law (mixture
-marginals, exponential families) inverts its conditional CDF by bracketed
-bisection refined with a secant step, so every distribution that can
-evaluate a conditional CDF supports Rosenblatt-style resampling and
+their conditional quantiles in closed form.  Exponential families tabulate
+each conditional CDF once on a quadrature grid and invert that table
+exactly.  Every other law (mixture marginals) inverts its conditional CDF by
+bracketed bisection refined with a secant step, so every distribution that
+can evaluate a conditional CDF supports Rosenblatt-style resampling and
 triangular transport.
 
 Multivariate exponential families carry their carrier density, sufficient
@@ -52,6 +53,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # inversion; beyond it double precision cannot tell the CDF apart from 0 or 1.
 _P_FLOOR = 1e-300
 _P_CEIL = 1.0 - 1e-16
+
+# Rows of quadrature points an exponential family evaluates at once, so its
+# tables take O(_BLOCK * grid) memory however many rows are asked for.
+_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +423,8 @@ class Distribution(abc.ABC):
 
         Returns ``v`` with ``|conditional_cdf(m, prefix, v) - p| <= tol``,
         computed by bracketed bisection plus a secant refinement; Gaussian
-        and product laws override this with closed forms.
+        and product laws override this with closed forms, and exponential
+        families with the exact inverse of their tabulated CDF.
         """
         prefix2, p2 = self._prep_conditional(m, prefix, p)
         center, width = self._quantile_seed(m, prefix2)
@@ -557,9 +563,12 @@ class ExpFamily(Distribution):
     The carrier ``log_base``, statistic ``suff_stat`` and partition
     ``log_partition`` are explicit callables so density ratios and kernel
     diagnostics can be formed symbolically in eta.  Conditional CDFs are
-    computed by quadrature on a truncated box (tail mass below 1e-12 by
-    construction of the bounds) and are available for dim <= 2, which is all
-    the desk-scale experiments use.
+    piecewise-linear tables computed by quadrature on a truncated box (tail
+    mass below 1e-12 by construction of the bounds) and are available for
+    dim <= 2, which is all the desk-scale experiments use; conditional
+    quantiles invert the same tables exactly.  Tables are built for at most
+    ``_BLOCK`` rows at a time, so memory stays O(_BLOCK * _GRID) whatever
+    the number of rows asked for.
     """
 
     _GRID = 4097
@@ -593,7 +602,7 @@ class ExpFamily(Distribution):
 
         def log_base(z):
             z2 = np.atleast_2d(np.asarray(z, dtype=float))
-            return -0.5 * np.sum(z2 * z2, axis=1) - 0.5 * d * _LOG_2PI
+            return -0.5 * np.einsum("ij,ij->i", z2, z2) - 0.5 * d * _LOG_2PI
 
         def suff_stat(z):
             return np.atleast_2d(np.asarray(z, dtype=float))
@@ -617,6 +626,13 @@ class ExpFamily(Distribution):
 
     # -- quadrature machinery ------------------------------------------------
 
+    def _prep_conditional(self, m, prefix, values):
+        prefix2, v2 = super()._prep_conditional(m, prefix, values)
+        if self.dim > 2:
+            raise NotImplementedError(
+                "quadrature conditionals are provided for dim <= 2")
+        return prefix2, v2
+
     def _axis_grid(self, m):
         return np.linspace(self.bounds[m, 0], self.bounds[m, 1], self._GRID)
 
@@ -627,52 +643,95 @@ class ExpFamily(Distribution):
             if self.dim == 1:
                 dens = self.density(g0[:, None])
             else:
+                # integrate out the second coordinate, _BLOCK rows of g0 at
+                # a time; each row's trapezoid is independent of the others
                 g1 = self._axis_grid(1)
-                pts = np.column_stack([np.repeat(g0, g1.size),
-                                       np.tile(g1, g0.size)])
-                dens2 = self.density(pts).reshape(g0.size, g1.size)
-                dens = np.trapezoid(dens2, g1, axis=1)
+                dens = np.empty(g0.size)
+                pts = np.empty((_BLOCK, g1.size, 2))
+                pts[:, :, 1] = g1
+                for i in range(0, g0.size, _BLOCK):
+                    block = pts[:min(_BLOCK, g0.size - i)]
+                    block[:, :, 0] = g0[i:i + _BLOCK, None]
+                    dens2 = self.density(block.reshape(-1, 2))
+                    dens[i:i + _BLOCK] = np.trapezoid(
+                        dens2.reshape(block.shape[:2]), g1, axis=1)
             cdf = np.concatenate([[0.0], cumulative_simpson(dens, x=g0)])
             cdf = np.maximum.accumulate(cdf)
             self._cache["marg0"] = (g0, cdf / cdf[-1])
         return self._cache["marg0"]
 
-    def conditional_cdf(self, m, prefix, values):
-        prefix2, v2 = self._prep_conditional(m, prefix, values)
-        if self.dim > 2:
-            raise NotImplementedError(
-                "quadrature conditionals are provided for dim <= 2")
-        if m == 0:
-            grid, cdf = self._marginal_cdf_grid()
-            return np.interp(v2, grid, cdf, left=0.0, right=1.0)
-        # conditional of the second coordinate given the first, row by row
+    def _conditional_cdf_rows(self, x0):
+        """Normalized CDFs of the second coordinate given each entry of ``x0``.
+
+        Returns the grid and a ``(len(x0), _GRID)`` table, one row per
+        entry; callers pass at most ``_BLOCK`` entries.
+        """
         g1 = self._axis_grid(1)
-        pts = np.column_stack([
-            np.repeat(prefix2[:, 0], g1.size), np.tile(g1, prefix2.shape[0])])
-        dens = self.density(pts).reshape(prefix2.shape[0], g1.size)
+        pts = np.column_stack([np.repeat(x0, g1.size), np.tile(g1, x0.size)])
+        dens = self.density(pts).reshape(x0.size, g1.size)
         cdf = np.concatenate(
-            [np.zeros((dens.shape[0], 1)), cumulative_simpson(dens, x=g1, axis=1)],
+            [np.zeros((x0.size, 1)), cumulative_simpson(dens, x=g1, axis=1)],
             axis=1)
         cdf = np.maximum.accumulate(cdf, axis=1)
         total = cdf[:, -1:]
         if np.any(total <= 0):
             raise BracketFailure("conditional slice carries no mass on the box")
-        cdf = cdf / total
-        # row-wise linear interpolation on the shared grid
-        idx = np.clip(np.searchsorted(g1, v2, side="right") - 1, 0, g1.size - 2)
-        x0 = g1[idx]
-        w = np.clip((v2 - x0) / (g1[idx + 1] - x0), 0.0, 1.0)
-        r = np.arange(cdf.shape[0])
-        out = cdf[r, idx] * (1 - w) + cdf[r, idx + 1] * w
-        out[v2 <= g1[0]] = 0.0
-        out[v2 >= g1[-1]] = 1.0
+        return g1, cdf / total
+
+    @staticmethod
+    def _segment_root(grid, k, c0, c1, p):
+        """Where the line from ``(grid[k-1], c0)`` to ``(grid[k], c1)`` is ``p``.
+
+        Needs ``c0 < p <= c1``, which makes the denominator positive.
+        """
+        x0 = grid[k - 1]
+        return x0 + (p - c0) / (c1 - c0) * (grid[k] - x0)
+
+    def conditional_cdf(self, m, prefix, values):
+        prefix2, v2 = self._prep_conditional(m, prefix, values)
+        if m == 0:
+            grid, cdf = self._marginal_cdf_grid()
+            return np.interp(v2, grid, cdf, left=0.0, right=1.0)
+        # conditional of the second coordinate given the first, row by row
+        out = np.empty(v2.shape[0])
+        for i in range(0, out.size, _BLOCK):
+            v = v2[i:i + _BLOCK]
+            g1, cdf = self._conditional_cdf_rows(prefix2[i:i + _BLOCK, 0])
+            idx = np.clip(np.searchsorted(g1, v, side="right") - 1,
+                          0, g1.size - 2)
+            x0 = g1[idx]
+            w = np.clip((v - x0) / (g1[idx + 1] - x0), 0.0, 1.0)
+            r = np.arange(v.size)
+            row = cdf[r, idx] * (1 - w) + cdf[r, idx + 1] * w
+            row[v <= g1[0]] = 0.0
+            row[v >= g1[-1]] = 1.0
+            out[i:i + _BLOCK] = row
         return out
 
-    def _quantile_seed(self, m, prefix):
-        n = prefix.shape[0]
-        mid = 0.5 * (self.bounds[m, 0] + self.bounds[m, 1])
-        width = 0.25 * (self.bounds[m, 1] - self.bounds[m, 0])
-        return np.full(n, mid), np.full(n, width)
+    def conditional_quantile(self, m, prefix, p, tol=1e-10):
+        """Exact inverse of the tabulated ``conditional_cdf``; no ``tol`` needed.
+
+        ``p`` is clipped to the representable open interval, so 0 and 1 give
+        finite points inside the box.  Each probability lies on the first
+        grid segment whose right end reaches it, since each table runs from
+        0 to 1, and is solved linearly there.
+        """
+        prefix2, p2 = self._prep_conditional(m, prefix, p)
+        p2 = np.clip(p2, _P_FLOOR, _P_CEIL)
+        if m == 0:
+            grid, cdf = self._marginal_cdf_grid()
+            k = np.searchsorted(cdf, p2, side="left")
+            return _like_p(p, self._segment_root(grid, k, cdf[k - 1], cdf[k],
+                                                  p2))
+        out = np.empty(p2.shape[0])
+        for i in range(0, out.size, _BLOCK):
+            q = p2[i:i + _BLOCK]
+            g1, cdf = self._conditional_cdf_rows(prefix2[i:i + _BLOCK, 0])
+            k = np.count_nonzero(cdf < q[:, None], axis=1)
+            r = np.arange(q.size)
+            out[i:i + _BLOCK] = self._segment_root(g1, k, cdf[r, k - 1],
+                                                   cdf[r, k], q)
+        return _like_p(p, out)
 
     def with_eta(self, eta):
         """Same structural family, different natural parameter."""

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from idlab import (
+    ExpFamily,
     Exponential1D,
     GaussianDistribution,
     Laplace1D,
@@ -69,3 +70,10 @@ def product_laws(draw, dim=None, kinds=("normal", "laplace", "logistic", "expone
             law = {"normal": Normal1D, "laplace": Laplace1D, "logistic": Logistic1D}[kind]
             marginals.append(law(draw(st.floats(-3.0, 3.0)), scale))
     return ProductDistribution(marginals)
+
+
+@st.composite
+def gaussian_mean_families(draw):
+    """Gaussian-mean exponential families on R or R^2 with |eta| <= 4."""
+    d = draw(st.integers(1, 2))
+    return ExpFamily.gaussian_mean_family(draw(st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d)))

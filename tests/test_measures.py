@@ -1,11 +1,14 @@
 """Tests for the univariate laws and joint distributions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import cumulative_simpson
 
 from idlab import (
     Distribution,
@@ -24,7 +27,7 @@ from idlab import (
     stream,
 )
 
-from conftest import gaussian_laws, product_laws
+from conftest import gaussian_laws, gaussian_mean_families, product_laws
 
 GRID = np.linspace(-6.0, 6.0, 301)
 PROBS = np.linspace(0.001, 0.999, 97)
@@ -134,7 +137,9 @@ class TestGaussianDistribution:
             GaussianDistribution([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
 
 
-closed_form_laws = st.one_of(gaussian_laws(), product_laws())
+# laws whose quantiles need no bisection; an exponential family inverts its
+# tabulated conditional CDF exactly
+closed_form_laws = st.one_of(gaussian_laws(), product_laws(), gaussian_mean_families())
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,7 +160,9 @@ def test_closed_form_quantile_edges_and_scalars(dist):
     z = dist.sample(stream(13, 1), 2)
     for m in range(dist.dim):
         # a source CDF can return exactly 0 or 1 in its tails
-        assert np.all(np.isfinite(dist.conditional_quantile(m, z[:, :m], np.array([0.0, 1.0]))))
+        v = dist.conditional_quantile(m, z[:, :m], np.array([0.0, 1.0]))
+        lo, hi = dist.coordinate_support(m)
+        assert np.all(np.isfinite(v)) and np.all((lo <= v) & (v <= hi))
         assert type(dist.conditional_quantile(m, z[0, :m], 0.3)) is float
 
 
@@ -191,6 +198,41 @@ def test_expfam_gaussian_mean_family_density():
     ref = GaussianDistribution(eta, np.eye(2))
     z = ref.sample(stream(7, 0), 32)
     assert_allclose(fam.log_density(z), ref.log_density(z), atol=1e-10)
+
+
+class TestExpFamilyTables:
+    fam = ExpFamily.gaussian_mean_family([2.9, 0.78])
+
+    def test_rows_do_not_depend_on_blocks(self):
+        z = stream(17, 0).normal(size=(130, 2)) + self.fam.eta
+        p = stream(17, 1).random(130)
+        single_q = [self.fam.conditional_quantile(1, z[i, :1], p[i]) for i in range(130)]
+        single_c = [self.fam.conditional_cdf(1, z[i, :1], z[i, 1])[0] for i in range(130)]
+        for n in (1, 64, 65, 130):
+            assert np.array_equal(self.fam.conditional_quantile(1, z[:n, :1], p[:n]), single_q[:n])
+            assert np.array_equal(self.fam.conditional_cdf(1, z[:n, :1], z[:n, 1]), single_c[:n])
+
+    def test_blocked_marginal_table_matches_one_block(self):
+        class SmallGrid(ExpFamily):
+            _GRID = 257  # four full blocks of rows and one partial block
+
+        fam = SmallGrid.gaussian_mean_family([-1.2, 2.5])
+        g0, g1 = fam._axis_grid(0), fam._axis_grid(1)
+        pts = np.column_stack([np.repeat(g0, g1.size), np.tile(g1, g0.size)])
+        dens = np.trapezoid(fam.density(pts).reshape(g0.size, g1.size), g1, axis=1)
+        cdf = np.maximum.accumulate(np.concatenate([[0.0], cumulative_simpson(dens, x=g0)]))
+        assert np.array_equal(fam._marginal_cdf_grid()[1], cdf / cdf[-1])
+
+    def test_sample_memory_is_bounded(self):
+        fam = ExpFamily.gaussian_mean_family([-2.9, 0.78])
+        tracemalloc.start()
+        try:
+            z = fam.sample(stream(19, 0), 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z.shape == (1000, 2) and np.all(np.isfinite(z))
+        assert peak < 64 * 2**20
 
 
 def test_expfam_density_ratio_log():
