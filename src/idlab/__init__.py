@@ -7,15 +7,14 @@ tasks) pin their latents down.
 """
 
 from .errors import (BracketFailure, DegenerateMeans, DimensionMismatch,
-                     IdlabError, MismatchedFamily, NonFiniteDerivative,
+                     IdlabError, NonFiniteDerivative,
                      RangeMismatch, RankDeficient, SingularCovariance,
                      SingularMatrix, UncertifiedTransform)
 from .rng import stream
 from .measures import (Distribution, ExpFamily, GaussianDistribution,
                        GaussianMixture1D, Laplace1D, Logistic1D, Normal1D,
                        Exponential1D, ProductDistribution,
-                       conditional_quantile, distribution_from_spec,
-                       distribution_to_spec, expfam_density_ratio_log,
+                       distribution_from_spec, distribution_to_spec,
                        interdecile_box, sample)
 from .transport import (AffineMap, Automorphism, CdfChainMap, ComposedMap,
                         PushforwardReport, StructureReport, TriangularMap,
@@ -40,8 +39,7 @@ from .indeterminacy import (FixedCoordinateReport, IndeterminacyReport,
                             pushforward_distribution)
 from .tasks import (TaskReport, TaskSpec, abs_diff_metric,
                     constant_point_task, independence_test_task,
-                    latent_shift_task, spearman_abs,
-                    spearman_permutation_pvalue, sup_point_metric,
+                    latent_shift_task, spearman_abs, sup_point_metric,
                     task_identifiability_check)
 from .experiments import (EXPERIMENTS, ExperimentResult, default_params,
                           experiment_info, experiment_names, run_experiment)

@@ -54,12 +54,6 @@ class ModelParams:
     prior: Distribution
     name: str = ""
 
-    def roundtrip_deviation(self, rng: np.random.Generator, n: int = 256) -> float:
-        """Sup norm of inverse(forward(z)) - z over prior samples."""
-        z = self.prior.sample(rng, n)
-        back = self.generator.inverse(self.generator.forward(z))
-        return float(np.abs(back - z).max())
-
 
 @dataclass
 class SharedStatistic:

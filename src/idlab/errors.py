@@ -9,7 +9,6 @@ from __future__ import annotations
 __all__ = [
     "IdlabError",
     "BracketFailure",
-    "MismatchedFamily",
     "DimensionMismatch",
     "NonFiniteDerivative",
     "DegenerateMeans",
@@ -26,11 +25,7 @@ class IdlabError(Exception):
 
 
 class BracketFailure(IdlabError):
-    """Quantile inversion could not bracket the requested probability."""
-
-
-class MismatchedFamily(IdlabError):
-    """Exponential-family operands do not share carrier, statistic and partition."""
+    """A conditional CDF table carries no mass, so it cannot be inverted."""
 
 
 class DimensionMismatch(IdlabError):

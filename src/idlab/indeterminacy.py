@@ -74,6 +74,9 @@ class TransportedDistribution(Distribution):
     def conditional_cdf(self, m, prefix, values):
         raise NotImplementedError("transported laws do not expose conditionals")
 
+    def conditional_quantile(self, m, prefix, p):
+        raise NotImplementedError("transported laws do not expose conditionals")
+
     def sample(self, rng, n):
         return np.atleast_2d(self.transform.forward(self.base.sample(rng, n)))
 
@@ -159,9 +162,9 @@ class FixedCoordinateReport:
     tol: float
 
     def to_dict(self):
-        return {"deviations": {int(k): float(v)
-                               for k, v in self.deviations.items()},
-                "passed": bool(self.passed), "tol": self.tol}
+        return dict(vars(self), passed=bool(self.passed),
+                    deviations={int(k): float(v)
+                                for k, v in self.deviations.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -315,35 +318,30 @@ def _affine_fit_residual(transform, probes) -> float:
     return float(np.abs(X @ coef - vals).max())
 
 
-def structure_flags(transform, probes, structure_tol: float = 1e-4,
-                    identity_tol: float = 1e-6) -> dict:
+def structure_flags(transform, probes, is_identity: bool,
+                    structure_tol: float = 1e-4) -> dict:
     """Classify a transform on probe points: affine, triangular, componentwise.
 
-    Checks run cheapest-first — affine fit residual, then cross-partials
-    above the diagonal, then all off-diagonal cross-partials — and the flags
-    are cumulative with the identity implying every other structure.
+    ``is_identity`` is the caller's identity verdict.  Checks run
+    cheapest-first — affine fit residual, then cross-partials above the
+    diagonal, then all off-diagonal cross-partials — and the flags are
+    cumulative: identity implies componentwise and affine, and
+    componentwise implies triangular.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    scale = 1.0 + float(np.abs(probes).max())
-
     exact_affine = (isinstance(transform, AffineMap)
                     or (isinstance(transform, Automorphism)
                         and transform.linear_parts() is not None))
-    is_affine = exact_affine or _affine_fit_residual(transform, probes) < structure_tol
+    is_affine = (is_identity or exact_affine
+                 or _affine_fit_residual(transform, probes) < structure_tol)
 
     cw = component_wise_check(transform, probes, tol=structure_tol)
     source = getattr(transform, "source_map", None)
-    is_triangular = (isinstance(transform, TriangularMap)
+    is_component_wise = is_identity or cw.max_offdiag < structure_tol
+    is_triangular = (is_component_wise
+                     or isinstance(transform, TriangularMap)
                      or isinstance(source, TriangularMap)
                      or cw.max_upper < structure_tol)
-    is_component_wise = cw.max_offdiag < structure_tol
-
-    sup, _ = identity_deviation(transform, probes)
-    is_identity = sup < identity_tol * scale
-
-    is_component_wise = is_component_wise or is_identity
-    is_triangular = is_triangular or is_component_wise
-    is_affine = is_affine or is_identity
     return {"is_identity_ae": bool(is_identity),
             "is_component_wise": bool(is_component_wise),
             "is_triangular": bool(is_triangular),
@@ -370,17 +368,11 @@ def indeterminacy_audit(theta_a, theta_b, n: int, rng: np.random.Generator,
 
     z = theta_a.prior.sample(rng, n)
     sup, rms = identity_deviation(transform, z)
-
+    is_identity = sup < identity_tol * (1.0 + float(np.abs(z).max()))
     if probes is None:
         probes = z[:min(64, z.shape[0])]
-    flags = structure_flags(transform, probes, structure_tol=structure_tol,
-                            identity_tol=identity_tol)
-    flags["is_identity_ae"] = bool(
-        sup < identity_tol * (1.0 + float(np.abs(z).max())))
-    if flags["is_identity_ae"]:
-        flags["is_component_wise"] = True
-        flags["is_triangular"] = True
-        flags["is_affine"] = True
+    flags = structure_flags(transform, probes, is_identity,
+                            structure_tol=structure_tol)
 
     return IndeterminacyReport(
         identity_sup_dev=sup, identity_rms_dev=rms,

@@ -172,10 +172,8 @@ class ComonReport:
     tol: float
 
     def to_dict(self):
-        return {"component_wise": bool(self.component_wise),
-                "condition_number": self.condition_number,
-                "column_counts": np.asarray(self.column_counts).tolist(),
-                "tol": self.tol}
+        return dict(vars(self), component_wise=bool(self.component_wise),
+                    column_counts=np.asarray(self.column_counts).tolist())
 
 
 def comon_structure_check(matrix, tol: float = 1e-6) -> ComonReport:

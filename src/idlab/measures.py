@@ -6,10 +6,10 @@ counter-based streams, and conditional CDFs with their inverses.  Gaussian
 laws and products of normal, Laplace, logistic or exponential marginals give
 their conditional quantiles in closed form.  Exponential families tabulate
 each conditional CDF once on a quadrature grid and invert that table
-exactly.  Every other law (mixture marginals) inverts its conditional CDF by
-bracketed bisection refined with a secant step, so every distribution that
-can evaluate a conditional CDF supports Rosenblatt-style resampling and
-triangular transport.
+exactly.  The Gaussian mixture marginal is the one law whose quantile is
+found iteratively: Newton steps inside the exact bracket spanned by its
+component quantiles.  So every distribution supports Rosenblatt-style
+resampling and triangular transport.
 
 Multivariate exponential families carry their carrier density, sufficient
 statistic and log-partition explicitly, which is what the environment and
@@ -23,9 +23,8 @@ import math
 
 import numpy as np
 from scipy import special
-from scipy.integrate import cumulative_simpson
 
-from .errors import BracketFailure, DimensionMismatch, MismatchedFamily
+from .errors import BracketFailure, DimensionMismatch
 
 __all__ = [
     "Univariate",
@@ -39,8 +38,6 @@ __all__ = [
     "ProductDistribution",
     "ExpFamily",
     "sample",
-    "conditional_quantile",
-    "expfam_density_ratio_log",
     "interdecile_box",
     "univariate_from_spec",
     "distribution_from_spec",
@@ -60,88 +57,6 @@ _BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
-# quantile inversion engine
-# ---------------------------------------------------------------------------
-
-def _invert_monotone_cdf(cdf, p, center, width, support, tol=1e-10,
-                         max_iter=200):
-    """Invert a monotone increasing vectorized CDF at probabilities ``p``.
-
-    ``cdf`` maps an array of points to an array of values, row for row.  The
-    targets are clipped to the representable open interval first.  The
-    bracket starts at ``center +- width`` (clamped to ``support``) and
-    expands geometrically on uncovered sides until it covers ``p``.
-    Bisection then shrinks it until the residual is below ``tol`` (scalar or
-    per-row array) and the bracket is spatially tight; a final secant
-    interpolation inside the last bracket polishes the root.
-    """
-    p = np.clip(np.asarray(p, dtype=float), _P_FLOOR, _P_CEIL)
-    n = p.shape[0]
-    center = np.broadcast_to(np.asarray(center, dtype=float), (n,)).copy()
-    width = np.broadcast_to(np.asarray(width, dtype=float), (n,)).copy()
-    width = np.maximum(width, 1e-12)
-    s_lo, s_hi = support
-
-    lo = center - width
-    hi = center + width
-    if np.isfinite(s_lo):
-        lo = np.maximum(lo, s_lo)
-    if np.isfinite(s_hi):
-        hi = np.minimum(hi, s_hi)
-    hi = np.maximum(hi, lo)
-
-    # Expand the bracket where it does not yet cover the target probability:
-    # geometrically outward on unbounded sides, geometrically toward the
-    # bound on bounded sides (the CDF tends to 0 resp. 1 there).
-    step = width.copy()
-    for _ in range(120):
-        f_lo = cdf(lo)
-        f_hi = cdf(hi)
-        if not (np.all(np.isfinite(f_lo)) and np.all(np.isfinite(f_hi))):
-            raise BracketFailure("conditional CDF returned non-finite values")
-        need_lo = f_lo > p
-        need_hi = f_hi < p
-        if not (need_lo.any() or need_hi.any()):
-            break
-        step = np.minimum(step * 2.0, 1e60)
-        if need_lo.any():
-            wider = (s_lo + 0.5 * (lo - s_lo)) if np.isfinite(s_lo) else lo - step
-            lo = np.where(need_lo, wider, lo)
-        if need_hi.any():
-            wider = (s_hi - 0.5 * (s_hi - hi)) if np.isfinite(s_hi) else hi + step
-            hi = np.where(need_hi, wider, hi)
-    else:
-        raise BracketFailure("bracket expansion exhausted 120 refinements")
-
-    f_lo = cdf(lo)
-    f_hi = cdf(hi)
-    mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = cdf(mid)
-        go_right = f_mid < p
-        lo = np.where(go_right, mid, lo)
-        f_lo = np.where(go_right, f_mid, f_lo)
-        hi = np.where(go_right, hi, mid)
-        f_hi = np.where(go_right, f_hi, f_mid)
-        tight = (hi - lo) <= 1e-9 * np.maximum(1.0, np.abs(mid))
-        close = np.abs(f_mid - p) <= 0.25 * tol
-        if np.all(tight & close):
-            break
-
-    # Secant polish inside the final bracket.
-    denom = f_hi - f_lo
-    safe = denom > 0
-    sec = np.where(safe, lo + (p - f_lo) * (hi - lo) / np.where(safe, denom, 1.0),
-                   0.5 * (lo + hi))
-    sec = np.clip(sec, lo, hi)
-    f_sec = cdf(sec)
-    mid = 0.5 * (lo + hi)
-    out = np.where(np.abs(f_sec - p) <= np.abs(cdf(mid) - p), sec, mid)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # univariate building blocks
 # ---------------------------------------------------------------------------
 
@@ -150,9 +65,6 @@ class Univariate(abc.ABC):
 
     kind: str = ""
     support: tuple[float, float] = (-np.inf, np.inf)
-    #: rough center and spread used to seed quantile brackets
-    location: float = 0.0
-    scale_hint: float = 1.0
 
     @abc.abstractmethod
     def log_pdf(self, x):
@@ -162,19 +74,13 @@ class Univariate(abc.ABC):
     def cdf(self, x):
         ...
 
-    def pdf(self, x):
-        return np.exp(self.log_pdf(x))
+    @abc.abstractmethod
+    def ppf(self, p):
+        ...
 
-    def ppf(self, p, tol: float = 1e-10):
-        """Quantile; closed form where available, else inverted to ``tol``."""
-        p = np.asarray(p, dtype=float)
-        flat = _invert_monotone_cdf(self.cdf, np.atleast_1d(p).ravel(),
-                                    self.location, self.scale_hint,
-                                    self.support, tol=tol)
-        return flat.reshape(p.shape) if p.ndim else float(flat[0])
-
+    @abc.abstractmethod
     def sample(self, rng: np.random.Generator, n: int):
-        return self.ppf(rng.random(n))
+        ...
 
     def to_spec(self) -> dict:
         raise NotImplementedError
@@ -188,8 +94,6 @@ class Normal1D(Univariate):
             raise ValueError("scale must be positive")
         self.loc = float(loc)
         self.scale = float(scale)
-        self.location = self.loc
-        self.scale_hint = self.scale
 
     def log_pdf(self, x):
         u = (np.asarray(x, dtype=float) - self.loc) / self.scale
@@ -198,7 +102,7 @@ class Normal1D(Univariate):
     def cdf(self, x):
         return special.ndtr((np.asarray(x, dtype=float) - self.loc) / self.scale)
 
-    def ppf(self, p, tol=None):
+    def ppf(self, p):
         return self.loc + self.scale * special.ndtri(np.asarray(p, dtype=float))
 
     def sample(self, rng, n):
@@ -216,8 +120,6 @@ class Laplace1D(Univariate):
             raise ValueError("scale must be positive")
         self.loc = float(loc)
         self.scale = float(scale)
-        self.location = self.loc
-        self.scale_hint = self.scale
 
     def log_pdf(self, x):
         u = np.abs(np.asarray(x, dtype=float) - self.loc) / self.scale
@@ -227,7 +129,7 @@ class Laplace1D(Univariate):
         u = (np.asarray(x, dtype=float) - self.loc) / self.scale
         return np.where(u < 0, 0.5 * np.exp(u), 1.0 - 0.5 * np.exp(-np.abs(u)))
 
-    def ppf(self, p, tol=None):
+    def ppf(self, p):
         p = np.asarray(p, dtype=float)
         lower = self.loc + self.scale * np.log(2.0 * np.minimum(p, 0.5))
         upper = self.loc - self.scale * np.log(2.0 * np.minimum(1.0 - p, 0.5))
@@ -248,8 +150,6 @@ class Logistic1D(Univariate):
             raise ValueError("scale must be positive")
         self.loc = float(loc)
         self.scale = float(scale)
-        self.location = self.loc
-        self.scale_hint = 2.0 * self.scale
 
     def log_pdf(self, x):
         u = (np.asarray(x, dtype=float) - self.loc) / self.scale
@@ -260,7 +160,7 @@ class Logistic1D(Univariate):
         u = (np.asarray(x, dtype=float) - self.loc) / self.scale
         return special.expit(u)
 
-    def ppf(self, p, tol=None):
+    def ppf(self, p):
         return self.loc + self.scale * special.logit(np.asarray(p, dtype=float))
 
     def sample(self, rng, n):
@@ -278,8 +178,6 @@ class Exponential1D(Univariate):
             raise ValueError("rate must be positive")
         self.rate = float(rate)
         self.support = (0.0, np.inf)
-        self.location = math.log(2.0) / self.rate
-        self.scale_hint = 1.0 / self.rate
 
     def log_pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -289,7 +187,7 @@ class Exponential1D(Univariate):
         x = np.asarray(x, dtype=float)
         return np.where(x > 0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
 
-    def ppf(self, p, tol=None):
+    def ppf(self, p):
         return -np.log1p(-np.asarray(p, dtype=float)) / self.rate
 
     def sample(self, rng, n):
@@ -314,9 +212,6 @@ class GaussianMixture1D(Univariate):
             raise ValueError("weights and scales must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
-        self.location = float(self.weights @ self.locs)
-        spread = float(np.max(np.abs(self.locs - self.location)) + np.max(self.scales))
-        self.scale_hint = max(spread, 1e-6)
 
     def log_pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -328,6 +223,45 @@ class GaussianMixture1D(Univariate):
         x = np.asarray(x, dtype=float)
         u = (x[..., None] - self.locs) / self.scales
         return special.ndtr(u) @ self.weights
+
+    def ppf(self, p):
+        """Quantile by Newton steps on the CDF inside an exact bracket.
+
+        At the smallest component p-quantile every component CDF is at most
+        ``p``, and at the largest every one is at least ``p``, so the mixture
+        quantile lies between the two and the bracket never needs to grow.
+        Each evaluated point tightens the bracket, and a Newton step that
+        would not land strictly inside it is replaced by bisection.  A row
+        stops once its Newton correction or its bracket is below 1e-14
+        relative; the bracket test ends the two-point cycles that CDF
+        rounding causes in the tails.
+        """
+        p = np.asarray(p, dtype=float)
+        q = np.clip(np.atleast_1d(p).ravel(), _P_FLOOR, _P_CEIL)
+        comp = self.locs + self.scales * special.ndtri(q)[:, None]
+        lo, hi = comp.min(axis=1), comp.max(axis=1)
+        x = comp @ self.weights
+        dens_w = self.weights / (self.scales * math.sqrt(2.0 * math.pi))
+        live = np.arange(q.size)
+        for _ in range(100):
+            xs = x[live]
+            u = (xs[:, None] - self.locs) / self.scales
+            f = special.ndtr(u) @ self.weights - q[live]
+            lo_l = np.where(f < 0, xs, lo[live])
+            hi_l = np.where(f > 0, xs, hi[live])
+            with np.errstate(all="ignore"):
+                step = f / (np.exp(-0.5 * u * u) @ dens_w)
+            newton = xs - step
+            tol = 1e-14 * (1.0 + np.abs(xs))
+            close = np.abs(step) <= tol
+            inside = close | ((newton > lo_l) & (newton < hi_l))
+            x[live] = np.where(inside, np.clip(newton, lo_l, hi_l),
+                               0.5 * (lo_l + hi_l))
+            lo[live], hi[live] = lo_l, hi_l
+            live = live[~(close | (hi_l - lo_l <= tol))]
+            if not live.size:
+                break
+        return x.reshape(p.shape) if p.ndim else float(x[0])
 
     def sample(self, rng, n):
         idx = rng.choice(self.weights.size, size=n, p=self.weights)
@@ -362,11 +296,10 @@ def _like_p(p, out):
 class Distribution(abc.ABC):
     """A fully supported probability measure on R^d.
 
-    Subclasses provide ``log_density`` and ``conditional_cdf``; everything
-    else (density, sampling, conditional quantiles) has generic
-    implementations on top of those two. Coordinates are indexed 0-based:
-    the conditional for coordinate ``m`` conditions on coordinates
-    ``0..m-1``.
+    Subclasses provide ``log_density``, ``conditional_cdf`` and its inverse
+    ``conditional_quantile``; the default sampler inverts the conditional
+    chain at uniform draws.  Coordinates are indexed 0-based: the
+    conditional for coordinate ``m`` conditions on coordinates ``0..m-1``.
     """
 
     #: density strictly positive on the (possibly box-shaped) support
@@ -414,24 +347,14 @@ class Distribution(abc.ABC):
             raise DimensionMismatch("prefix rows and values must align")
         return prefix, values
 
-    def _quantile_seed(self, m: int, prefix):
-        n = prefix.shape[0] if prefix.ndim == 2 else 1
-        return np.zeros(n), np.ones(n)
+    @abc.abstractmethod
+    def conditional_quantile(self, m: int, prefix, p):
+        """Inverse of ``conditional_cdf`` in ``values`` at probabilities ``p``.
 
-    def conditional_quantile(self, m: int, prefix, p, tol: float = 1e-10):
-        """Invert ``conditional_cdf`` at probabilities ``p``.
-
-        Returns ``v`` with ``|conditional_cdf(m, prefix, v) - p| <= tol``,
-        computed by bracketed bisection plus a secant refinement; Gaussian
-        and product laws override this with closed forms, and exponential
-        families with the exact inverse of their tabulated CDF.
+        ``p`` is clipped to ``[_P_FLOOR, _P_CEIL]``, so 0 and 1 give finite
+        points; a scalar ``p`` with one prefix row gives a float.
         """
-        prefix2, p2 = self._prep_conditional(m, prefix, p)
-        center, width = self._quantile_seed(m, prefix2)
-        out = _invert_monotone_cdf(
-            lambda v: self.conditional_cdf(m, prefix2, v),
-            p2, center, width, self.coordinate_support(m), tol=tol)
-        return _like_p(p, out)
+        ...
 
     def sample(self, rng: np.random.Generator, n: int):
         """Default sampler: invert the conditional chain at uniform draws."""
@@ -495,8 +418,8 @@ class GaussianDistribution(Distribution):
         mu, sd = self._cond_moments(m, prefix2)
         return special.ndtr((v2 - mu) / sd)
 
-    def conditional_quantile(self, m, prefix, p, tol=1e-10):
-        """Closed form ``mu + sd * ndtri(p)``; ``tol`` is not needed."""
+    def conditional_quantile(self, m, prefix, p):
+        """Closed form ``mu + sd * ndtri(p)``."""
         prefix2, p2 = self._prep_conditional(m, prefix, p)
         mu, sd = self._cond_moments(m, prefix2)
         return _like_p(p, mu + sd * special.ndtri(
@@ -540,11 +463,10 @@ class ProductDistribution(Distribution):
         _, v2 = self._prep_conditional(m, prefix, values)
         return self.marginals[m].cdf(v2)
 
-    def conditional_quantile(self, m, prefix, p, tol=1e-10):
-        """The marginal's quantile: closed form, or inverted to ``tol``."""
+    def conditional_quantile(self, m, prefix, p):
+        """The marginal's quantile."""
         _, p2 = self._prep_conditional(m, prefix, p)
-        return _like_p(p, self.marginals[m].ppf(
-            np.clip(p2, _P_FLOOR, _P_CEIL), tol=tol))
+        return _like_p(p, self.marginals[m].ppf(np.clip(p2, _P_FLOOR, _P_CEIL)))
 
     def sample(self, rng, n):
         return np.column_stack([marg.sample(rng, n) for marg in self.marginals])
@@ -638,6 +560,8 @@ class ExpFamily(Distribution):
 
     def _marginal_cdf_grid(self):
         """Normalized CDF of the first coordinate on its grid (dim <= 2)."""
+        from scipy.integrate import cumulative_simpson
+
         if "marg0" not in self._cache:
             g0 = self._axis_grid(0)
             if self.dim == 1:
@@ -655,7 +579,8 @@ class ExpFamily(Distribution):
                     dens2 = self.density(block.reshape(-1, 2))
                     dens[i:i + _BLOCK] = np.trapezoid(
                         dens2.reshape(block.shape[:2]), g1, axis=1)
-            cdf = np.concatenate([[0.0], cumulative_simpson(dens, x=g0)])
+            cdf = np.concatenate(
+                [[0.0], cumulative_simpson(dens, dx=g0[1] - g0[0])])
             cdf = np.maximum.accumulate(cdf)
             self._cache["marg0"] = (g0, cdf / cdf[-1])
         return self._cache["marg0"]
@@ -666,12 +591,14 @@ class ExpFamily(Distribution):
         Returns the grid and a ``(len(x0), _GRID)`` table, one row per
         entry; callers pass at most ``_BLOCK`` entries.
         """
+        from scipy.integrate import cumulative_simpson
+
         g1 = self._axis_grid(1)
         pts = np.column_stack([np.repeat(x0, g1.size), np.tile(g1, x0.size)])
         dens = self.density(pts).reshape(x0.size, g1.size)
         cdf = np.concatenate(
-            [np.zeros((x0.size, 1)), cumulative_simpson(dens, x=g1, axis=1)],
-            axis=1)
+            [np.zeros((x0.size, 1)),
+             cumulative_simpson(dens, dx=g1[1] - g1[0], axis=1)], axis=1)
         cdf = np.maximum.accumulate(cdf, axis=1)
         total = cdf[:, -1:]
         if np.any(total <= 0):
@@ -708,8 +635,8 @@ class ExpFamily(Distribution):
             out[i:i + _BLOCK] = row
         return out
 
-    def conditional_quantile(self, m, prefix, p, tol=1e-10):
-        """Exact inverse of the tabulated ``conditional_cdf``; no ``tol`` needed.
+    def conditional_quantile(self, m, prefix, p):
+        """Exact inverse of the tabulated ``conditional_cdf``.
 
         ``p`` is clipped to the representable open interval, so 0 and 1 give
         finite points inside the box.  Each probability lies on the first
@@ -733,12 +660,6 @@ class ExpFamily(Distribution):
                                                    cdf[r, k], q)
         return _like_p(p, out)
 
-    def with_eta(self, eta):
-        """Same structural family, different natural parameter."""
-        return ExpFamily(self.dim, self.stat_dim, self.log_base,
-                         self.suff_stat, self.log_partition, eta,
-                         bounds=self.bounds, family=self.family)
-
     def to_spec(self):
         if self.family != "gaussian_mean":
             raise NotImplementedError(
@@ -756,36 +677,6 @@ def sample(dist: Distribution, rng: np.random.Generator, n: int):
     if n <= 0:
         raise ValueError("n must be positive")
     return dist.sample(rng, n)
-
-
-def conditional_quantile(dist: Distribution, m: int, prefix, p,
-                         tol: float = 1e-10):
-    """Inverse of ``dist``'s conditional CDF for coordinate ``m``."""
-    return dist.conditional_quantile(m, prefix, p, tol=tol)
-
-
-def expfam_density_ratio_log(fam_a: ExpFamily, fam_b: ExpFamily, z):
-    """Log density ratio of two members of one exponential family.
-
-    The carrier cancels exactly, leaving
-    ``(eta_a - eta_b) . T(z) - a(eta_a) + a(eta_b)``.
-    """
-    if not isinstance(fam_a, ExpFamily) or not isinstance(fam_b, ExpFamily):
-        raise MismatchedFamily("both operands must be exponential families")
-    structural_match = (
-        fam_a.family == fam_b.family != "custom"
-        or (fam_a.suff_stat is fam_b.suff_stat
-            and fam_a.log_base is fam_b.log_base
-            and fam_a.log_partition is fam_b.log_partition))
-    if (not structural_match or fam_a.dim != fam_b.dim
-            or fam_a.stat_dim != fam_b.stat_dim):
-        raise MismatchedFamily(
-            "operands must share carrier, statistic and partition")
-    z2, was_1d = _rows(z, fam_a.dim)
-    t = np.atleast_2d(fam_a.suff_stat(z2))
-    out = (t @ (fam_a.eta - fam_b.eta)
-           - fam_a.log_partition(fam_a.eta) + fam_b.log_partition(fam_b.eta))
-    return float(out[0]) if was_1d else out
 
 
 def interdecile_box(dist: Distribution) -> np.ndarray:

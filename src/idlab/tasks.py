@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DimensionMismatch, UncertifiedTransform
 from .indeterminacy import act_on_params
@@ -29,7 +28,6 @@ __all__ = [
     "constant_point_task",
     "independence_test_task",
     "spearman_abs",
-    "spearman_permutation_pvalue",
     "task_identifiability_check",
 ]
 
@@ -84,13 +82,11 @@ class TaskReport:
         return v
 
     def to_dict(self):
-        return {"distances": [float(d) for d in self.distances],
-                "max_distance": float(self.max_distance),
-                "identifiable": bool(self.identifiable),
-                "tol": self.tol,
-                "task": self.task,
-                "base_output": self._jsonable(self.base_output),
-                "outputs": [self._jsonable(o) for o in self.outputs]}
+        return dict(vars(self), distances=[float(d) for d in self.distances],
+                    max_distance=float(self.max_distance),
+                    identifiable=bool(self.identifiable),
+                    base_output=self._jsonable(self.base_output),
+                    outputs=[self._jsonable(o) for o in self.outputs])
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +150,8 @@ def spearman_abs(x, y) -> float:
     y = np.asarray(y, dtype=float).ravel()
     if x.shape != y.shape:
         raise DimensionMismatch("columns must have equal length")
+    from scipy.stats import rankdata
+
     n = x.shape[0]
     cx = rankdata(x) - (n + 1) / 2.0
     cy = rankdata(y) - (n + 1) / 2.0
@@ -161,18 +159,6 @@ def spearman_abs(x, y) -> float:
     if den == 0.0:
         return 0.0
     return abs(float(cx @ cy) / den)
-
-
-def spearman_permutation_pvalue(x, y, rng: np.random.Generator,
-                                n_permutations: int = 999) -> float:
-    """Permutation p-value for the absolute Spearman statistic."""
-    x = np.asarray(x, dtype=float).ravel()
-    observed = spearman_abs(x, y)
-    hits = 0
-    for _ in range(n_permutations):
-        if spearman_abs(rng.permutation(x), y) >= observed:
-            hits += 1
-    return (1 + hits) / (1 + n_permutations)
 
 
 def independence_test_task(pair, n: int) -> TaskSpec:

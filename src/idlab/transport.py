@@ -25,7 +25,6 @@ import abc
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _sstats
 from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, NonFiniteDerivative
@@ -167,13 +166,11 @@ class CdfChainMap(TriangularMap):
     density ratio ``log p_source(z) - log p_target(T z)`` of a KR map.
     """
 
-    def __init__(self, source: Distribution, target: Distribution,
-                 tol: float = 1e-10):
+    def __init__(self, source: Distribution, target: Distribution):
         if source.dim != target.dim:
             raise DimensionMismatch("source and target dimension differ")
         self.source = source
         self.target = target
-        self.tol = float(tol)
         self.dim = source.dim
 
     def forward_prefix(self, P):
@@ -182,8 +179,7 @@ class CdfChainMap(TriangularMap):
         out = np.empty((n, k))
         for m in range(k):
             u = self.source.conditional_cdf(m, P[:, :m], P[:, m])
-            out[:, m] = self.target.conditional_quantile(
-                m, out[:, :m], u, tol=self.tol)
+            out[:, m] = self.target.conditional_quantile(m, out[:, :m], u)
         return out
 
     def inverse(self, X):
@@ -199,13 +195,12 @@ class CdfChainMap(TriangularMap):
         return float(out[0]) if was_1d else out
 
     def inverted(self):
-        return CdfChainMap(self.target, self.source, tol=self.tol)
+        return CdfChainMap(self.target, self.source)
 
     def to_spec(self):
         return {"kind": "cdf_chain",
                 "source": distribution_to_spec(self.source),
-                "target": distribution_to_spec(self.target),
-                "tol": self.tol}
+                "target": distribution_to_spec(self.target)}
 
 
 class ComposedMap(TriangularMap):
@@ -334,7 +329,7 @@ class Automorphism:
 # ---------------------------------------------------------------------------
 
 def kr_transport(source: Distribution, target: Distribution,
-                 tol: float = 1e-10, method: str = "auto") -> TriangularMap:
+                 method: str = "auto") -> TriangularMap:
     """Triangular transport pushing ``source`` onto ``target``.
 
     For a Gaussian pair the map is affine and returned in closed form from
@@ -355,7 +350,7 @@ def kr_transport(source: Distribution, target: Distribution,
         L = target.cholesky @ solve_triangular(
             source.cholesky, np.eye(source.dim), lower=True)
         return AffineMap(L, target.mean - L @ source.mean)
-    return CdfChainMap(source, target, tol=tol)
+    return CdfChainMap(source, target)
 
 
 def compose(outer: TriangularMap, inner: TriangularMap) -> TriangularMap:
@@ -440,6 +435,8 @@ def pushforward_check(mapping, source: Distribution, target: Distribution,
     statement - ``mapping^{-1}`` pushes ``target`` onto ``source`` - is
     tested instead against the source's conditionals.
     """
+    from scipy.stats import kstwo
+
     if source.dim != target.dim:
         raise DimensionMismatch("source and target dimension differ")
     if getattr(target, "has_conditionals", True):
@@ -454,8 +451,8 @@ def pushforward_check(mapping, source: Distribution, target: Distribution,
     d = ref.dim
     level = alpha / d
     stats = np.array([_ks_uniform_stat(U[:, m]) for m in range(d)])
-    pvals = np.array([float(_sstats.kstwo.sf(s, n)) for s in stats])
-    critical = float(_sstats.kstwo.isf(level, n))
+    pvals = np.array([float(kstwo.sf(s, n)) for s in stats])
+    critical = float(kstwo.isf(level, n))
     return PushforwardReport(
         statistics=stats, pvalues=pvals, critical_value=critical,
         alpha=alpha, per_coordinate_level=level, n=n, direction=direction,
@@ -488,9 +485,8 @@ class StructureReport:
     passed: bool
 
     def to_dict(self):
-        return {"max_offdiag": self.max_offdiag, "max_upper": self.max_upper,
-                "entry_max": np.asarray(self.entry_max).tolist(),
-                "tol": self.tol, "step": self.step, "passed": bool(self.passed)}
+        return dict(vars(self), entry_max=np.asarray(self.entry_max).tolist(),
+                    passed=bool(self.passed))
 
 
 def component_wise_check(mapping, probes, step: float = 1e-5,
@@ -528,8 +524,7 @@ def map_from_spec(spec: dict) -> TriangularMap:
         return AffineMap(spec["matrix"], spec["offset"])
     if kind == "cdf_chain":
         return CdfChainMap(distribution_from_spec(spec["source"]),
-                           distribution_from_spec(spec["target"]),
-                           tol=spec.get("tol", 1e-10))
+                           distribution_from_spec(spec["target"]))
     if kind == "composed":
         return ComposedMap([map_from_spec(p) for p in spec["parts"]])
     raise ValueError(f"unknown map kind: {kind!r}")

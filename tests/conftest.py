@@ -6,6 +6,7 @@ from idlab import (
     ExpFamily,
     Exponential1D,
     GaussianDistribution,
+    GaussianMixture1D,
     Laplace1D,
     Logistic1D,
     Normal1D,
@@ -38,6 +39,26 @@ def gauss2():
 @pytest.fixture
 def laplace_product():
     return ProductDistribution([Laplace1D(0.0, 1.0), Laplace1D(0.3, 1.3)])
+
+
+def bisect_quantile(cdf, p):
+    """Reference inverse of a vectorised monotone ``cdf`` by plain bisection.
+
+    The bracket starts at [-1, 1] and doubles outward until it covers every
+    ``p``, so it is at most 4 (1 + |v|) wide; 64 halvings then leave it at
+    the resolution of a double, far inside 1e-9 (1 + |v|).
+    """
+    p = np.asarray(p, dtype=float)
+    lo, hi = np.full(p.shape, -1.0), np.full(p.shape, 1.0)
+    while np.any(cdf(lo) > p):
+        lo = np.where(cdf(lo) > p, 2.0 * lo, lo)
+    while np.any(cdf(hi) < p):
+        hi = np.where(cdf(hi) < p, 2.0 * hi, hi)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = cdf(mid) < p
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def probe_grid(dim, half_width=3.0, per_axis=7):
@@ -77,3 +98,13 @@ def gaussian_mean_families(draw):
     """Gaussian-mean exponential families on R or R^2 with |eta| <= 4."""
     d = draw(st.integers(1, 2))
     return ExpFamily.gaussian_mean_family(draw(st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d)))
+
+
+@st.composite
+def gaussian_mixtures(draw):
+    """Mixtures of 1-3 normals whose weights are normalised positive draws."""
+    k = draw(st.integers(1, 3))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    locs = draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k))
+    scales = draw(st.lists(st.floats(0.2, 3.0), min_size=k, max_size=k))
+    return GaussianMixture1D(weights / weights.sum(), locs, scales)

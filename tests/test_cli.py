@@ -200,3 +200,11 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert [r["name"] for r in json.loads(proc.stdout)] == REGISTRY_ORDER
+
+
+def test_import_leaves_scipy_stats_and_integrate_unloaded():
+    # the KS check, midranks and exponential-family tables import them lazily
+    code = "import sys, idlab, idlab.cli; print(sorted({'scipy.stats', 'scipy.integrate'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

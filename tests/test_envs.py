@@ -13,7 +13,6 @@ from idlab import (
     GaussianDistribution,
     Laplace1D,
     LinearGenerator,
-    ModelParams,
     MultiViewModel,
     ProductDistribution,
     affine_relation_fit,
@@ -227,12 +226,6 @@ def test_fit_env_affine_generator_recovers_truth():
     fitted = fit_env_affine_generator(data, es)
     assert_allclose(fitted.loading, gen.loading, atol=0.02)
     assert_allclose(fitted.offset, gen.offset, atol=0.02)
-
-
-def test_model_params_roundtrip_deviation(rng):
-    prior = GaussianDistribution([0.0, 0.0], np.eye(2))
-    params = ModelParams(LinearGenerator(np.array([[1.0, 0.0], [0.4, 1.0], [0.0, 0.5]])), prior)
-    assert params.roundtrip_deviation(rng) < 1e-10
 
 
 class TestVerifyMultiview:

@@ -151,7 +151,7 @@ class TestStructureFlags:
         return probe_grid(2, half_width=2.0, per_axis=5)
 
     def test_identity_sets_everything(self):
-        flags = structure_flags(Automorphism.identity(2), self.probes())
+        flags = structure_flags(Automorphism.identity(2), self.probes(), True)
         assert flags == {
             "is_identity_ae": True,
             "is_component_wise": True,
@@ -161,18 +161,18 @@ class TestStructureFlags:
 
     def test_diagonal_scaling(self):
         auto = Automorphism.from_matrix(np.diag([2.0, 0.5]))
-        flags = structure_flags(auto, self.probes())
+        flags = structure_flags(auto, self.probes(), False)
         assert not flags["is_identity_ae"]
         assert flags["is_component_wise"] and flags["is_triangular"] and flags["is_affine"]
 
     def test_shear_is_triangular_only(self):
         auto = Automorphism.from_matrix(np.array([[1.0, 0.0], [0.8, 1.0]]))
-        flags = structure_flags(auto, self.probes())
+        flags = structure_flags(auto, self.probes(), False)
         assert not flags["is_component_wise"]
         assert flags["is_triangular"] and flags["is_affine"]
 
     def test_rotation_is_affine_only(self):
-        flags = structure_flags(Automorphism.from_matrix(ROT90), self.probes())
+        flags = structure_flags(Automorphism.from_matrix(ROT90), self.probes(), False)
         assert not flags["is_triangular"]
         assert flags["is_affine"]
 
@@ -182,7 +182,7 @@ class TestStructureFlags:
             _forward=lambda z: np.stack([z[:, 0] + z[:, 1] ** 3, z[:, 1]], axis=-1),
             _inverse=lambda x: np.stack([x[:, 0] - x[:, 1] ** 3, x[:, 1]], axis=-1),
         )
-        flags = structure_flags(auto, self.probes())
+        flags = structure_flags(auto, self.probes(), False)
         assert not flags["is_affine"]
 
 

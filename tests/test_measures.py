@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,6 @@ from numpy.testing import assert_allclose
 from scipy.integrate import cumulative_simpson
 
 from idlab import (
-    Distribution,
     Exponential1D,
     ExpFamily,
     GaussianDistribution,
@@ -22,12 +22,11 @@ from idlab import (
     ProductDistribution,
     distribution_from_spec,
     distribution_to_spec,
-    expfam_density_ratio_log,
     interdecile_box,
     stream,
 )
 
-from conftest import gaussian_laws, gaussian_mean_families, product_laws
+from conftest import bisect_quantile, gaussian_laws, gaussian_mean_families, gaussian_mixtures, product_laws
 
 GRID = np.linspace(-6.0, 6.0, 301)
 PROBS = np.linspace(0.001, 0.999, 97)
@@ -107,6 +106,30 @@ def test_cdf_monotone_property(a, b):
     assert mix.cdf(np.array([lo]))[0] <= mix.cdf(np.array([hi]))[0] + 1e-15
 
 
+@settings(max_examples=60, deadline=None)
+@given(mix=gaussian_mixtures(), p=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=8))
+def test_mixture_quantile_property(mix, p):
+    p = np.array(p)
+    v = mix.ppf(p)
+    assert_allclose(mix.cdf(v), p, rtol=0, atol=1e-10)
+    assert np.all(np.abs(v - bisect_quantile(mix.cdf, p)) <= 1e-9 * (1.0 + np.abs(v)))
+    assert np.all(np.isfinite(mix.ppf(np.array([0.0, 1.0]))))
+    assert type(mix.ppf(0.3)) is float
+
+
+def test_mixture_quantile_when_weights_sum_below_one():
+    # the floating-point sum of these weights is 0.9999999999999998, so the
+    # CDF never reaches the top clipped probability 1 - 1e-16
+    weights = [0.17058881064363823, 0.7294150670682138, 0.09999612228814778]
+    locs, scales = np.array([-1.5, 0.3, 2.0]), np.array([0.6, 1.0, 0.8])
+    mix = GaussianMixture1D(weights, locs, scales)
+    assert sum(weights) < 1.0 - 1e-16
+    for p in (1.0, 1.0 - 1e-16):
+        v = mix.ppf(p)
+        comp = locs + scales * scipy.special.ndtri(min(p, 1.0 - 1e-16))
+        assert np.isfinite(v) and comp.min() <= v <= comp.max()
+
+
 class TestGaussianDistribution:
     def test_log_density_matches_scipy(self, gauss2, rng):
         x = gauss2.sample(rng, 64)
@@ -149,7 +172,7 @@ def test_closed_form_quantile_matches_bisection(dist, p):
     z = dist.sample(stream(13, 0), p.size)
     for m in range(dist.dim):
         v = dist.conditional_quantile(m, z[:, :m], p)
-        generic = Distribution.conditional_quantile(dist, m, z[:, :m], p)
+        generic = bisect_quantile(lambda x: dist.conditional_cdf(m, z[:, :m], x), p)
         assert np.all(np.abs(v - generic) <= 1e-9 * (1.0 + np.abs(v)))
         assert_allclose(dist.conditional_cdf(m, z[:, :m], v), p, rtol=0, atol=1e-10)
 
@@ -233,21 +256,6 @@ class TestExpFamilyTables:
             tracemalloc.stop()
         assert z.shape == (1000, 2) and np.all(np.isfinite(z))
         assert peak < 64 * 2**20
-
-
-def test_expfam_density_ratio_log():
-    fam_kwargs = dict(
-        dim=1,
-        stat_dim=1,
-        log_base=lambda z: -0.5 * np.sum(z**2, axis=-1) - 0.5 * np.log(2 * np.pi),
-        suff_stat=lambda z: z,
-        log_partition=lambda e: 0.5 * float(e @ e),
-    )
-    fam_a = ExpFamily(eta=np.array([0.0]), **fam_kwargs)
-    fam_b = ExpFamily(eta=np.array([1.5]), **fam_kwargs)
-    z = np.linspace(-2, 2, 9)[:, None]
-    got = expfam_density_ratio_log(fam_b, fam_a, z)
-    assert_allclose(got, fam_b.log_density(z) - fam_a.log_density(z), atol=1e-12)
 
 
 def test_spec_roundtrip():

@@ -19,7 +19,6 @@ from idlab import (
     independence_test_task,
     latent_shift_task,
     spearman_abs,
-    spearman_permutation_pvalue,
     stream,
     sup_point_metric,
     task_identifiability_check,
@@ -77,14 +76,6 @@ class TestSpearman:
 
     def test_constant_input_returns_zero(self):
         assert spearman_abs(np.ones(10), np.arange(10.0)) == 0.0
-
-    def test_permutation_pvalue(self):
-        rng = stream(61, 0)
-        x = rng.normal(size=80)
-        dep_p = spearman_permutation_pvalue(x, x + 0.1 * rng.normal(size=80), stream(61, 1))
-        indep_p = spearman_permutation_pvalue(x, rng.normal(size=80), stream(61, 2))
-        assert dep_p == pytest.approx(1.0 / 1000.0)
-        assert indep_p > 0.05
 
 
 class TestLatentShiftTask:
