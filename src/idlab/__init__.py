@@ -26,9 +26,9 @@ from .linear import (ComonReport, EnvConstraintSystem, LinearGenerator,
                      rotation_counterexample, solve_multi_env_linear)
 from .envs import (AffineRelation, EnvironmentData, EnvironmentSet,
                    MarginalQuantileMap, ModelParams, MultiViewModel,
-                   SharedStatistic, SpanReport, ValidationReport,
-                   affine_relation_fit, fit_env_affine_generator,
-                   fit_gaussian_kr, fit_marginal_quantile_transport,
+                   SpanReport, ValidationReport, affine_relation_fit,
+                   fit_env_affine_generator, fit_gaussian_kr,
+                   fit_marginal_quantile_transport,
                    generate_environment_data, spanning_check,
                    validate_strong_vae_config, verify_multiview)
 from .indeterminacy import (FixedCoordinateReport, IndeterminacyReport,

@@ -198,15 +198,12 @@ def _cmd_run(args) -> int:
 def _cmd_list(args) -> int:
     infos = [experiment_info(n) for n in EXPERIMENTS]
     if args.json:
-        print(json.dumps([{"name": i["name"], "anchor": i["anchor"],
-                           "runtime": i["runtime"]} for i in infos],
-                         indent=2))
+        print(json.dumps([{"name": i["name"], "anchor": i["anchor"]}
+                          for i in infos], indent=2))
         return 0
     width = max(len(i["name"]) for i in infos)
-    rt_width = max(len(i["runtime"]) for i in infos)
     for i in infos:
-        print(f"{i['name']:<{width}}  {i['runtime']:<{rt_width}}  "
-              f"{i['anchor']}")
+        print(f"{i['name']:<{width}}  {i['anchor']}")
     return 0
 
 

@@ -1,12 +1,13 @@
 """Multi-environment models and desk-scale estimation routines.
 
-An environment set holds one latent prior per environment, optionally tied
-together as a single exponential family with shared carrier and statistic
-(only the natural parameter varies).  On top of that the module provides the
-experiment plumbing: synthetic data generation, the three validation clauses
-a strongly identifiable configuration must satisfy, moment and quantile
-based fitting routines whose outputs are triangular maps or linear
-generators, and the multi-view agreement verifier.
+An environment set holds one latent prior per environment and an eta matrix
+whose row ``e`` is environment ``e``'s natural parameter in one `ExpFamily`,
+which supplies the carrier and statistic every environment shares.  On top
+of that the module provides the experiment plumbing: synthetic data
+generation, the three validation clauses a strongly identifiable
+configuration must satisfy, moment and quantile based fitting routines
+whose outputs are triangular maps or linear generators, and the multi-view
+agreement verifier.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .transport import AffineMap, TriangularMap
 
 __all__ = [
     "ModelParams",
-    "SharedStatistic",
     "EnvironmentSet",
     "EnvironmentData",
     "MultiViewModel",
@@ -55,34 +55,26 @@ class ModelParams:
     name: str = ""
 
 
-@dataclass
-class SharedStatistic:
-    """Carrier and sufficient statistic shared by all environments."""
-
-    suff_stat: object          # (n, dz) -> (n, K)
-    log_base: object           # (n, dz) -> (n,)
-    log_partition: object      # eta -> float
-    stat_dim: int
-    injective_coord: int = 0   # statistic coordinate certified monotone
-
-
 class EnvironmentSet:
-    """Latent priors indexed by environment, optionally one shared family."""
+    """Latent priors indexed by environment, tied to one exponential family.
 
-    def __init__(self, priors, eta_matrix=None,
-                 shared_stat: SharedStatistic | None = None, labels=None):
+    Row ``e`` of ``eta_matrix`` is the natural parameter of environment
+    ``e`` in ``family``, whose carrier and statistic every environment
+    shares.
+    """
+
+    def __init__(self, priors, eta_matrix, family: ExpFamily | None = None,
+                 labels=None):
         self.priors = list(priors)
         if not self.priors:
             raise DimensionMismatch("need at least one environment")
         dims = {p.dim for p in self.priors}
         if len(dims) != 1:
             raise DimensionMismatch("environment priors must share a dimension")
-        self.eta_matrix = (None if eta_matrix is None
-                           else np.atleast_2d(np.asarray(eta_matrix, dtype=float)))
-        if (self.eta_matrix is not None
-                and self.eta_matrix.shape[0] != len(self.priors)):
+        self.eta_matrix = np.atleast_2d(np.asarray(eta_matrix, dtype=float))
+        if self.eta_matrix.shape[0] != len(self.priors):
             raise DimensionMismatch("one eta row per environment required")
-        self.shared_stat = shared_stat
+        self.family = family
         self.labels = (list(labels) if labels is not None
                        else [f"env{i}" for i in range(len(self.priors))])
 
@@ -101,32 +93,14 @@ class EnvironmentSet:
 
     @classmethod
     def gaussian_mean_envs(cls, means) -> "EnvironmentSet":
-        """Unit-covariance Gaussians whose natural parameters are the means."""
+        """Unit-covariance Gaussians whose natural parameters are the means.
+
+        The priors stay ``GaussianDistribution``s, which sample in closed form.
+        """
         means = np.atleast_2d(np.asarray(means, dtype=float))
         d = means.shape[1]
         priors = [GaussianDistribution(mu, np.eye(d)) for mu in means]
-        fam = ExpFamily.gaussian_mean_family(means[0])
-        stat = SharedStatistic(suff_stat=fam.suff_stat, log_base=fam.log_base,
-                               log_partition=fam.log_partition, stat_dim=d,
-                               injective_coord=0)
-        return cls(priors, eta_matrix=means, shared_stat=stat)
-
-    def family_residual(self, grid_half_width: float = 3.0,
-                        points_per_dim: int = 7) -> float:
-        """Sup gap between each prior's density and its shared-family form."""
-        if self.shared_stat is None or self.eta_matrix is None:
-            raise ValueError("no shared family is declared")
-        d = self.latent_dim
-        axes = [np.linspace(-grid_half_width, grid_half_width, points_per_dim)] * d
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        worst = 0.0
-        for prior, eta in zip(self.priors, self.eta_matrix):
-            lp = (np.asarray(self.shared_stat.log_base(grid))
-                  + np.atleast_2d(self.shared_stat.suff_stat(grid)) @ eta
-                  - self.shared_stat.log_partition(eta))
-            gap = np.abs(np.exp(lp) - prior.density(grid)).max()
-            worst = max(worst, float(gap))
-        return worst
+        return cls(priors, means, ExpFamily.gaussian_mean_family(means[0]))
 
 
 @dataclass(frozen=True)
@@ -257,13 +231,13 @@ def validate_strong_vae_config(envset: EnvironmentSet,
     """Check the three clauses behind strong multi-environment recovery.
 
     In order: the natural-parameter contrasts span the statistic space; the
-    shared carrier is strictly positive on a latent grid; the declared
-    coordinate of the sufficient statistic is strictly monotone along its
-    latent axis.  The first failing clause is reported.
+    family's carrier is strictly positive on a cube of latent grid values;
+    column 0 of its sufficient statistic is strictly monotone along the
+    first latent axis.  The first failing clause is reported.
     """
-    if envset.shared_stat is None or envset.eta_matrix is None:
+    if envset.family is None:
         raise ValueError("configuration must declare one shared family")
-    stat = envset.shared_stat
+    fam = envset.family
     details: dict = {}
 
     span = spanning_check(envset.eta_matrix)
@@ -271,20 +245,18 @@ def validate_strong_vae_config(envset: EnvironmentSet,
     if not span.spans:
         return ValidationReport(False, "spanning", details)
 
+    # the carrier multiplies one scalar carrier per coordinate, so its
+    # positivity and minimum on the cube of grid values show on its diagonal
     d = envset.latent_dim
-    pts = min(grid_points, 9)
-    axes = [np.linspace(-grid_half_width, grid_half_width, pts)] * d
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    log_m = np.asarray(stat.log_base(grid), dtype=float)
+    t = np.linspace(-grid_half_width, grid_half_width, grid_points)
+    log_m = fam.log_base(np.repeat(t[:, None], d, axis=1))
     details["min_log_base"] = float(log_m.min())
     if not np.all(np.isfinite(log_m)):
         return ValidationReport(False, "base_measure_positivity", details)
 
-    k = stat.injective_coord
-    t = np.linspace(-grid_half_width, grid_half_width, grid_points)
     line = np.zeros((grid_points, d))
-    line[:, min(k, d - 1)] = t
-    vals = np.atleast_2d(stat.suff_stat(line))[:, k]
+    line[:, 0] = t
+    vals = fam.suff_stat(line)[:, 0]
     diffs = np.diff(vals)
     monotone = bool(np.all(diffs > 0) or np.all(diffs < 0))
     details["statistic_range"] = (float(vals.min()), float(vals.max()))

@@ -25,7 +25,7 @@ class IdlabError(Exception):
 
 
 class BracketFailure(IdlabError):
-    """A conditional CDF table carries no mass, so it cannot be inverted."""
+    """A tilted marginal's CDF table carries no mass; it cannot be inverted."""
 
 
 class DimensionMismatch(IdlabError):

@@ -505,8 +505,6 @@ def _run_multiview(params, seed, jobs):
 class ExperimentDef:
     runner: object
     anchor: str
-    #: wall time of one run at the defaults, measured on a 2-vCPU Xeon VM
-    runtime: str
     defaults: dict
     columns: list
 
@@ -515,7 +513,6 @@ EXPERIMENTS = {
     "kr-identity": ExperimentDef(
         _run_kr_identity,
         "self-transport of a fully supported law is the identity map",
-        "0.05 s",
         {"dims": [1, 2, 3],
          "families": ["gaussian", "laplace_product", "gaussian_mixture"],
          "n_probes": 1000, "tol": 1e-6},
@@ -524,20 +521,17 @@ EXPERIMENTS = {
         _run_kr_gaussian,
         "conditional-CDF recursion between Gaussians matches the closed-form "
         "Cholesky map",
-        "0.01 s",
         {"n_pairs": 10, "max_dim": 4, "n_probes": 1000, "tol": 1e-5},
         ["pair", "dim", "sup_diff", "passed"]),
     "ica-comon": ExperimentDef(
         _run_ica_comon,
         "transport between product laws acts on each coordinate separately",
-        "<0.01 s",
         {"n_probes": 200, "tol": 1e-4},
         ["max_offdiag", "max_upper", "jacobian_component_wise", "passed"]),
     "fa-rotation": ExperimentDef(
         _run_fa_rotation,
         "two matched environments admit a genuinely different reflected "
         "loading with identical observation moments",
-        "<0.01 s",
         {"mu1": [0.0, 0.0], "mu2": [1.0, 0.0],
          "loading": [[1.0, 0.0], [0.5, 1.0], [-0.25, 0.7]],
          "tol_constraint": 1e-12, "min_distance": 0.5},
@@ -546,7 +540,6 @@ EXPERIMENTS = {
         _run_fa_three_env,
         "environment mean contrasts spanning the latent space pin the "
         "loading uniquely",
-        "<0.01 s",
         {"env_means": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
          "loading": [[1.0, 0.0], [0.5, 1.0], [-0.25, 0.7]], "tol": 1e-8},
         ["n_envs", "contrast_rank", "unique", "deviation"]),
@@ -554,7 +547,6 @@ EXPERIMENTS = {
         _run_expfam_kernel,
         "statistic differences under an equivalence transform fall in the "
         "kernel of the parameter contrasts",
-        "<0.01 s",
         {"contrasts": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
          "n_probes": 500, "tol": 1e-12, "shift": 0.1},
         ["case", "residual", "fixed_coords_pass", "passed"]),
@@ -562,7 +554,6 @@ EXPERIMENTS = {
         _run_strong_vae,
         "with spanning environment means, independent fits on disjoint data "
         "recover the same generator",
-        "1.7 s",
         {"n_seeds": 20, "n_per_env": 100000, "radius": 3.0,
          "angle_deg": 30.0, "offset": [0.5, -0.3], "min_passes": 19,
          "grid": 21},
@@ -571,7 +562,6 @@ EXPERIMENTS = {
         _run_ivae_affine,
         "re-anchoring the prior means changes recovered latents only by an "
         "invertible affine map",
-        "0.2 s",
         {"n_per_env": 100000, "radius": 3.0, "angle_deg": 30.0,
          "offset": [0.5, -0.3], "gauge_matrix": [[1.2, 0.3], [-0.2, 0.9]],
          "gauge_offset": [0.4, -1.0], "max_cond": 1e3, "resid_factor": 10.0},
@@ -581,7 +571,6 @@ EXPERIMENTS = {
         _run_two_labs,
         "equivalent fits differ by a prior-preserving transform; "
         "inequivalent ones are caught distributionally",
-        "0.5 s",
         {"n": 100000, "angle_deg": 45.0, "alpha": 0.01, "ks_ratio_min": 3.0,
          "loading": [[1.0, 0.0], [0.6, 1.0]]},
         ["cell", "pushforward_pass", "identity_sup_dev", "max_ks_ratio",
@@ -590,21 +579,18 @@ EXPERIMENTS = {
         _run_task_shift,
         "a latent-shift task changes output under a certified rotation but "
         "not under the identity",
-        "0.02 s",
         {"delta": 1.0, "k": 0, "obs": [[1.0, 0.0, 0.0]], "tol": 1e-9},
         ["cell", "distance", "identifiable", "passed"]),
     "task-indep": ExperimentDef(
         _run_task_indep,
         "a rank-correlation task is exactly blind to componentwise monotone "
         "relabelings",
-        "0.02 s",
         {"n": 1000, "pair": [0, 0], "loading": [[1.0, 0.0], [0.6, 1.0]],
          "null_bound": 0.08},
         ["cell", "value", "passed"]),
     "multiview": ExperimentDef(
         _run_multiview,
         "one constrained view pins the shared latent for every view",
-        "0.01 s",
         {"n": 2000, "tol": 1e-6, "angle_deg": 30.0},
         ["config", "identified", "best_view_dev", "max_disagreement",
          "passed"]),
@@ -621,23 +607,41 @@ def default_params(name: str) -> dict:
 
 def experiment_info(name: str) -> dict:
     d = EXPERIMENTS[name]
-    return {"name": name, "anchor": d.anchor, "runtime": d.runtime,
-            "defaults": d.defaults, "columns": d.columns}
+    return {"name": name, "anchor": d.anchor, "defaults": d.defaults,
+            "columns": d.columns}
+
+
+#: override types accepted for a default of each type; any other default
+#: (a list or a string) takes only its own type
+_ACCEPTED_TYPES = {int: (int,), float: (int, float)}
 
 
 def check_params(name: str, params: dict | None) -> None:
-    """Reject overrides that ``name``'s registered defaults do not define.
+    """Reject overrides that ``name``'s registered defaults do not admit.
 
     Raises ``KeyError`` for an unregistered experiment and ``ValueError``
-    when ``params`` is not a mapping or names a key with no default.
+    when ``params`` is not a mapping, names a key with no default, gives a
+    value whose type differs from its default's (an int where a float is
+    registered is accepted, a bool where an int is registered is not), or
+    gives a value below 1 where the default is a positive int, since every
+    such param is a count or a size.
     """
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment: {name!r}")
     if params is not None and not isinstance(params, dict):
         raise ValueError(f"{name}: params must be a mapping")
-    unknown = sorted(set(params or {}) - set(EXPERIMENTS[name].defaults))
+    defaults = EXPERIMENTS[name].defaults
+    unknown = sorted(set(params or {}) - set(defaults))
     if unknown:
         raise ValueError(f"{name}: unknown params {unknown}")
+    for key, value in (params or {}).items():
+        default = defaults[key]
+        accepted = _ACCEPTED_TYPES.get(type(default), (type(default),))
+        if type(value) not in accepted:
+            raise ValueError(f"{name}: {key} must be of type "
+                             f"{type(default).__name__}, got {value!r}")
+        if type(default) is int and default >= 1 and value < 1:
+            raise ValueError(f"{name}: {key} must be >= 1, got {value}")
 
 
 def run_experiment(name: str, params: dict | None = None, seed: int = 7,

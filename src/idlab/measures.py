@@ -4,16 +4,18 @@ The module provides a small zoo of fully supported distributions behind one
 `Distribution` interface: exact densities in log space, samplers driven by
 counter-based streams, and conditional CDFs with their inverses.  Gaussian
 laws and products of normal, Laplace, logistic or exponential marginals give
-their conditional quantiles in closed form.  Exponential families tabulate
-each conditional CDF once on a quadrature grid and invert that table
-exactly.  The Gaussian mixture marginal is the one law whose quantile is
-found iteratively: Newton steps inside the exact bracket spanned by its
-component quantiles.  So every distribution supports Rosenblatt-style
-resampling and triangular transport.
+their conditional quantiles in closed form.  The Gaussian mixture marginal is
+the one law whose quantile is found iteratively: Newton steps inside the
+exact bracket spanned by its component quantiles.  So every distribution
+supports Rosenblatt-style resampling and triangular transport.
 
-Multivariate exponential families carry their carrier density, sufficient
-statistic and log-partition explicitly, which is what the environment and
-indeterminacy machinery consumes.
+`ExpFamily` is the conditionally factorial exponential family of the iVAE
+prior: a product of 1-D tilted laws that share one scalar carrier, statistic
+and log-partition, each with its own natural parameter.  It carries those
+callables explicitly, which is what the environment and indeterminacy
+machinery consumes.  Each marginal tabulates its CDF once on a quadrature
+grid and inverts that table exactly, so the family has no dimension limit
+and takes O(d * grid) memory.
 """
 
 from __future__ import annotations
@@ -50,10 +52,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # inversion; beyond it double precision cannot tell the CDF apart from 0 or 1.
 _P_FLOOR = 1e-300
 _P_CEIL = 1.0 - 1e-16
-
-# Rows of quadrature points an exponential family evaluates at once, so its
-# tables take O(_BLOCK * grid) memory however many rows are asked for.
-_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +294,8 @@ def _like_p(p, out):
 class Distribution(abc.ABC):
     """A fully supported probability measure on R^d.
 
-    Subclasses provide ``log_density``, ``conditional_cdf`` and its inverse
-    ``conditional_quantile``; the default sampler inverts the conditional
-    chain at uniform draws.  Coordinates are indexed 0-based: the
+    Subclasses provide ``log_density``, a sampler, ``conditional_cdf`` and
+    its inverse ``conditional_quantile``.  Coordinates are indexed 0-based: the
     conditional for coordinate ``m`` conditions on coordinates ``0..m-1``.
     """
 
@@ -356,13 +353,10 @@ class Distribution(abc.ABC):
         """
         ...
 
+    @abc.abstractmethod
     def sample(self, rng: np.random.Generator, n: int):
-        """Default sampler: invert the conditional chain at uniform draws."""
-        u = np.clip(rng.random((n, self.dim)), 1e-15, 1.0 - 1e-15)
-        z = np.empty((n, self.dim))
-        for m in range(self.dim):
-            z[:, m] = self.conditional_quantile(m, z[:, :m], u[:, m])
-        return z
+        """``n`` independent rows, shape ``(n, dim)``, drawn from ``rng``."""
+        ...
 
     def to_spec(self) -> dict:
         raise NotImplementedError
@@ -479,186 +473,105 @@ class ProductDistribution(Distribution):
                 "marginals": [m.to_spec() for m in self.marginals]}
 
 
-class ExpFamily(Distribution):
-    """Exponential family  m(z) * exp(eta . T(z) - a(eta)).
+class _TiltedMarginal(Univariate):
+    """Scalar tilted law  q(x) exp(eta T(x) - A(eta))  on a truncated interval.
 
-    The carrier ``log_base``, statistic ``suff_stat`` and partition
-    ``log_partition`` are explicit callables so density ratios and kernel
-    diagnostics can be formed symbolically in eta.  Conditional CDFs are
-    piecewise-linear tables computed by quadrature on a truncated box (tail
-    mass below 1e-12 by construction of the bounds) and are available for
-    dim <= 2, which is all the desk-scale experiments use; conditional
-    quantiles invert the same tables exactly.  Tables are built for at most
-    ``_BLOCK`` rows at a time, so memory stays O(_BLOCK * _GRID) whatever
-    the number of rows asked for.
+    Its CDF is a piecewise-linear table on ``_GRID`` points, built lazily.
     """
 
     _GRID = 4097
 
-    def __init__(self, dim, stat_dim, log_base, suff_stat, log_partition,
-                 eta, bounds=None, family: str = "custom"):
-        self._dim = int(dim)
-        self.stat_dim = int(stat_dim)
+    def __init__(self, log_base, suff_stat, log_partition, eta, bounds):
         self.log_base = log_base
         self.suff_stat = suff_stat
-        self.log_partition = log_partition
-        self.eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        if self.eta.shape != (self.stat_dim,):
-            raise DimensionMismatch("eta must have length stat_dim")
-        self.family = family
-        if bounds is None:
-            bounds = np.repeat([[-15.0, 15.0]], self._dim, axis=0)
-        self.bounds = np.asarray(bounds, dtype=float).reshape(self._dim, 2)
-        self._log_a = float(self.log_partition(self.eta))
-        self._cache: dict = {}
+        self.eta = float(eta)
+        self.support = (float(bounds[0]), float(bounds[1]))
+        self._log_a = float(log_partition(self.eta))
+        self._table = None
 
-    @property
-    def dim(self):
-        return self._dim
+    def log_pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return self.log_base(x) + self.eta * self.suff_stat(x) - self._log_a
+
+    def _cdf_table(self):
+        """The grid and its normalized CDF, built once."""
+        from scipy.integrate import cumulative_simpson
+
+        if self._table is None:
+            grid = np.linspace(*self.support, self._GRID)
+            cdf = np.concatenate([[0.0], cumulative_simpson(
+                np.exp(self.log_pdf(grid)), dx=grid[1] - grid[0])])
+            cdf = np.maximum.accumulate(cdf)
+            if cdf[-1] <= 0:
+                raise BracketFailure("tilted marginal has no mass on its box")
+            self._table = (grid, cdf / cdf[-1])
+        return self._table
+
+    def cdf(self, x):
+        grid, cdf = self._cdf_table()
+        return np.interp(x, grid, cdf, left=0.0, right=1.0)
+
+    def ppf(self, p):
+        """Exact inverse of the tabulated ``cdf``.
+
+        ``p`` is clipped to ``[_P_FLOOR, _P_CEIL]``, so it lies on the first
+        grid segment whose right end reaches it and is solved linearly there.
+        """
+        grid, cdf = self._cdf_table()
+        p = np.clip(np.asarray(p, dtype=float), _P_FLOOR, _P_CEIL)
+        k = np.searchsorted(cdf, p, side="left")
+        c0, x0 = cdf[k - 1], grid[k - 1]
+        return x0 + (p - c0) / (cdf[k] - c0) * (grid[k] - x0)
+
+    def sample(self, rng, n):
+        return self.ppf(rng.random(n))
+
+
+class ExpFamily(ProductDistribution):
+    """Conditionally factorial exponential family, the iVAE prior.
+
+    The density is  prod_i q(z_i) exp(eta_i T(z_i) - A(eta_i)): every
+    coordinate shares one scalar carrier ``log_base`` (log q), statistic
+    ``suff_stat`` (T) and partition ``log_partition`` (A), and has its own
+    natural parameter and ``(lo, hi)`` bounds, chosen so the tail mass
+    outside them is below 1e-12.  Those callables act elementwise, and the
+    methods of the same names apply them across coordinates, so density
+    ratios and kernel diagnostics can be formed symbolically in eta.  Each
+    marginal tabulates its CDF once on its interval and inverts the table
+    exactly, so the family works in any dimension with O(d * grid) memory.
+    """
+
+    def __init__(self, log_base, suff_stat, log_partition, eta, bounds,
+                 family: str = "custom"):
+        self.eta = np.atleast_1d(np.asarray(eta, dtype=float))
+        bounds = np.asarray(bounds, dtype=float)
+        if self.eta.ndim != 1 or bounds.shape != (self.eta.size, 2):
+            raise DimensionMismatch("need one (lo, hi) row per eta entry")
+        self.family = family
+        self._scalar = (log_base, suff_stat, log_partition)
+        super().__init__([_TiltedMarginal(*self._scalar, e, b)
+                          for e, b in zip(self.eta, bounds)])
 
     @classmethod
     def gaussian_mean_family(cls, eta):
         """Normal with identity covariance, natural parameter = mean."""
         eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        d = eta.shape[0]
-
-        def log_base(z):
-            z2 = np.atleast_2d(np.asarray(z, dtype=float))
-            return -0.5 * np.einsum("ij,ij->i", z2, z2) - 0.5 * d * _LOG_2PI
-
-        def suff_stat(z):
-            return np.atleast_2d(np.asarray(z, dtype=float))
-
-        def log_partition(e):
-            e = np.asarray(e, dtype=float)
-            return 0.5 * float(e @ e)
-
         bounds = np.column_stack([eta - 12.0, eta + 12.0])
-        return cls(d, d, log_base, suff_stat, log_partition, eta,
-                   bounds=bounds, family="gaussian_mean")
+        return cls(lambda x: -0.5 * x * x - 0.5 * _LOG_2PI, lambda x: x,
+                   lambda e: 0.5 * e * e, eta, bounds=bounds,
+                   family="gaussian_mean")
 
-    def log_density(self, z):
-        z2, was_1d = _rows(z, self.dim)
-        out = (np.asarray(self.log_base(z2), dtype=float)
-               + np.atleast_2d(self.suff_stat(z2)) @ self.eta - self._log_a)
-        return float(out[0]) if was_1d else out
+    def log_base(self, z):
+        """Log carrier  sum_i log q(z_i)  of each row."""
+        return self._scalar[0](_rows(z, self.dim)[0]).sum(axis=1)
 
-    def coordinate_support(self, m):
-        return tuple(self.bounds[m])
+    def suff_stat(self, z):
+        """Statistic rows  (T(z_1), ..., T(z_d)),  shape ``(n, dim)``."""
+        return self._scalar[1](_rows(z, self.dim)[0])
 
-    # -- quadrature machinery ------------------------------------------------
-
-    def _prep_conditional(self, m, prefix, values):
-        prefix2, v2 = super()._prep_conditional(m, prefix, values)
-        if self.dim > 2:
-            raise NotImplementedError(
-                "quadrature conditionals are provided for dim <= 2")
-        return prefix2, v2
-
-    def _axis_grid(self, m):
-        return np.linspace(self.bounds[m, 0], self.bounds[m, 1], self._GRID)
-
-    def _marginal_cdf_grid(self):
-        """Normalized CDF of the first coordinate on its grid (dim <= 2)."""
-        from scipy.integrate import cumulative_simpson
-
-        if "marg0" not in self._cache:
-            g0 = self._axis_grid(0)
-            if self.dim == 1:
-                dens = self.density(g0[:, None])
-            else:
-                # integrate out the second coordinate, _BLOCK rows of g0 at
-                # a time; each row's trapezoid is independent of the others
-                g1 = self._axis_grid(1)
-                dens = np.empty(g0.size)
-                pts = np.empty((_BLOCK, g1.size, 2))
-                pts[:, :, 1] = g1
-                for i in range(0, g0.size, _BLOCK):
-                    block = pts[:min(_BLOCK, g0.size - i)]
-                    block[:, :, 0] = g0[i:i + _BLOCK, None]
-                    dens2 = self.density(block.reshape(-1, 2))
-                    dens[i:i + _BLOCK] = np.trapezoid(
-                        dens2.reshape(block.shape[:2]), g1, axis=1)
-            cdf = np.concatenate(
-                [[0.0], cumulative_simpson(dens, dx=g0[1] - g0[0])])
-            cdf = np.maximum.accumulate(cdf)
-            self._cache["marg0"] = (g0, cdf / cdf[-1])
-        return self._cache["marg0"]
-
-    def _conditional_cdf_rows(self, x0):
-        """Normalized CDFs of the second coordinate given each entry of ``x0``.
-
-        Returns the grid and a ``(len(x0), _GRID)`` table, one row per
-        entry; callers pass at most ``_BLOCK`` entries.
-        """
-        from scipy.integrate import cumulative_simpson
-
-        g1 = self._axis_grid(1)
-        pts = np.column_stack([np.repeat(x0, g1.size), np.tile(g1, x0.size)])
-        dens = self.density(pts).reshape(x0.size, g1.size)
-        cdf = np.concatenate(
-            [np.zeros((x0.size, 1)),
-             cumulative_simpson(dens, dx=g1[1] - g1[0], axis=1)], axis=1)
-        cdf = np.maximum.accumulate(cdf, axis=1)
-        total = cdf[:, -1:]
-        if np.any(total <= 0):
-            raise BracketFailure("conditional slice carries no mass on the box")
-        return g1, cdf / total
-
-    @staticmethod
-    def _segment_root(grid, k, c0, c1, p):
-        """Where the line from ``(grid[k-1], c0)`` to ``(grid[k], c1)`` is ``p``.
-
-        Needs ``c0 < p <= c1``, which makes the denominator positive.
-        """
-        x0 = grid[k - 1]
-        return x0 + (p - c0) / (c1 - c0) * (grid[k] - x0)
-
-    def conditional_cdf(self, m, prefix, values):
-        prefix2, v2 = self._prep_conditional(m, prefix, values)
-        if m == 0:
-            grid, cdf = self._marginal_cdf_grid()
-            return np.interp(v2, grid, cdf, left=0.0, right=1.0)
-        # conditional of the second coordinate given the first, row by row
-        out = np.empty(v2.shape[0])
-        for i in range(0, out.size, _BLOCK):
-            v = v2[i:i + _BLOCK]
-            g1, cdf = self._conditional_cdf_rows(prefix2[i:i + _BLOCK, 0])
-            idx = np.clip(np.searchsorted(g1, v, side="right") - 1,
-                          0, g1.size - 2)
-            x0 = g1[idx]
-            w = np.clip((v - x0) / (g1[idx + 1] - x0), 0.0, 1.0)
-            r = np.arange(v.size)
-            row = cdf[r, idx] * (1 - w) + cdf[r, idx + 1] * w
-            row[v <= g1[0]] = 0.0
-            row[v >= g1[-1]] = 1.0
-            out[i:i + _BLOCK] = row
-        return out
-
-    def conditional_quantile(self, m, prefix, p):
-        """Exact inverse of the tabulated ``conditional_cdf``.
-
-        ``p`` is clipped to the representable open interval, so 0 and 1 give
-        finite points inside the box.  Each probability lies on the first
-        grid segment whose right end reaches it, since each table runs from
-        0 to 1, and is solved linearly there.
-        """
-        prefix2, p2 = self._prep_conditional(m, prefix, p)
-        p2 = np.clip(p2, _P_FLOOR, _P_CEIL)
-        if m == 0:
-            grid, cdf = self._marginal_cdf_grid()
-            k = np.searchsorted(cdf, p2, side="left")
-            return _like_p(p, self._segment_root(grid, k, cdf[k - 1], cdf[k],
-                                                  p2))
-        out = np.empty(p2.shape[0])
-        for i in range(0, out.size, _BLOCK):
-            q = p2[i:i + _BLOCK]
-            g1, cdf = self._conditional_cdf_rows(prefix2[i:i + _BLOCK, 0])
-            k = np.count_nonzero(cdf < q[:, None], axis=1)
-            r = np.arange(q.size)
-            out[i:i + _BLOCK] = self._segment_root(g1, k, cdf[r, k - 1],
-                                                   cdf[r, k], q)
-        return _like_p(p, out)
+    def log_partition(self, eta):
+        """Log partition  sum_i A(eta_i)."""
+        return float(np.sum(self._scalar[2](np.asarray(eta, dtype=float))))
 
     def to_spec(self):
         if self.family != "gaussian_mean":

@@ -95,15 +95,15 @@ def product_laws(draw, dim=None, kinds=("normal", "laplace", "logistic", "expone
 
 @st.composite
 def gaussian_mean_families(draw):
-    """Gaussian-mean exponential families on R or R^2 with |eta| <= 4."""
-    d = draw(st.integers(1, 2))
+    """Gaussian-mean exponential families on R^d, d <= 4, with |eta| <= 4."""
+    d = draw(st.integers(1, 4))
     return ExpFamily.gaussian_mean_family(draw(st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d)))
 
 
 @st.composite
-def gaussian_mixtures(draw):
-    """Mixtures of 1-3 normals whose weights are normalised positive draws."""
-    k = draw(st.integers(1, 3))
+def gaussian_mixtures(draw, k=None):
+    """Mixtures of ``k`` (default 1-3) normals with normalised positive weights."""
+    k = draw(st.integers(1, 3)) if k is None else k
     weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
     locs = draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k))
     scales = draw(st.lists(st.floats(0.2, 3.0), min_size=k, max_size=k))

@@ -122,6 +122,21 @@ class TestUsageErrors:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("experiment, params, message", [
+        ("all", {"multiview": {"n": -1}}, "multiview: n must be >= 1"),
+        ("all", {"strong-vae": {"n_per_env": "many"}}, "strong-vae: n_per_env must be of type int"),
+        ("kr-gaussian", {"n_pairs": 0}, "n_pairs must be >= 1"),
+        ("kr-gaussian", {"n_pairs": True}, "n_pairs must be of type int"),
+        ("kr-gaussian", {"n_pairs": 2.0}, "n_pairs must be of type int"),
+        ("kr-gaussian", {"tol": "small"}, "tol must be of type float"),
+        ("kr-identity", {"dims": 3}, "dims must be of type list"),
+    ])
+    def test_bad_override_value_writes_nothing(self, tmp_path, capsys, experiment, params, message):
+        cfg = write_config(tmp_path / "cfg.json", experiment=experiment, params=params)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags, env_jobs, message", [
         (["--jobs", "0"], None, "jobs must be >= 1"),
         ([], "0", "jobs must be >= 1"),
@@ -162,7 +177,6 @@ def test_list_json(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert [r["name"] for r in rows] == REGISTRY_ORDER
     assert all(r["anchor"].strip() for r in rows)
-    assert all("runtime" in r for r in rows)
 
 
 def test_schema_output(capsys):

@@ -10,6 +10,7 @@ from idlab import (
     AffineMap,
     EnvironmentData,
     EnvironmentSet,
+    ExpFamily,
     GaussianDistribution,
     Laplace1D,
     LinearGenerator,
@@ -28,6 +29,8 @@ from idlab import (
 from idlab.errors import DimensionMismatch, RankDeficient, SingularCovariance
 from idlab.experiments import _split_halves
 
+from conftest import probe_grid
+
 MEANS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
@@ -39,14 +42,16 @@ class TestGaussianMeanEnvs:
             assert_allclose(es.envs[label].mean, mu, atol=0)
             assert_allclose(es.envs[label].cov, np.eye(2), atol=0)
 
-    def test_family_residual_vanishes(self):
-        # the density identity log p_e - log base = eta.T - a(eta) holds exactly
-        assert EnvironmentSet.gaussian_mean_envs(MEANS).family_residual() < 1e-12
-
-    def test_family_residual_detects_wrong_eta(self):
+    def test_priors_are_the_family_at_each_eta_row(self):
+        # each prior is the declared family at its eta row, and a shifted
+        # eta matrix is not
         es = EnvironmentSet.gaussian_mean_envs(MEANS)
-        broken = EnvironmentSet(es.priors, es.eta_matrix + 0.5, es.shared_stat, es.labels)
-        assert broken.family_residual() > 0.01
+        z = probe_grid(2)
+        for prior, eta in zip(es.priors, es.eta_matrix):
+            fam = ExpFamily.gaussian_mean_family(eta)
+            assert_allclose(fam.log_density(z), prior.log_density(z), rtol=0, atol=1e-12)
+            shifted = ExpFamily.gaussian_mean_family(eta + 0.5)
+            assert np.abs(shifted.log_density(z) - prior.log_density(z)).max() > 0.01
 
 
 def test_spanning_check_ranks():

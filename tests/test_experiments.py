@@ -33,6 +33,10 @@ def test_unknown_param_raises_before_computing():
         run_experiment("kr-gaussian", {"n_probs": 2})
 
 
+def test_int_override_accepted_where_default_is_float():
+    assert run_experiment("fa-three-env", {"tol": 1}, seed=3).summary["tol"] == 1
+
+
 def test_param_override_merges_with_defaults():
     res = run_experiment("fa-rotation", {"mu1": [2.0, 0.0]}, seed=3)
     assert isinstance(res, ExperimentResult)

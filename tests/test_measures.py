@@ -9,7 +9,6 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.integrate import cumulative_simpson
 
 from idlab import (
     Exponential1D,
@@ -160,8 +159,8 @@ class TestGaussianDistribution:
             GaussianDistribution([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
 
 
-# laws whose quantiles need no bisection; an exponential family inverts its
-# tabulated conditional CDF exactly
+# laws whose quantiles need no bisection; an exponential family inverts the
+# tabulated CDF of each marginal exactly
 closed_form_laws = st.one_of(gaussian_laws(), product_laws(), gaussian_mean_families())
 
 
@@ -208,19 +207,31 @@ def test_interdecile_box_standard_normal():
 
 
 def test_expfam_gaussian_mean_family_density():
-    # unit-covariance Gaussian with natural parameter equal to its mean
-    eta = np.array([0.7, -0.2])
-    fam = ExpFamily(
-        dim=2,
-        stat_dim=2,
-        log_base=lambda z: -0.5 * np.sum(z**2, axis=-1) - np.log(2 * np.pi),
-        suff_stat=lambda z: z,
-        log_partition=lambda e: 0.5 * float(e @ e),
-        eta=eta,
-    )
-    ref = GaussianDistribution(eta, np.eye(2))
-    z = ref.sample(stream(7, 0), 32)
-    assert_allclose(fam.log_density(z), ref.log_density(z), atol=1e-10)
+    # unit-covariance Gaussian with natural parameter equal to its mean,
+    # from per-coordinate carrier, statistic and partition
+    for d in range(1, 5):
+        eta = np.array([0.7, -0.2, 2.5, -3.1])[:d]
+        fam = ExpFamily(
+            log_base=lambda x: -0.5 * x**2 - 0.5 * np.log(2 * np.pi),
+            suff_stat=lambda x: x,
+            log_partition=lambda e: 0.5 * e**2,
+            eta=eta,
+            bounds=np.column_stack([eta - 12.0, eta + 12.0]),
+        )
+        ref = GaussianDistribution(eta, np.eye(d))
+        z = ref.sample(stream(7, 0), 32)
+        assert fam.dim == d
+        assert_allclose(fam.log_density(z), ref.log_density(z), rtol=0, atol=1e-12)
+        assert_allclose(ExpFamily.gaussian_mean_family(eta).log_density(z), ref.log_density(z), rtol=0, atol=1e-12)
+        assert_allclose(fam.log_base(z) + fam.suff_stat(z) @ eta - fam.log_partition(eta), ref.log_density(z), rtol=0, atol=1e-12)
+
+
+def test_expfam_sample_means_at_d4():
+    eta = np.array([2.9, -0.78, 0.0, -4.0])
+    n = 100_000
+    z = ExpFamily.gaussian_mean_family(eta).sample(stream(23, 0), n)
+    assert z.shape == (n, 4)
+    assert np.all(np.abs(z.mean(axis=0) - eta) < 5.0 / np.sqrt(n))
 
 
 class TestExpFamilyTables:
@@ -234,17 +245,6 @@ class TestExpFamilyTables:
         for n in (1, 64, 65, 130):
             assert np.array_equal(self.fam.conditional_quantile(1, z[:n, :1], p[:n]), single_q[:n])
             assert np.array_equal(self.fam.conditional_cdf(1, z[:n, :1], z[:n, 1]), single_c[:n])
-
-    def test_blocked_marginal_table_matches_one_block(self):
-        class SmallGrid(ExpFamily):
-            _GRID = 257  # four full blocks of rows and one partial block
-
-        fam = SmallGrid.gaussian_mean_family([-1.2, 2.5])
-        g0, g1 = fam._axis_grid(0), fam._axis_grid(1)
-        pts = np.column_stack([np.repeat(g0, g1.size), np.tile(g1, g0.size)])
-        dens = np.trapezoid(fam.density(pts).reshape(g0.size, g1.size), g1, axis=1)
-        cdf = np.maximum.accumulate(np.concatenate([[0.0], cumulative_simpson(dens, x=g0)]))
-        assert np.array_equal(fam._marginal_cdf_grid()[1], cdf / cdf[-1])
 
     def test_sample_memory_is_bounded(self):
         fam = ExpFamily.gaussian_mean_family([-2.9, 0.78])

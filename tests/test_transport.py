@@ -37,7 +37,7 @@ from idlab import (
 from idlab.errors import DimensionMismatch, NonFiniteDerivative
 from idlab.indeterminacy import TransportedDistribution
 
-from conftest import gaussian_laws, probe_grid, product_laws
+from conftest import gaussian_laws, gaussian_mixtures, probe_grid, product_laws
 
 
 class TestAffineMap:
@@ -206,6 +206,39 @@ class TestClosureLaws:
         z = self.P.sample(rng, 50)
         total = compose(qr, pq).log_det_jacobian(z)
         assert_allclose(total, pq.log_det_jacobian(z) + qr.log_det_jacobian(pq.forward(z)), atol=1e-5)
+
+
+@st.composite
+def mixture_to_laplace(draw):
+    """A product of two-component mixtures and a Laplace product, d <= 4."""
+    d = draw(st.integers(1, 4))
+    src = ProductDistribution([draw(gaussian_mixtures(k=2)) for _ in range(d)])
+    return src, draw(product_laws(d, kinds=("laplace",)))
+
+
+@st.composite
+def gaussian_pairs(draw):
+    d = draw(st.integers(1, 4))
+    return draw(gaussian_laws(d)), draw(gaussian_laws(d))
+
+
+@settings(max_examples=20, deadline=None)
+@given(ends=mixture_to_laplace())
+def test_cdf_chain_pushes_mixtures_onto_laplace(ends):
+    # the map is exact, so a rejection at level 1e-6 would be a defect
+    src, tgt = ends
+    rep = pushforward_check(CdfChainMap(src, tgt), src, tgt, n=500, rng=stream(37, 0), alpha=1e-6)
+    assert rep.passed
+
+
+@settings(max_examples=30, deadline=None)
+@given(ends=st.one_of(mixture_to_laplace(), gaussian_pairs()))
+def test_compose_with_inverse_is_identity(ends):
+    src, tgt = ends
+    T = kr_transport(src, tgt)
+    w, z = tgt.sample(stream(37, 1), 200), src.sample(stream(37, 2), 200)
+    assert np.abs(compose(T, invert(T)).forward(w) - w).max() <= 1e-9
+    assert np.abs(compose(invert(T), T).forward(z) - z).max() <= 1e-9
 
 
 def test_rosenblatt_uniformises(gauss2):
