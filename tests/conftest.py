@@ -1,3 +1,6 @@
+import json
+import time
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -13,6 +16,9 @@ from idlab import (
     ProductDistribution,
     stream,
 )
+from idlab.cli import main as cli_main
+
+from goldens import SUITE_CONFIG
 
 ACCEPTANCE_LINES = []
 
@@ -23,6 +29,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def suite_run(tmp_path_factory):
+    """One timed ``idlab run`` of the whole suite at seed 7.
+
+    Returns ``(exit code, seconds, out dir)``.  Criterion 11 repeats the run
+    and the golden checks read its files, so a session runs the suite twice.
+    """
+    root = tmp_path_factory.mktemp("suite")
+    cfg = root / "all.json"
+    cfg.write_text(json.dumps(SUITE_CONFIG))
+    t0 = time.perf_counter()
+    code = cli_main(["run", "--config", str(cfg), "--out", str(root / "a")])
+    return code, time.perf_counter() - t0, root / "a"
 
 
 @pytest.fixture

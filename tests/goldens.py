@@ -1,0 +1,147 @@
+"""Golden copies of every ``results.json``, and the checks against them.
+
+``tests/golden/`` holds what ``idlab run`` writes for
+``{"experiment": "all", "seed": 7}``: each experiment's ``results.json`` as
+``<experiment>.json`` and the run summary as ``all.json``, each with its
+timestamp stripped, plus ``versions.json`` with the numpy and scipy versions
+they were made with.
+
+    python tests/goldens.py regen
+        rerun the suite from this checkout's ``src`` and rewrite the
+        goldens, so a change of results shows in the diff
+    python tests/goldens.py check RESULTS GOLDEN
+        compare one ``results.json`` with one golden within tolerance;
+        exit 1 and print each mismatch if they differ
+
+The tolerance check compares bools, ints, strings and nulls exactly and
+floats within ``1e-12 * max(1, |golden|)``.  Whole bytes are expected to
+match only under the recorded numpy and scipy, since other builds of them
+can differ in the last bit.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+VERSIONS = "versions.json"
+SUITE_CONFIG = {"experiment": "all", "seed": 7}
+RTOL = 1e-12
+
+_STAMP = re.compile(rb',\n *"timestamp": "[^"]*"')
+
+
+def strip_timestamp(data: bytes) -> bytes:
+    """``results.json`` bytes without the timestamp entry.
+
+    The timestamp sorts last in every results file, so it goes with the
+    comma before it and the rest keeps the writer's exact bytes.
+    """
+    out, n = _STAMP.subn(b"", data)
+    if n != 1:
+        raise ValueError(f"expected one timestamp entry, found {n}")
+    return out
+
+
+def collect(out_dir) -> dict:
+    """Golden file name to stripped bytes, for every result of a suite run."""
+    out_dir = Path(out_dir)
+    runs = {}
+    for path in sorted(out_dir.rglob("results.json")):
+        rel = path.relative_to(out_dir)
+        name = "all.json" if rel.parent == Path(".") else f"{rel.parent}.json"
+        runs[name] = strip_timestamp(path.read_bytes())
+    return runs
+
+
+def golden_files() -> dict:
+    """Golden file name to bytes, as committed."""
+    return {p.name: p.read_bytes() for p in sorted(GOLDEN_DIR.glob("*.json"))
+            if p.name != VERSIONS}
+
+
+def installed_versions() -> dict:
+    import numpy
+    import scipy
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__}
+
+
+def recorded_versions() -> dict:
+    return json.loads((GOLDEN_DIR / VERSIONS).read_text())
+
+
+def mismatches(got, want, where: str = "$") -> list:
+    """Where the decoded ``got`` differs from the decoded golden ``want``."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or set(got) != set(want):
+            return [f"{where}: keys differ"]
+        return [m for k in sorted(want)
+                for m in mismatches(got[k], want[k], f"{where}.{k}")]
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return [f"{where}: lengths differ"]
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in mismatches(g, w, f"{where}[{i}]")]
+    if type(got) is not type(want):
+        return [f"{where}: {got!r} is not a {type(want).__name__}"]
+    if got == want:
+        return []
+    if isinstance(want, float) and (
+            (math.isnan(got) and math.isnan(want))
+            or abs(got - want) <= RTOL * max(1.0, abs(want))):
+        return []
+    return [f"{where}: {got!r} != golden {want!r}"]
+
+
+def regen() -> None:
+    """Run the suite from this checkout and rewrite every golden."""
+    sys.path.insert(0, str(GOLDEN_DIR.parents[1] / "src"))
+    from idlab.cli import main as idlab_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "all.json"
+        cfg.write_text(json.dumps(SUITE_CONFIG))
+        out = Path(tmp) / "out"
+        code = idlab_main(["run", "--config", str(cfg), "--out", str(out)])
+        if code != 0:
+            raise SystemExit(f"idlab run exited {code}; goldens not written")
+        runs = collect(out)
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for stale in set(golden_files()) - set(runs):
+        (GOLDEN_DIR / stale).unlink()
+    for name, data in runs.items():
+        (GOLDEN_DIR / name).write_bytes(data)
+    (GOLDEN_DIR / VERSIONS).write_text(
+        json.dumps(installed_versions(), indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(runs)} goldens to {GOLDEN_DIR}")
+
+
+def check(results_path, golden_path) -> int:
+    got = json.loads(strip_timestamp(Path(results_path).read_bytes()))
+    want = json.loads(Path(golden_path).read_bytes())
+    found = mismatches(got, want)
+    for line in found:
+        print(line)
+    print(f"{results_path}: {'differs from' if found else 'matches'} "
+          f"{golden_path}")
+    return 1 if found else 0
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv == ["regen"]:
+        regen()
+        return 0
+    if len(argv) == 3 and argv[0] == "check":
+        return check(argv[1], argv[2])
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

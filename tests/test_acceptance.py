@@ -236,23 +236,20 @@ def test_criterion_10_second_view_removes_the_rotation():
                    f"unidentified ({elapsed:.1f}s < 30s)")
 
 
-def test_criterion_11_runs_are_deterministic_and_fast(tmp_path):
+def test_criterion_11_runs_are_deterministic_and_fast(suite_run, tmp_path):
+    code_a, suite_elapsed, out_a = suite_run
     cfg = tmp_path / "all.json"
     cfg.write_text(json.dumps({"experiment": "all", "seed": 7}))
-
-    t0 = time.perf_counter()
-    code_a = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")])
-    suite_elapsed = time.perf_counter() - t0
     code_b = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "b")])
 
     stamp = re.compile(rb'"timestamp": "[^"]*"')
     identical = True
-    for res_a in sorted((tmp_path / "a").rglob("results.json")):
-        res_b = tmp_path / "b" / res_a.relative_to(tmp_path / "a")
+    for res_a in sorted(out_a.rglob("results.json")):
+        res_b = tmp_path / "b" / res_a.relative_to(out_a)
         bytes_a = stamp.sub(b'"timestamp": "X"', res_a.read_bytes())
         bytes_b = stamp.sub(b'"timestamp": "X"', res_b.read_bytes())
         identical = identical and bytes_a == bytes_b
-    n_results = len(list((tmp_path / "a").rglob("results.json")))
+    n_results = len(list(out_a.rglob("results.json")))
 
     ok = code_a == 0 and code_b == 0 and identical and n_results == 13 and suite_elapsed < 300.0
     record(11, ok, f"repeated full runs byte-identical across {n_results} result files modulo timestamp; "

@@ -1,0 +1,67 @@
+"""The criterion-11 suite run against the committed goldens.
+
+Regenerate the goldens with ``python tests/goldens.py regen`` when a change
+is meant to move results; the diff then shows what moved.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from goldens import (collect, golden_files, installed_versions, mismatches,
+                     recorded_versions, strip_timestamp)
+
+
+def test_suite_matches_goldens_within_tolerance(suite_run):
+    code, _, out = suite_run
+    assert code == 0
+    runs = collect(out)
+    goldens = golden_files()
+    assert sorted(runs) == sorted(goldens)
+    for name, data in runs.items():
+        found = mismatches(json.loads(data), json.loads(goldens[name]))
+        assert not found, f"{name}: {found[:5]}"
+
+
+def test_suite_matches_golden_bytes(suite_run):
+    if installed_versions() != recorded_versions():
+        pytest.skip(f"goldens come from {recorded_versions()}, "
+                    f"installed are {installed_versions()}")
+    _, _, out = suite_run
+    goldens = golden_files()
+    for name, data in collect(out).items():
+        assert data == goldens[name], name
+
+
+def test_tolerance_check_sees_1e9_but_not_one_ulp():
+    want = {"summary": {"max_sup_dev": 0.01025, "n_pass": 20},
+            "passed": True, "rows": [{"cell": "a", "dev": 1e-15}]}
+    assert mismatches(json.loads(json.dumps(want)), want) == []
+    ulp = {**want, "summary": {"max_sup_dev": float(np.nextafter(0.01025, 1.0)),
+                               "n_pass": 20}}
+    assert mismatches(ulp, want) == []
+    moved = {**want, "summary": {"max_sup_dev": 0.01025 * (1 + 1e-9),
+                                 "n_pass": 20}}
+    assert mismatches(moved, want) == [
+        f"$.summary.max_sup_dev: {0.01025 * (1 + 1e-9)!r} != golden 0.01025"]
+
+
+@pytest.mark.parametrize("got", [
+    {"passed": 1, "n": 3, "name": "x", "v": None},
+    {"passed": True, "n": 3.0, "name": "x", "v": None},
+    {"passed": True, "n": 3, "name": "y", "v": None},
+    {"passed": True, "n": 3, "name": "x", "v": 0.0},
+    {"passed": True, "n": 3, "name": "x"},
+])
+def test_tolerance_check_compares_non_floats_exactly(got):
+    want = {"passed": True, "n": 3, "name": "x", "v": None}
+    assert len(mismatches(got, want)) == 1
+
+
+def test_strip_timestamp_keeps_the_other_bytes():
+    text = (b'{\n  "name": "x",\n  "passed": true,\n'
+            b'  "timestamp": "2026-01-01T00:00:00+00:00"\n}\n')
+    assert strip_timestamp(text) == b'{\n  "name": "x",\n  "passed": true\n}\n'
+    with pytest.raises(ValueError):
+        strip_timestamp(b'{\n  "name": "x"\n}\n')
