@@ -14,13 +14,12 @@ from .rng import stream
 from .measures import (Distribution, ExpFamily, GaussianDistribution,
                        GaussianMixture1D, Laplace1D, Logistic1D, Normal1D,
                        Exponential1D, ProductDistribution,
-                       distribution_from_spec, distribution_to_spec,
-                       interdecile_box, sample)
+                       distribution_from_spec, interdecile_box, sample)
 from .transport import (AffineMap, Automorphism, CdfChainMap, ComposedMap,
                         PushforwardReport, StructureReport, TriangularMap,
                         component_wise_check, compose, invert, jacobian_fd,
-                        kr_transport, log_det_jacobian, map_from_spec,
-                        map_to_spec, pushforward_check, rosenblatt)
+                        kr_transport, log_det_jacobian, pushforward_check,
+                        rosenblatt)
 from .linear import (ComonReport, EnvConstraintSystem, LinearGenerator,
                      UniquenessReport, comon_structure_check,
                      rotation_counterexample, solve_multi_env_linear)

@@ -4,7 +4,8 @@ Three subcommands: ``run`` executes one experiment (or all of them) from a
 JSON config and writes machine-readable artifacts, ``list`` prints the
 registry, ``schema`` prints the config schema with per-experiment defaults
 and CSV columns.  Exit codes: 0 all pass-conditions hold, 1 a claim check
-failed (artifacts still written), 2 usage or configuration error.
+failed (artifacts still written), 2 usage or configuration error, 3 a
+numerical failure (an ``IdlabError``) inside an experiment.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
 
+from .errors import IdlabError
 from .experiments import (EXPERIMENTS, check_params, experiment_info,
                           run_experiment)
 
@@ -64,9 +67,14 @@ def _atomic_write(path: str, text: str):
     os.replace(tmp, path)
 
 
+def _to_json(obj) -> str:
+    """The text every JSON artifact is written as."""
+    return json.dumps(obj, indent=2, sort_keys=True,
+                      default=_to_jsonable) + "\n"
+
+
 def _dump_json(path: str, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True,
-                                   default=_to_jsonable) + "\n")
+    _atomic_write(path, _to_json(obj))
 
 
 def _csv_cell(v):
@@ -91,9 +99,9 @@ def _write_csv(path: str, columns, rows):
     os.replace(tmp, path)
 
 
-def _fail(msg: str) -> int:
+def _fail(msg: str, code: int = 2) -> int:
     print(f"error: {msg}", file=sys.stderr)
-    return 2
+    return code
 
 
 def _load_config(path: str):
@@ -139,7 +147,7 @@ def _write_experiment_artifacts(out_dir, result, echo):
     tables = os.path.join(exp_dir, "tables")
     os.makedirs(tables, exist_ok=True)
     _dump_json(os.path.join(exp_dir, "config.echo.json"), echo)
-    payload = result.to_dict()
+    payload = asdict(result)
     payload["timestamp"] = datetime.now(timezone.utc).isoformat()
     _dump_json(os.path.join(exp_dir, "results.json"), payload)
     _write_csv(os.path.join(tables, f"{result.name}.csv"),
@@ -174,6 +182,8 @@ def _cmd_run(args) -> int:
     for exp_name, params in plan.items():
         try:
             result = run_experiment(exp_name, params, seed=seed, jobs=jobs)
+        except IdlabError as exc:  # numerical failure, before its artifacts
+            return _fail(f"{exp_name}: {exc}", code=3)
         except Exception as exc:  # a bad value surfaces before its artifacts
             return _fail(f"{exp_name}: {exc}")
         echo = {"experiment": exp_name, "seed": seed, "jobs": jobs,

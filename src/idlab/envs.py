@@ -12,7 +12,6 @@ agreement verifier.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,34 +139,6 @@ class EnvironmentData:
         rows = self.blocks.get(code, slice(0, 0))
         return self.x[rows], self.z[rows]
 
-    def to_csv(self, path):
-        dx, dz = self.x.shape[1], self.z.shape[1]
-        header = ([f"x_{i+1}" for i in range(dx)]
-                  + [f"z_{i+1}" for i in range(dz)] + ["env"])
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for xi, zi, ei in zip(self.x, self.z, self.env):
-                writer.writerow([f"{v:.17g}" for v in xi]
-                                + [f"{v:.17g}" for v in zi] + [int(ei)])
-
-    @classmethod
-    def from_csv(cls, path) -> "EnvironmentData":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [r for r in reader if r]
-        dx = sum(1 for h in header if h.startswith("x_"))
-        dz = sum(1 for h in header if h.startswith("z_"))
-        data = np.array([[float(v) for v in r] for r in rows])
-        # a stable sort makes the rows env-blocked and keeps their order
-        # within each environment
-        data = data[np.argsort(data[:, -1], kind="stable")]
-        env = data[:, -1].astype(int)
-        counts = np.bincount(env)
-        return cls(x=data[:, :dx], z=data[:, dx:dx + dz], env=env,
-                   n_per_env=int(counts.max()) if counts.size else 0)
-
 
 def generate_environment_data(envset: EnvironmentSet, generator,
                               noise_sd: float, n_per_env: int,
@@ -196,11 +167,6 @@ class SpanReport:
     stat_dim: int
     n_envs: int
 
-    def to_dict(self):
-        return {"spans": bool(self.spans), "contrast_rank": self.contrast_rank,
-                "raw_rank": self.raw_rank, "stat_dim": self.stat_dim,
-                "n_envs": self.n_envs}
-
 
 def spanning_check(etas) -> SpanReport:
     """Do the natural-parameter contrasts span the statistic space?"""
@@ -217,12 +183,6 @@ class ValidationReport:
     passed: bool
     failing_clause: str | None
     details: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {"passed": bool(self.passed),
-                "failing_clause": self.failing_clause,
-                "details": {k: (v.to_dict() if hasattr(v, "to_dict") else v)
-                            for k, v in self.details.items()}}
 
 
 def validate_strong_vae_config(envset: EnvironmentSet,
@@ -274,11 +234,6 @@ class AffineRelation:
     offset: np.ndarray
     residual: float
     condition_number: float
-
-    def to_dict(self):
-        return {"matrix": self.matrix.tolist(), "offset": self.offset.tolist(),
-                "residual": self.residual,
-                "condition_number": self.condition_number}
 
 
 def affine_relation_fit(stats_a, stats_b) -> AffineRelation:

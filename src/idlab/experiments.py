@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .linear import (EnvConstraintSystem, LinearGenerator,
 from .measures import (GaussianDistribution, GaussianMixture1D, Laplace1D,
                        Logistic1D, ProductDistribution, interdecile_box)
 from .rng import stream
-from .tasks import (constant_point_task, independence_test_task,
-                    latent_shift_task, spearman_abs,
+from .tasks import (independence_test_task, latent_shift_task, spearman_abs,
                     task_identifiability_check)
 from .transport import (AffineMap, Automorphism, component_wise_check,
                         jacobian_fd, kr_transport)
@@ -46,11 +45,6 @@ class ExperimentResult:
     summary: dict
     rows: list
     columns: list
-
-    def to_dict(self):
-        return {"name": self.name, "passed": bool(self.passed),
-                "summary": self.summary, "rows": self.rows,
-                "columns": list(self.columns)}
 
 
 def _rotation(angle_deg: float) -> np.ndarray:
@@ -150,8 +144,8 @@ def _run_ica_comon(params, seed, jobs):
     row = {"max_offdiag": report.max_offdiag, "max_upper": report.max_upper,
            "jacobian_component_wise": bool(comon.component_wise),
            "passed": passed}
-    return passed, {"structure": report.to_dict(),
-                    "jacobian_check": comon.to_dict()}, [row]
+    return passed, {"structure": asdict(report),
+                    "jacobian_check": asdict(comon)}, [row]
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +212,7 @@ def _run_expfam_kernel(params, seed, jobs):
     ]
     passed = all(r["passed"] for r in rows)
     return passed, {"flip_residual": r_flip, "shift_residual": r_shift,
-                    "fixed_coord_dev": fixed.to_dict()}, rows
+                    "fixed_coord_dev": asdict(fixed)}, rows
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +309,7 @@ def _run_ivae_affine(params, seed, jobs):
            "cond_L": relation.condition_number, "frozen_dev": frozen_dev,
            "matrix_err": matrix_err, "offset_err": offset_err,
            "passed": passed}
-    return passed, {"relation": relation.to_dict(),
+    return passed, {"relation": asdict(relation),
                     "frozen_dev": frozen_dev}, [row]
 
 
@@ -493,8 +487,8 @@ def _run_multiview(params, seed, jobs):
          "passed": bool(not rotated.structure["is_identity_ae"])},
     ]
     passed = all(r["passed"] for r in rows)
-    return passed, {"pinned": pinned.to_dict(),
-                    "rotated": rotated.to_dict()}, rows
+    return passed, {"pinned": asdict(pinned),
+                    "rotated": asdict(rotated)}, rows
 
 
 # ---------------------------------------------------------------------------

@@ -112,10 +112,6 @@ def pushforward_distribution(transform, dist: Distribution) -> Distribution:
 # reports
 # ---------------------------------------------------------------------------
 
-def _maybe_dict(report):
-    return None if report is None else report.to_dict()
-
-
 @dataclass
 class IndeterminacyReport:
     """Verdicts about one candidate latent transform.
@@ -137,21 +133,6 @@ class IndeterminacyReport:
     n: int = 0
     details: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "identity_sup_dev": self.identity_sup_dev,
-            "identity_rms_dev": self.identity_rms_dev,
-            "pushforward_pass": (None if self.pushforward_pass is None
-                                 else bool(self.pushforward_pass)),
-            "forward_check": _maybe_dict(self.forward_check),
-            "inverse_check": _maybe_dict(self.inverse_check),
-            "kernel_residual": self.kernel_residual,
-            "fixed_coord_dev": self.fixed_coord_dev,
-            "structure": {k: bool(v) for k, v in self.structure.items()},
-            "n": self.n,
-            "details": self.details,
-        }
-
 
 @dataclass
 class FixedCoordinateReport:
@@ -160,11 +141,6 @@ class FixedCoordinateReport:
     deviations: dict
     passed: bool
     tol: float
-
-    def to_dict(self):
-        return dict(vars(self), passed=bool(self.passed),
-                    deviations={int(k): float(v)
-                                for k, v in self.deviations.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +172,9 @@ def generator_transform(gen_a, gen_b, probes=None,
     backwards.  Affine pairs come back in closed form with a linear tag;
     triangular-map pairs compose exactly and carry their composition as the
     source map, unless ``gen_b`` has no inverted map, in which case they
-    compose pointwise like any other pair.  Probes (default: origin plus unit directions) certify that
-    ``gen_a``'s outputs lie on ``gen_b``'s range, else ``RangeMismatch``.
+    compose pointwise like any other pair.  Probes (default: origin plus
+    unit directions) certify that ``gen_a``'s outputs lie on ``gen_b``'s
+    range, else ``RangeMismatch``.
     """
     dz_a = getattr(gen_a, "latent_dim", None)
     dz_b = getattr(gen_b, "latent_dim", None)

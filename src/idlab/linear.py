@@ -134,12 +134,6 @@ class UniquenessReport:
     latent_dim: int
     deviation: float | None
 
-    def to_dict(self):
-        return {"unique": bool(self.unique),
-                "contrast_rank": self.contrast_rank,
-                "latent_dim": self.latent_dim,
-                "deviation": self.deviation}
-
 
 def solve_multi_env_linear(generator: LinearGenerator,
                            system: EnvConstraintSystem) -> UniquenessReport:
@@ -170,10 +164,6 @@ class ComonReport:
     condition_number: float
     column_counts: np.ndarray
     tol: float
-
-    def to_dict(self):
-        return dict(vars(self), component_wise=bool(self.component_wise),
-                    column_counts=np.asarray(self.column_counts).tolist())
 
 
 def comon_structure_check(matrix, tol: float = 1e-6) -> ComonReport:

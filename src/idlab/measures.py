@@ -43,7 +43,6 @@ __all__ = [
     "interdecile_box",
     "univariate_from_spec",
     "distribution_from_spec",
-    "distribution_to_spec",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -80,9 +79,6 @@ class Univariate(abc.ABC):
     def sample(self, rng: np.random.Generator, n: int):
         ...
 
-    def to_spec(self) -> dict:
-        raise NotImplementedError
-
 
 class Normal1D(Univariate):
     kind = "normal"
@@ -105,9 +101,6 @@ class Normal1D(Univariate):
 
     def sample(self, rng, n):
         return self.loc + self.scale * rng.standard_normal(n)
-
-    def to_spec(self):
-        return {"kind": self.kind, "loc": self.loc, "scale": self.scale}
 
 
 class Laplace1D(Univariate):
@@ -136,9 +129,6 @@ class Laplace1D(Univariate):
     def sample(self, rng, n):
         return rng.laplace(self.loc, self.scale, n)
 
-    def to_spec(self):
-        return {"kind": self.kind, "loc": self.loc, "scale": self.scale}
-
 
 class Logistic1D(Univariate):
     kind = "logistic"
@@ -164,9 +154,6 @@ class Logistic1D(Univariate):
     def sample(self, rng, n):
         return rng.logistic(self.loc, self.scale, n)
 
-    def to_spec(self):
-        return {"kind": self.kind, "loc": self.loc, "scale": self.scale}
-
 
 class Exponential1D(Univariate):
     kind = "exponential"
@@ -190,9 +177,6 @@ class Exponential1D(Univariate):
 
     def sample(self, rng, n):
         return rng.exponential(1.0 / self.rate, n)
-
-    def to_spec(self):
-        return {"kind": self.kind, "rate": self.rate}
 
 
 class GaussianMixture1D(Univariate):
@@ -264,10 +248,6 @@ class GaussianMixture1D(Univariate):
     def sample(self, rng, n):
         idx = rng.choice(self.weights.size, size=n, p=self.weights)
         return self.locs[idx] + self.scales[idx] * rng.standard_normal(n)
-
-    def to_spec(self):
-        return {"kind": self.kind, "weights": self.weights.tolist(),
-                "locs": self.locs.tolist(), "scales": self.scales.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +338,6 @@ class Distribution(abc.ABC):
         """``n`` independent rows, shape ``(n, dim)``, drawn from ``rng``."""
         ...
 
-    def to_spec(self) -> dict:
-        raise NotImplementedError
-
 
 class GaussianDistribution(Distribution):
     """Multivariate normal with exact conditionals in every coordinate."""
@@ -426,10 +403,6 @@ class GaussianDistribution(Distribution):
         sd = math.sqrt(self.cov[m, m])
         return self.mean[m] + sd * special.ndtri(np.asarray(p, dtype=float))
 
-    def to_spec(self):
-        return {"kind": "gaussian", "mean": self.mean.tolist(),
-                "cov": self.cov.tolist()}
-
 
 class ProductDistribution(Distribution):
     """Independent product of univariate marginals."""
@@ -467,10 +440,6 @@ class ProductDistribution(Distribution):
 
     def marginal_ppf(self, m, p):
         return self.marginals[m].ppf(p)
-
-    def to_spec(self):
-        return {"kind": "product",
-                "marginals": [m.to_spec() for m in self.marginals]}
 
 
 class _TiltedMarginal(Univariate):
@@ -541,13 +510,11 @@ class ExpFamily(ProductDistribution):
     exactly, so the family works in any dimension with O(d * grid) memory.
     """
 
-    def __init__(self, log_base, suff_stat, log_partition, eta, bounds,
-                 family: str = "custom"):
+    def __init__(self, log_base, suff_stat, log_partition, eta, bounds):
         self.eta = np.atleast_1d(np.asarray(eta, dtype=float))
         bounds = np.asarray(bounds, dtype=float)
         if self.eta.ndim != 1 or bounds.shape != (self.eta.size, 2):
             raise DimensionMismatch("need one (lo, hi) row per eta entry")
-        self.family = family
         self._scalar = (log_base, suff_stat, log_partition)
         super().__init__([_TiltedMarginal(*self._scalar, e, b)
                           for e, b in zip(self.eta, bounds)])
@@ -558,8 +525,7 @@ class ExpFamily(ProductDistribution):
         eta = np.atleast_1d(np.asarray(eta, dtype=float))
         bounds = np.column_stack([eta - 12.0, eta + 12.0])
         return cls(lambda x: -0.5 * x * x - 0.5 * _LOG_2PI, lambda x: x,
-                   lambda e: 0.5 * e * e, eta, bounds=bounds,
-                   family="gaussian_mean")
+                   lambda e: 0.5 * e * e, eta, bounds=bounds)
 
     def log_base(self, z):
         """Log carrier  sum_i log q(z_i)  of each row."""
@@ -572,13 +538,6 @@ class ExpFamily(ProductDistribution):
     def log_partition(self, eta):
         """Log partition  sum_i A(eta_i)."""
         return float(np.sum(self._scalar[2](np.asarray(eta, dtype=float))))
-
-    def to_spec(self):
-        if self.family != "gaussian_mean":
-            raise NotImplementedError(
-                "only named families serialize; custom callables do not")
-        return {"kind": "expfam", "family": self.family,
-                "eta": self.eta.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +599,3 @@ def distribution_from_spec(spec: dict) -> Distribution:
             raise ValueError(f"unknown exponential family: {family!r}")
         return _EXPFAM_FAMILIES[family](spec)
     raise ValueError(f"unknown distribution kind: {kind!r}")
-
-
-def distribution_to_spec(dist: Distribution) -> dict:
-    return dist.to_spec()

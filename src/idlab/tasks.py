@@ -73,21 +73,6 @@ class TaskReport:
     base_output: object = None
     outputs: list = field(default_factory=list)
 
-    @staticmethod
-    def _jsonable(v):
-        if isinstance(v, np.ndarray):
-            return v.tolist()
-        if isinstance(v, (np.floating, np.integer)):
-            return float(v)
-        return v
-
-    def to_dict(self):
-        return dict(vars(self), distances=[float(d) for d in self.distances],
-                    max_distance=float(self.max_distance),
-                    identifiable=bool(self.identifiable),
-                    base_output=self._jsonable(self.base_output),
-                    outputs=[self._jsonable(o) for o in self.outputs])
-
 
 # ---------------------------------------------------------------------------
 # task builders

@@ -28,8 +28,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, NonFiniteDerivative
-from .measures import (Distribution, GaussianDistribution, _rows,
-                       distribution_from_spec, distribution_to_spec)
+from .measures import Distribution, GaussianDistribution, _rows
 
 __all__ = [
     "TriangularMap",
@@ -47,8 +46,6 @@ __all__ = [
     "pushforward_check",
     "component_wise_check",
     "jacobian_fd",
-    "map_to_spec",
-    "map_from_spec",
 ]
 
 
@@ -108,9 +105,6 @@ class TriangularMap(abc.ABC):
             out += np.log(slope)
         return float(out[0]) if was_1d else out
 
-    def to_spec(self) -> dict:
-        raise NotImplementedError
-
 
 class AffineMap(TriangularMap):
     """x -> offset + L x with L lower triangular, positive diagonal."""
@@ -148,10 +142,6 @@ class AffineMap(TriangularMap):
         Z2, was_1d = _rows(Z, self.dim)
         val = float(np.sum(np.log(np.diag(self.matrix))))
         return val if was_1d else np.full(Z2.shape[0], val)
-
-    def to_spec(self):
-        return {"kind": "affine", "matrix": self.matrix.tolist(),
-                "offset": self.offset.tolist()}
 
 
 class CdfChainMap(TriangularMap):
@@ -197,11 +187,6 @@ class CdfChainMap(TriangularMap):
     def inverted(self):
         return CdfChainMap(self.target, self.source)
 
-    def to_spec(self):
-        return {"kind": "cdf_chain",
-                "source": distribution_to_spec(self.source),
-                "target": distribution_to_spec(self.target)}
-
 
 class ComposedMap(TriangularMap):
     """Composition of TMI maps, applied first-to-last; itself TMI."""
@@ -243,9 +228,6 @@ class ComposedMap(TriangularMap):
             out = out + np.atleast_1d(p.log_det_jacobian(cur, step=step))
             cur = p.forward_prefix(cur)
         return float(out[0]) if was_1d else out
-
-    def to_spec(self):
-        return {"kind": "composed", "parts": [p.to_spec() for p in self.parts]}
 
 
 @dataclass
@@ -340,13 +322,10 @@ def kr_transport(source: Distribution, target: Distribution,
         raise DimensionMismatch("source and target dimension differ")
     if not (source.full_support and target.full_support):
         raise ValueError("transport endpoints must be fully supported")
-    if method not in ("auto", "affine", "cdf_chain"):
+    if method not in ("auto", "cdf_chain"):
         raise ValueError(f"unknown method: {method!r}")
-    gaussian_pair = (isinstance(source, GaussianDistribution)
-                     and isinstance(target, GaussianDistribution))
-    if method == "affine" and not gaussian_pair:
-        raise ValueError("closed-form affine transport needs Gaussian ends")
-    if gaussian_pair and method != "cdf_chain":
+    if (method == "auto" and isinstance(source, GaussianDistribution)
+            and isinstance(target, GaussianDistribution)):
         L = target.cholesky @ solve_triangular(
             source.cholesky, np.eye(source.dim), lower=True)
         return AffineMap(L, target.mean - L @ source.mean)
@@ -410,18 +389,6 @@ class PushforwardReport:
     direction: str
     passed: bool
 
-    def to_dict(self):
-        return {
-            "statistics": np.asarray(self.statistics).tolist(),
-            "pvalues": np.asarray(self.pvalues).tolist(),
-            "critical_value": self.critical_value,
-            "alpha": self.alpha,
-            "per_coordinate_level": self.per_coordinate_level,
-            "n": self.n,
-            "direction": self.direction,
-            "passed": bool(self.passed),
-        }
-
 
 def pushforward_check(mapping, source: Distribution, target: Distribution,
                       n: int, rng: np.random.Generator,
@@ -484,10 +451,6 @@ class StructureReport:
     step: float
     passed: bool
 
-    def to_dict(self):
-        return dict(vars(self), entry_max=np.asarray(self.entry_max).tolist(),
-                    passed=bool(self.passed))
-
 
 def component_wise_check(mapping, probes, step: float = 1e-5,
                          tol: float = 1e-4) -> StructureReport:
@@ -509,22 +472,3 @@ def component_wise_check(mapping, probes, step: float = 1e-5,
                            entry_max=entry_max, tol=tol, step=step,
                            passed=bool(max_off < tol))
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def map_to_spec(mapping: TriangularMap) -> dict:
-    return mapping.to_spec()
-
-
-def map_from_spec(spec: dict) -> TriangularMap:
-    kind = spec.get("kind")
-    if kind == "affine":
-        return AffineMap(spec["matrix"], spec["offset"])
-    if kind == "cdf_chain":
-        return CdfChainMap(distribution_from_spec(spec["source"]),
-                           distribution_from_spec(spec["target"]))
-    if kind == "composed":
-        return ComposedMap([map_from_spec(p) for p in spec["parts"]])
-    raise ValueError(f"unknown map kind: {kind!r}")

@@ -28,6 +28,7 @@ from idlab import (
 from idlab.cli import main as cli_main
 
 from conftest import ACCEPTANCE_LINES
+from goldens import SUITE_CONFIG
 
 
 def record(num, passed, detail):
@@ -239,7 +240,7 @@ def test_criterion_10_second_view_removes_the_rotation():
 def test_criterion_11_runs_are_deterministic_and_fast(suite_run, tmp_path):
     code_a, suite_elapsed, out_a = suite_run
     cfg = tmp_path / "all.json"
-    cfg.write_text(json.dumps({"experiment": "all", "seed": 7}))
+    cfg.write_text(json.dumps(SUITE_CONFIG))
     code_b = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "b")])
 
     stamp = re.compile(rb'"timestamp": "[^"]*"')

@@ -153,6 +153,23 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
 
 
+def test_numerical_failure_exits_3_and_writes_nothing(tmp_path, capsys):
+    # at radius 0 every environment mean sits at the origin, so the fit
+    # raises RankDeficient: a numerical failure, not a rejected config
+    params = {"radius": 0.0, "n_per_env": 1000, "n_seeds": 1, "min_passes": 1}
+    cfg = write_config(tmp_path / "cfg.json", experiment="strong-vae", params=params)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out" / "strong-vae").exists()
+    assert "environment means do not pin an affine generator" in capsys.readouterr().err
+
+
+def test_other_error_inside_an_experiment_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", experiment="kr-identity", params={"families": ["cauchy"]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out" / "kr-identity").exists()
+    assert "unknown prior family" in capsys.readouterr().err
+
+
 def test_claim_failure_still_writes_reports(tmp_path, capsys):
     # a statistic bound calibrated for n=1000 will not hold at n=40 — this is
     # a claim failure (exit 1), not a usage error, and artifacts must exist

@@ -87,37 +87,11 @@ class TestEnvironmentData:
         # noiseless: observations sit exactly on the generator image
         assert_allclose(data.x, self.gen.forward(data.z), atol=1e-12)
 
-    def test_csv_roundtrip_is_exact(self, tmp_path):
-        data = generate_environment_data(self.es, self.gen, 0.05, 20, stream(41, 1))
-        path = tmp_path / "data.csv"
-        data.to_csv(path)
-        again = EnvironmentData.from_csv(path)
-        assert_allclose(again.x, data.x, atol=0)
-        assert_allclose(again.z, data.z, atol=0)
-        assert list(again.env) == list(data.env)
-
     def test_rows_for_returns_views(self):
         data = generate_environment_data(self.es, self.gen, 0.0, 50, stream(41, 2))
         for code in range(3):
             x_e, z_e = data.rows_for(code)
             assert np.shares_memory(data.x, x_e) and np.shares_memory(data.z, z_e)
-
-    def test_csv_interleaved_rows_load_env_blocked(self, tmp_path):
-        # interleave the environments but keep each one's own row order:
-        # a stable sort at load must give back the blocked file exactly
-        data = generate_environment_data(self.es, self.gen, 0.05, 200, stream(41, 3))
-        path = tmp_path / "data.csv"
-        data.to_csv(path)
-        header, *lines = path.read_text().splitlines()
-        per_env = [iter(lines[c * 200:(c + 1) * 200]) for c in range(3)]
-        order = stream(41, 4).permutation(np.repeat(np.arange(3), 200))
-        assert np.any(np.diff(order) < 0)
-        path.write_text("\n".join([header] + [next(per_env[c]) for c in order]) + "\n")
-        again = EnvironmentData.from_csv(path)
-        assert_array_equal(again.env, data.env)
-        for code in range(3):
-            for got, want in zip(again.rows_for(code), data.rows_for(code)):
-                assert_array_equal(got, want)
 
     @pytest.mark.parametrize("env", [[0, 1, 0], [1, 0], [2, 2, 1, 3]])
     def test_non_blocked_env_is_rejected(self, env):

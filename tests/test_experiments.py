@@ -1,8 +1,11 @@
 """Experiment registry contract."""
 
+from dataclasses import asdict
+
 import pytest
 
 from idlab import EXPERIMENTS, ExperimentResult, default_params, experiment_info, run_experiment
+from idlab.cli import _to_json
 
 
 def test_registry_has_twelve_entries():
@@ -46,10 +49,10 @@ def test_param_override_merges_with_defaults():
 def test_same_seed_same_rows():
     a = run_experiment("task-shift", seed=5)
     b = run_experiment("task-shift", seed=5)
-    assert a.to_dict() == b.to_dict()
+    assert _to_json(asdict(a)) == _to_json(asdict(b))
 
 
 def test_jobs_do_not_change_results():
     serial = run_experiment("strong-vae", {"n_seeds": 3, "min_passes": 3}, seed=9, jobs=1)
     threaded = run_experiment("strong-vae", {"n_seeds": 3, "min_passes": 3}, seed=9, jobs=3)
-    assert serial.to_dict() == threaded.to_dict()
+    assert _to_json(asdict(serial)) == _to_json(asdict(threaded))

@@ -1,5 +1,8 @@
 """Equivalence transforms between model parameterisations and their audits."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,6 +27,7 @@ from idlab import (
     pushforward_distribution,
     stream,
 )
+from idlab.cli import _to_json
 from idlab.errors import RangeMismatch
 from idlab.indeterminacy import TransportedDistribution, structure_flags
 
@@ -266,11 +270,13 @@ class TestIndeterminacyAudit:
         assert not rep.pushforward_pass
 
     def test_report_to_dict_is_jsonable(self):
-        import json
-
+        # the report's dict form is ``asdict``; the CLI's encoder writes it
         theta = ModelParams(LinearGenerator(EMBED), self.prior)
         rep = indeterminacy_audit(theta, theta, 1000, stream(55, 3))
-        json.dumps(rep.to_dict())
+        doc = json.loads(_to_json(asdict(rep)))
+        assert doc["pushforward_pass"] is True and doc["n"] == 1000
+        assert doc["forward_check"]["statistics"] == rep.forward_check.statistics.tolist()
+        assert doc["structure"] == {k: bool(v) for k, v in rep.structure.items()}
 
 
 def test_transported_distribution_requires_invertible_transform(rng):

@@ -20,7 +20,6 @@ from idlab import (
     Normal1D,
     ProductDistribution,
     distribution_from_spec,
-    distribution_to_spec,
     interdecile_box,
     stream,
 )
@@ -259,10 +258,39 @@ class TestExpFamilyTables:
 
 
 def test_spec_roundtrip():
-    for dist in [
-        GaussianDistribution([0.5, -1.0], [[2.0, 0.6], [0.6, 1.0]]),
-        ProductDistribution([Laplace1D(0.0, 1.0), Logistic1D(0.4, 1.1)]),
-    ]:
-        again = distribution_from_spec(distribution_to_spec(dist))
-        x = dist.sample(stream(3, 3), 16)
-        assert_allclose(again.log_density(x), dist.log_density(x), atol=1e-12)
+    # one hand-written spec for each kind distribution_from_spec reads,
+    # against the law built directly
+    mixture = {"kind": "gaussian_mixture", "weights": [0.4, 0.6], "locs": [-1.0, 2.0], "scales": [0.5, 1.5]}
+    cases = [
+        ({"kind": "gaussian", "mean": [0.5, -1.0], "cov": [[2.0, 0.6], [0.6, 1.0]]},
+         GaussianDistribution([0.5, -1.0], [[2.0, 0.6], [0.6, 1.0]])),
+        ({"kind": "product", "marginals": [
+            {"kind": "normal", "loc": -2.0, "scale": 0.4},
+            {"kind": "laplace", "loc": 0.3, "scale": 1.3},
+            {"kind": "logistic", "loc": -0.2, "scale": 0.8},
+            {"kind": "exponential", "rate": 0.7},
+            mixture,
+        ]},
+         ProductDistribution([Normal1D(-2.0, 0.4), Laplace1D(0.3, 1.3), Logistic1D(-0.2, 0.8),
+                              Exponential1D(0.7), GaussianMixture1D([0.4, 0.6], [-1.0, 2.0], [0.5, 1.5])])),
+        ({"kind": "product", "marginals": [{"kind": "normal"}, {"kind": "laplace"},
+                                           {"kind": "logistic"}, {"kind": "exponential"}]},
+         ProductDistribution([Normal1D(), Laplace1D(), Logistic1D(), Exponential1D()])),
+        ({"kind": "expfam", "family": "gaussian_mean", "eta": [-2.9, 0.78]},
+         ExpFamily.gaussian_mean_family([-2.9, 0.78])),
+    ]
+    for spec, law in cases:
+        built = distribution_from_spec(spec)
+        assert type(built) is type(law)
+        x = law.sample(stream(3, 3), 16)
+        assert_allclose(built.log_density(x), law.log_density(x), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "explicit_named"}, "unknown distribution kind"),
+    ({"kind": "product", "marginals": [{"kind": "cauchy"}]}, "unknown marginal kind"),
+    ({"kind": "expfam", "family": "custom", "eta": [0.0]}, "unknown exponential family"),
+])
+def test_spec_rejects_unknown_kinds(spec, message):
+    with pytest.raises(ValueError, match=message):
+        distribution_from_spec(spec)

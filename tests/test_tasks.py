@@ -1,5 +1,8 @@
 """Downstream tasks and their invariance to equivalence transforms."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -23,6 +26,7 @@ from idlab import (
     sup_point_metric,
     task_identifiability_check,
 )
+from idlab.cli import _to_json
 from idlab.errors import DimensionMismatch, UncertifiedTransform
 
 EMBED = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -146,9 +150,9 @@ class TestTaskIdentifiabilityCheck:
         rep = task_identifiability_check(
             self.task, self.theta, [Automorphism.identity(2)], self.obs, tol=1e-9, rng=stream(62, 3)
         )
-        import json
-
-        json.dumps(rep.to_dict())
+        doc = json.loads(_to_json(asdict(rep)))
+        assert doc["identifiable"] is True and doc["distances"] == [0.0]
+        assert doc["base_output"] == rep.base_output.tolist()
 
 
 class TestIndependenceTask:

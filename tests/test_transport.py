@@ -28,8 +28,6 @@ from idlab import (
     jacobian_fd,
     kr_transport,
     log_det_jacobian,
-    map_from_spec,
-    map_to_spec,
     pushforward_check,
     rosenblatt,
     stream,
@@ -328,28 +326,15 @@ class TestAutomorphism:
         assert auto.source_map is amap
 
 
-def test_spec_roundtrip_affine(rng):
-    amap = AffineMap(np.array([[2.0, 0.0], [0.7, 1.5]]), np.array([1.0, -2.0]))
-    again = map_from_spec(map_to_spec(amap))
-    z = rng.normal(size=(16, 2))
-    assert_allclose(again.forward(z), amap.forward(z), atol=1e-14)
-
-
-def test_spec_roundtrip_cdf_chain(laplace_product, gauss2, rng):
-    amap = kr_transport(laplace_product, gauss2)
-    again = map_from_spec(map_to_spec(amap))
-    z = laplace_product.sample(rng, 32)
-    assert_allclose(again.forward(z), amap.forward(z), atol=1e-10)
-
-
-def test_spec_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown map kind"):
-        map_from_spec({"kind": "explicit_named", "name": "x"})
-
-
 def test_kr_rejects_dimension_mismatch(gauss2):
     with pytest.raises(DimensionMismatch):
         kr_transport(gauss2, GaussianDistribution([0.0], [[1.0]]))
+
+
+def test_kr_rejects_unknown_method(gauss2):
+    # "auto" already returns the closed-form map for a Gaussian pair
+    with pytest.raises(ValueError, match="unknown method"):
+        kr_transport(gauss2, gauss2, method="affine")
 
 
 def test_interdecile_box_covers_bulk(gauss2, rng):
