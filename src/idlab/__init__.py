@@ -17,7 +17,7 @@ from .measures import (Distribution, ExpFamily, GaussianDistribution,
                        distribution_from_spec, interdecile_box, sample)
 from .transport import (AffineMap, Automorphism, CdfChainMap, ComposedMap,
                         PushforwardReport, StructureReport, TriangularMap,
-                        component_wise_check, compose, invert, jacobian_fd,
+                        component_wise_check, compose, jacobian_fd,
                         kr_transport, log_det_jacobian, pushforward_check,
                         rosenblatt)
 from .linear import (ComonReport, EnvConstraintSystem, LinearGenerator,
@@ -34,13 +34,12 @@ from .indeterminacy import (FixedCoordinateReport, IndeterminacyReport,
                             TransportedDistribution, act_on_params,
                             fixed_coordinate_check, generator_transform,
                             identity_deviation, indeterminacy_audit,
-                            is_identity_ae, kernel_residual,
-                            pushforward_distribution)
+                            kernel_residual, pushforward_distribution)
 from .tasks import (TaskReport, TaskSpec, abs_diff_metric,
-                    constant_point_task, independence_test_task,
-                    latent_shift_task, spearman_abs, sup_point_metric,
+                    independence_test_task, latent_shift_task,
+                    spearman_abs, sup_point_metric,
                     task_identifiability_check)
-from .experiments import (EXPERIMENTS, ExperimentResult, default_params,
-                          experiment_info, experiment_names, run_experiment)
+from .experiments import (EXPERIMENTS, ExperimentResult, experiment_info,
+                          experiment_names, run_experiment)
 
 __version__ = "0.1.0"

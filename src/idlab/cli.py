@@ -167,12 +167,7 @@ def _cmd_run(args) -> int:
     jobs = config.get("jobs", 1)
     if args.jobs is not None:
         jobs = args.jobs
-    if os.environ.get("IDLAB_JOBS"):
-        try:
-            jobs = int(os.environ["IDLAB_JOBS"])
-        except ValueError:
-            return _fail("IDLAB_JOBS must be an integer")
-    # flags and the environment bypass the schema's minimums
+    # flags bypass the schema's minimums
     if seed < 0:
         return _fail(f"seed must be >= 0, got {seed}")
     if jobs < 1:
@@ -241,7 +236,7 @@ def main(argv=None) -> int:
                        help="override the config output directory")
     run_p.add_argument("--jobs", type=int, default=None,
                        help="worker threads for per-seed cells "
-                            "(IDLAB_JOBS overrides)")
+                            "(overrides the config's jobs)")
     run_p.set_defaults(func=_cmd_run)
 
     list_p = sub.add_parser("list", help="list registered experiments")

@@ -62,8 +62,7 @@ class EnvironmentSet:
     shares.
     """
 
-    def __init__(self, priors, eta_matrix, family: ExpFamily | None = None,
-                 labels=None):
+    def __init__(self, priors, eta_matrix, family: ExpFamily | None = None):
         self.priors = list(priors)
         if not self.priors:
             raise DimensionMismatch("need at least one environment")
@@ -74,8 +73,6 @@ class EnvironmentSet:
         if self.eta_matrix.shape[0] != len(self.priors):
             raise DimensionMismatch("one eta row per environment required")
         self.family = family
-        self.labels = (list(labels) if labels is not None
-                       else [f"env{i}" for i in range(len(self.priors))])
 
     @property
     def n_envs(self) -> int:
@@ -84,11 +81,6 @@ class EnvironmentSet:
     @property
     def latent_dim(self) -> int:
         return self.priors[0].dim
-
-    @property
-    def envs(self) -> dict:
-        """Label-to-prior view of the environment collection."""
-        return dict(zip(self.labels, self.priors))
 
     @classmethod
     def gaussian_mean_envs(cls, means) -> "EnvironmentSet":

@@ -34,7 +34,7 @@ from .transport import (AffineMap, Automorphism, component_wise_check,
                         jacobian_fd, kr_transport)
 
 __all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment",
-           "experiment_names", "default_params", "experiment_info",
+           "experiment_names", "experiment_info",
            "check_params"]
 
 
@@ -595,10 +595,6 @@ def experiment_names():
     return list(EXPERIMENTS)
 
 
-def default_params(name: str) -> dict:
-    return dict(EXPERIMENTS[name].defaults)
-
-
 def experiment_info(name: str) -> dict:
     d = EXPERIMENTS[name]
     return {"name": name, "anchor": d.anchor, "defaults": d.defaults,
@@ -609,6 +605,13 @@ def experiment_info(name: str) -> dict:
 #: (a list or a string) takes only its own type
 _ACCEPTED_TYPES = {int: (int,), float: (int, float)}
 
+#: open interval each named float param must lie in, in every experiment
+#: that registers it: tolerances and bounds are positive, alpha a level
+_RANGES = {key: (0.0, math.inf)
+           for key in ("tol", "tol_constraint", "min_distance", "max_cond",
+                       "resid_factor", "ks_ratio_min", "null_bound")}
+_RANGES["alpha"] = (0.0, 1.0)
+
 
 def check_params(name: str, params: dict | None) -> None:
     """Reject overrides that ``name``'s registered defaults do not admit.
@@ -616,9 +619,10 @@ def check_params(name: str, params: dict | None) -> None:
     Raises ``KeyError`` for an unregistered experiment and ``ValueError``
     when ``params`` is not a mapping, names a key with no default, gives a
     value whose type differs from its default's (an int where a float is
-    registered is accepted, a bool where an int is registered is not), or
+    registered is accepted, a bool where an int is registered is not),
     gives a value below 1 where the default is a positive int, since every
-    such param is a count or a size.
+    such param is a count or a size, or gives a value outside its open
+    interval in ``_RANGES``.
     """
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment: {name!r}")
@@ -636,6 +640,10 @@ def check_params(name: str, params: dict | None) -> None:
                              f"{type(default).__name__}, got {value!r}")
         if type(default) is int and default >= 1 and value < 1:
             raise ValueError(f"{name}: {key} must be >= 1, got {value}")
+        lo, hi = _RANGES.get(key, (None, None))
+        if lo is not None and not lo < value < hi:
+            raise ValueError(f"{name}: {key} must lie in ({lo:g}, {hi:g}), "
+                             f"got {value}")
 
 
 def run_experiment(name: str, params: dict | None = None, seed: int = 7,

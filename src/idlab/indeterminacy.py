@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch, RangeMismatch
 from .linear import LinearGenerator
 from .measures import Distribution, GaussianDistribution
-from .transport import (AffineMap, Automorphism, ComposedMap, PushforwardReport,
+from .transport import (Automorphism, ComposedMap, PushforwardReport,
                         TriangularMap, component_wise_check, pushforward_check)
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "FixedCoordinateReport",
     "generator_transform",
     "identity_deviation",
-    "is_identity_ae",
     "kernel_residual",
     "fixed_coordinate_check",
     "indeterminacy_audit",
@@ -45,17 +44,14 @@ class TransportedDistribution(Distribution):
 
     Conditional CDFs are not exposed (``has_conditionals`` is false), which
     routes goodness-of-fit checks through the inverse direction.  Densities
-    are available exactly when the map can report its Jacobian determinant.
+    are available exactly when the map's ``log_det_jacobian`` is.
     """
 
     has_conditionals = False
 
-    def __init__(self, base: Distribution, transform, ldj_fn=None):
+    def __init__(self, base: Distribution, transform):
         self.base = base
         self.transform = transform
-        if ldj_fn is None and isinstance(transform, TriangularMap):
-            ldj_fn = transform.log_det_jacobian
-        self._ldj_fn = ldj_fn
         self.full_support = getattr(base, "full_support", True)
 
     @property
@@ -63,12 +59,10 @@ class TransportedDistribution(Distribution):
         return self.base.dim
 
     def log_density(self, z):
-        if self._ldj_fn is None:
-            raise NotImplementedError(
-                "transform does not expose a Jacobian determinant")
         z2 = np.atleast_2d(np.asarray(z, dtype=float))
         w = np.atleast_2d(self.transform.inverse(z2))
-        out = self.base.log_density(w) - np.asarray(self._ldj_fn(w))
+        out = (self.base.log_density(w)
+               - np.asarray(self.transform.log_det_jacobian(w)))
         return out if np.asarray(z).ndim > 1 else float(out[0])
 
     def conditional_cdf(self, m, prefix, values):
@@ -88,23 +82,10 @@ def pushforward_distribution(transform, dist: Distribution) -> Distribution:
     wrapped as a sampled law whose density, when the transform can price its
     volume change, comes from the change of variables.
     """
-    lin = None
-    if isinstance(transform, AffineMap):
-        lin = (transform.matrix, transform.offset)
-    elif isinstance(transform, Automorphism):
-        lin = transform.linear_parts()
+    lin = transform.linear_parts()
     if lin is not None and isinstance(dist, GaussianDistribution):
         M, b = lin
         return GaussianDistribution(M @ dist.mean + b, M @ dist.cov @ M.T)
-    if isinstance(transform, Automorphism):
-        if isinstance(transform.source_map, TriangularMap):
-            return TransportedDistribution(dist, transform.source_map)
-        if lin is not None:
-            M, _ = lin
-            const = float(np.linalg.slogdet(M)[1])
-            return TransportedDistribution(
-                dist, transform,
-                ldj_fn=lambda w: np.full(np.atleast_2d(w).shape[0], const))
     return TransportedDistribution(dist, transform)
 
 
@@ -163,18 +144,17 @@ def _range_guard(gen_a, gen_b, probes, tol):
     return residual
 
 
-def generator_transform(gen_a, gen_b, probes=None,
-                        tol: float = 1e-6) -> Automorphism:
+def generator_transform(gen_a, gen_b, probes=None, tol: float = 1e-6):
     """Latent transform linking two generators of the same observations.
 
     The result sends model-a latents to model-b latents: forward is
     ``gen_b``'s left inverse after ``gen_a``, inverse is the song played
-    backwards.  Affine pairs come back in closed form with a linear tag;
-    triangular-map pairs compose exactly and carry their composition as the
-    source map, unless ``gen_b`` has no inverted map, in which case they
-    compose pointwise like any other pair.  Probes (default: origin plus
-    unit directions) certify that ``gen_a``'s outputs lie on ``gen_b``'s
-    range, else ``RangeMismatch``.
+    backwards.  Linear-generator pairs come back as an ``Automorphism`` with
+    its linear parts; triangular-map pairs come back as the ``ComposedMap``
+    of ``gen_a`` and ``gen_b.inverted()``, unless ``gen_b`` has no inverted
+    map, in which case they compose pointwise like any other pair.  Probes
+    (default: origin plus unit directions) certify that ``gen_a``'s outputs
+    lie on ``gen_b``'s range, else ``RangeMismatch``.
     """
     dz_a = getattr(gen_a, "latent_dim", None)
     dz_b = getattr(gen_b, "latent_dim", None)
@@ -195,11 +175,9 @@ def generator_transform(gen_a, gen_b, probes=None,
 
     if isinstance(gen_a, TriangularMap) and isinstance(gen_b, TriangularMap):
         try:
-            b_inv = gen_b.inverted()
+            return ComposedMap([gen_a, gen_b.inverted()])
         except NotImplementedError:
-            b_inv = None  # a fit artifact that inverts only pointwise
-        if b_inv is not None:
-            return Automorphism.from_map(ComposedMap([gen_a, b_inv]))
+            pass  # a fit artifact that inverts only pointwise
 
     _range_guard(gen_a, gen_b, probes, tol)
 
@@ -221,27 +199,6 @@ def identity_deviation(transform, probes):
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     delta = np.atleast_2d(transform.forward(probes)) - probes
     return float(np.abs(delta).max()), float(np.sqrt(np.mean(delta * delta)))
-
-
-def is_identity_ae(transform, reference: Distribution, n: int, tol: float,
-                   rng: np.random.Generator):
-    """Is the transform the identity off a reference-null set?
-
-    Samples the reference law and compares the transform to the identity in
-    sup norm (RMS reported alongside).  Returns the verdict together with
-    the report carrying both deviations.  Needs at least 10^3 samples to
-    deserve the "almost everywhere" reading.
-    """
-    if n < 1000:
-        raise ValueError("need n >= 1000 samples for an a.e. verdict")
-    z = reference.sample(rng, n)
-    sup, rms = identity_deviation(transform, z)
-    passed = bool(sup < tol)
-    report = IndeterminacyReport(
-        identity_sup_dev=sup, identity_rms_dev=rms, n=n,
-        structure={"is_identity_ae": passed},
-        details={"tol": tol})
-    return passed, report
 
 
 def kernel_residual(suff_stat, transform, contrasts, probes) -> float:
@@ -306,18 +263,13 @@ def structure_flags(transform, probes, is_identity: bool,
     componentwise implies triangular.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    exact_affine = (isinstance(transform, AffineMap)
-                    or (isinstance(transform, Automorphism)
-                        and transform.linear_parts() is not None))
-    is_affine = (is_identity or exact_affine
+    is_affine = (is_identity or transform.linear_parts() is not None
                  or _affine_fit_residual(transform, probes) < structure_tol)
 
     cw = component_wise_check(transform, probes, tol=structure_tol)
-    source = getattr(transform, "source_map", None)
     is_component_wise = is_identity or cw.max_offdiag < structure_tol
     is_triangular = (is_component_wise
                      or isinstance(transform, TriangularMap)
-                     or isinstance(source, TriangularMap)
                      or cw.max_upper < structure_tol)
     return {"is_identity_ae": bool(is_identity),
             "is_component_wise": bool(is_component_wise),
@@ -375,9 +327,6 @@ class _TransformedGenerator:
     def forward(self, Z):
         return self.generator.forward(self.transform.inverse(Z))
 
-    def __call__(self, Z):
-        return self.forward(Z)
-
     def inverse(self, X):
         return self.transform.forward(self.generator.inverse(X))
 
@@ -393,9 +342,7 @@ def act_on_params(transform, params):
     """
     from .envs import ModelParams
     gen = params.generator
-    lin = transform.linear_parts() if isinstance(transform, Automorphism) else None
-    if lin is None and isinstance(transform, AffineMap):
-        lin = (transform.matrix, transform.offset)
+    lin = transform.linear_parts()
     if isinstance(gen, LinearGenerator) and lin is not None:
         M, b = lin
         Minv = np.linalg.inv(M)

@@ -66,9 +66,6 @@ class LinearGenerator:
         Z = np.asarray(Z, dtype=float)
         return Z @ self.loading.T + self.offset
 
-    def __call__(self, Z):
-        return self.forward(Z)
-
     def inverse(self, X):
         """Left inverse, exact on offset + range(loading)."""
         X = np.asarray(X, dtype=float)

@@ -293,9 +293,6 @@ class Distribution(abc.ABC):
     def log_density(self, z):
         ...
 
-    def density(self, z):
-        return np.exp(self.log_density(z))
-
     def coordinate_support(self, m: int) -> tuple[float, float]:
         return (-np.inf, np.inf)
 

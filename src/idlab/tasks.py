@@ -4,9 +4,8 @@ A task pairs a selection function (pick latent points, possibly from
 observations) with an evaluation function (compute something from them).
 A task is identifiable when every certified latent transform leaves its
 output unchanged: the check below walks a model's equivalence class and
-compares outputs.  Three task builders cover the worked cases — generate
-from shifted latents, generate from a fixed latent point, and a rank
-correlation independence statistic.
+compares outputs.  Two task builders cover the worked cases — generate
+from shifted latents, and a rank correlation independence statistic.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "sup_point_metric",
     "abs_diff_metric",
     "latent_shift_task",
-    "constant_point_task",
     "independence_test_task",
     "spearman_abs",
     "task_identifiability_check",
@@ -105,22 +103,6 @@ def latent_shift_task(delta: float, k: int) -> TaskSpec:
     return TaskSpec(select=select, evaluate=evaluate,
                     output_metric=sup_point_metric,
                     name=f"latent_shift[delta={delta},k={k}]")
-
-
-def constant_point_task(c) -> TaskSpec:
-    """Generate from one fixed latent point, ignoring the observations."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-
-    def select(theta, obs):
-        rows = np.atleast_2d(np.asarray(obs, dtype=float)).shape[0]
-        return np.tile(c, (rows, 1))
-
-    def evaluate(theta, obs, latents):
-        return np.atleast_2d(theta.generator.forward(latents))
-
-    return TaskSpec(select=select, evaluate=evaluate,
-                    output_metric=sup_point_metric,
-                    name=f"constant_point[c={c.tolist()}]")
 
 
 def spearman_abs(x, y) -> float:

@@ -1,8 +1,12 @@
-"""Triangular monotone transport maps and diagnostics on them.
+"""Latent maps: triangular monotone transports and general automorphisms.
+
+Every latent map answers one protocol: ``dim``, ``forward``, ``inverse``,
+``inverted()``, ``linear_parts()`` (``(matrix, offset)`` for an affine map,
+else ``None``) and ``log_det_jacobian``.
 
 A triangular monotone increasing (TMI) map sends coordinate ``m`` to a value
 that depends only on coordinates ``0..m`` and increases strictly in
-coordinate ``m``.  Every map is written as a sweep over coordinates:
+coordinate ``m``.  Each is written as a sweep over coordinates:
 ``forward_prefix`` maps the first ``k`` input columns to the first ``k``
 output columns, and ``forward``, the finite-difference log-det fallback and
 every composition are built on it.  Three representations cover the
@@ -14,6 +18,9 @@ laboratory's needs:
   composed with the target's conditional quantile, sweeping coordinates);
 * ``ComposedMap`` - composition chain of TMI maps (closed under composition).
 
+``Automorphism`` covers the other latent self-maps, built from a forward
+and an inverse callable, optionally with their linear parts.
+
 The module also ships the statistical verifiers used throughout: a
 Rosenblatt-reduction goodness-of-fit check for pushforwards and
 finite-difference structure checks (componentwise / triangular).
@@ -22,7 +29,7 @@ finite-difference structure checks (componentwise / triangular).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -40,7 +47,6 @@ __all__ = [
     "StructureReport",
     "kr_transport",
     "compose",
-    "invert",
     "log_det_jacobian",
     "rosenblatt",
     "pushforward_check",
@@ -77,6 +83,10 @@ class TriangularMap(abc.ABC):
     def inverted(self) -> "TriangularMap":
         """The inverse map as a TMI object."""
         ...
+
+    def linear_parts(self):
+        """``(matrix, offset)`` of an affine map, else ``None``."""
+        return None
 
     def forward(self, Z):
         Z2, was_1d = _rows(Z, self.dim)
@@ -137,6 +147,9 @@ class AffineMap(TriangularMap):
     def inverted(self):
         inv = solve_triangular(self.matrix, np.eye(self.dim), lower=True)
         return AffineMap(inv, -inv @ self.offset)
+
+    def linear_parts(self):
+        return self.matrix, self.offset
 
     def log_det_jacobian(self, Z, step=1e-5):
         Z2, was_1d = _rows(Z, self.dim)
@@ -230,24 +243,18 @@ class ComposedMap(TriangularMap):
         return float(out[0]) if was_1d else out
 
 
-@dataclass
 class Automorphism:
-    """Invertible self-map of the latent space, with structure tags.
+    """Invertible self-map of the latent space given by two callables.
 
-    ``tags`` may carry a ``"linear"`` payload ``(matrix, offset)``;
-    downstream code uses it to keep pushforwards in closed form when
-    possible.
+    ``linear`` is ``(matrix, offset)`` when the map is affine; it keeps
+    pushforwards and log-dets in closed form.
     """
 
-    dim: int
-    _forward: object
-    _inverse: object
-    tags: dict = field(default_factory=dict)
-    source_map: object = None
-
-    @property
-    def latent_dim(self):
-        return self.dim
+    def __init__(self, dim: int, forward, inverse, linear=None):
+        self.dim = dim
+        self._forward = forward
+        self._inverse = inverse
+        self._linear = linear
 
     def forward(self, Z):
         Z2, was_1d = _rows(Z, self.dim)
@@ -260,23 +267,24 @@ class Automorphism:
         return out[0] if was_1d else out
 
     def inverted(self) -> "Automorphism":
-        tags = dict(self.tags)
-        lin = tags.pop("linear", None)
-        if lin is not None:
-            M, b = lin
+        linear = None
+        if self._linear is not None:
+            M, b = self._linear
             Minv = np.linalg.inv(M)
-            tags["linear"] = (Minv, -Minv @ b)
-        src = None
-        if isinstance(self.source_map, TriangularMap):
-            src = self.source_map.inverted()
-        return Automorphism(self.dim, self._inverse, self._forward,
-                            tags=tags, source_map=src)
+            linear = (Minv, -Minv @ b)
+        return Automorphism(self.dim, self._inverse, self._forward, linear)
 
     def linear_parts(self):
-        lin = self.tags.get("linear")
-        if lin is None:
-            return None
-        return np.asarray(lin[0], dtype=float), np.asarray(lin[1], dtype=float)
+        return self._linear
+
+    def log_det_jacobian(self, Z, step: float = 1e-5):
+        """Constant ``log|det M|`` of a linear map; ``step`` is unused."""
+        if self._linear is None:
+            raise NotImplementedError(
+                "transform does not expose a Jacobian determinant")
+        Z2, was_1d = _rows(Z, self.dim)
+        val = float(np.linalg.slogdet(self._linear[0])[1])
+        return val if was_1d else np.full(Z2.shape[0], val)
 
     @classmethod
     def identity(cls, dim: int) -> "Automorphism":
@@ -298,12 +306,7 @@ class Automorphism:
         def inv(X):
             return (X - b) @ Minv.T
 
-        return cls(d, fwd, inv, tags={"linear": (M, b)})
-
-    @classmethod
-    def from_map(cls, mapping: TriangularMap) -> "Automorphism":
-        return cls(mapping.dim, mapping.forward, mapping.inverse,
-                   source_map=mapping)
+        return cls(d, fwd, inv, linear=(M, b))
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +343,6 @@ def compose(outer: TriangularMap, inner: TriangularMap) -> TriangularMap:
         return AffineMap(outer.matrix @ inner.matrix,
                          outer.offset + outer.matrix @ inner.offset)
     return ComposedMap([inner, outer])
-
-
-def invert(mapping: TriangularMap) -> TriangularMap:
-    """Inverse map; TMI again, with exact forms where available."""
-    return mapping.inverted()
 
 
 def log_det_jacobian(mapping: TriangularMap, Z, step: float = 1e-5):

@@ -130,6 +130,8 @@ class TestUsageErrors:
         ("kr-gaussian", {"n_pairs": 2.0}, "n_pairs must be of type int"),
         ("kr-gaussian", {"tol": "small"}, "tol must be of type float"),
         ("kr-identity", {"dims": 3}, "dims must be of type list"),
+        ("kr-gaussian", {"tol": -1}, "tol must lie in (0, inf), got -1"),
+        ("two-labs", {"alpha": 1.5}, "alpha must lie in (0, 1), got 1.5"),
     ])
     def test_bad_override_value_writes_nothing(self, tmp_path, capsys, experiment, params, message):
         cfg = write_config(tmp_path / "cfg.json", experiment=experiment, params=params)
@@ -137,16 +139,11 @@ class TestUsageErrors:
         assert not (tmp_path / "out").exists()
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags, env_jobs, message", [
-        (["--jobs", "0"], None, "jobs must be >= 1"),
-        ([], "0", "jobs must be >= 1"),
-        (["--seed", "-1"], None, "seed must be >= 0"),
+    @pytest.mark.parametrize("flags, message", [
+        (["--jobs", "0"], "jobs must be >= 1"),
+        (["--seed", "-1"], "seed must be >= 0"),
     ])
-    def test_bad_seed_or_jobs_writes_nothing(self, tmp_path, monkeypatch, capsys, flags, env_jobs, message):
-        if env_jobs is None:
-            monkeypatch.delenv("IDLAB_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("IDLAB_JOBS", env_jobs)
+    def test_bad_seed_or_jobs_writes_nothing(self, tmp_path, capsys, flags, message):
         cfg = write_config(tmp_path / "cfg.json", experiment="kr-gaussian", params={"n_pairs": 2})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 2
         assert not (tmp_path / "out").exists()
@@ -211,11 +208,10 @@ def test_schema_matches_module_constant(capsys):
         assert key in doc["properties"]
 
 
-def test_jobs_env_override(tmp_path, monkeypatch):
+def test_jobs_flag_keeps_results_bytes(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", experiment="strong-vae", params={"n_seeds": 4, "min_passes": 4})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
-    monkeypatch.setenv("IDLAB_JOBS", "4")
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "parallel")]) == 0
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "parallel"), "--jobs", "4"]) == 0
     ra = json.loads((tmp_path / "serial" / "strong-vae" / "results.json").read_text())
     rb = json.loads((tmp_path / "parallel" / "strong-vae" / "results.json").read_text())
     ra.pop("timestamp"), rb.pop("timestamp")

@@ -38,9 +38,9 @@ class TestGaussianMeanEnvs:
     def test_priors_have_declared_means(self):
         es = EnvironmentSet.gaussian_mean_envs(MEANS)
         assert es.n_envs == 3 and es.latent_dim == 2
-        for mu, label in zip(MEANS, es.labels):
-            assert_allclose(es.envs[label].mean, mu, atol=0)
-            assert_allclose(es.envs[label].cov, np.eye(2), atol=0)
+        for mu, prior in zip(MEANS, es.priors):
+            assert_allclose(prior.mean, mu, atol=0)
+            assert_allclose(prior.cov, np.eye(2), atol=0)
 
     def test_priors_are_the_family_at_each_eta_row(self):
         # each prior is the declared family at its eta row, and a shifted

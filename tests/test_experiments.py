@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
-from idlab import EXPERIMENTS, ExperimentResult, default_params, experiment_info, run_experiment
+from idlab import EXPERIMENTS, ExperimentResult, experiment_info, run_experiment
 from idlab.cli import _to_json
 
 
@@ -18,12 +18,6 @@ def test_every_entry_documents_itself():
         assert info["anchor"].strip()
         assert isinstance(info["defaults"], dict)
         assert info["columns"]
-
-
-def test_default_params_returns_a_copy():
-    a = default_params("kr-identity")
-    a["n"] = -1
-    assert default_params("kr-identity") != a
 
 
 def test_unknown_name_raises_before_computing():

@@ -18,7 +18,6 @@ from idlab import (
     TaskReport,
     abs_diff_metric,
     act_on_params,
-    constant_point_task,
     independence_test_task,
     latent_shift_task,
     spearman_abs,
@@ -186,14 +185,3 @@ class TestIndependenceTask:
         strong = dependent.evaluate(self.theta, obs, dependent.select(self.theta, obs))
         assert strong > 0.8
         assert base < 0.2
-
-
-def test_constant_point_task(rng):
-    prior = GaussianDistribution([0.0, 0.0], np.eye(2))
-    theta = ModelParams(LinearGenerator(EMBED), prior)
-    task = constant_point_task(np.array([0.5, -0.5]))
-    obs = theta.generator.forward(prior.sample(rng, 8))
-    z = task.select(theta, obs)
-    assert z.shape == (8, 2)
-    out = task.evaluate(theta, obs, z)
-    assert_allclose(out, np.tile(theta.generator.forward(np.array([[0.5, -0.5]])), (8, 1)), atol=1e-12)

@@ -24,7 +24,6 @@ from idlab import (
     compose,
     fit_marginal_quantile_transport,
     interdecile_box,
-    invert,
     jacobian_fd,
     kr_transport,
     log_det_jacobian,
@@ -189,7 +188,7 @@ class TestClosureLaws:
         fwd = kr_transport(self.P, self.Q)
         back = kr_transport(self.Q, self.P)
         x = self.Q.sample(rng, 400)
-        assert float(np.abs(invert(fwd).forward(x) - back.forward(x)).max()) < 1e-6
+        assert float(np.abs(fwd.inverted().forward(x) - back.forward(x)).max()) < 1e-6
 
     def test_composition_matches_direct_route(self, rng):
         pq = kr_transport(self.P, self.Q)
@@ -235,8 +234,8 @@ def test_compose_with_inverse_is_identity(ends):
     src, tgt = ends
     T = kr_transport(src, tgt)
     w, z = tgt.sample(stream(37, 1), 200), src.sample(stream(37, 2), 200)
-    assert np.abs(compose(T, invert(T)).forward(w) - w).max() <= 1e-9
-    assert np.abs(compose(invert(T), T).forward(z) - z).max() <= 1e-9
+    assert np.abs(compose(T, T.inverted()).forward(w) - w).max() <= 1e-9
+    assert np.abs(compose(T.inverted(), T).forward(z) - z).max() <= 1e-9
 
 
 def test_rosenblatt_uniformises(gauss2):
@@ -305,7 +304,9 @@ class TestAutomorphism:
         auto = Automorphism.from_matrix(M, np.array([1.0, 2.0]))
         z = rng.normal(size=(30, 2))
         assert_allclose(auto.inverse(auto.forward(z)), z, atol=1e-12)
-        assert "linear" in auto.tags
+        M_out, b_out = auto.linear_parts()
+        assert_allclose(M_out, M, atol=0)
+        assert_allclose(b_out, [1.0, 2.0], atol=0)
 
     def test_identity(self, rng):
         auto = Automorphism.identity(3)
@@ -317,13 +318,38 @@ class TestAutomorphism:
         auto = Automorphism.from_matrix(M)
         z = rng.normal(size=(12, 2))
         assert_allclose(auto.inverted().forward(z), auto.inverse(z), atol=1e-12)
+        M_inv, b_inv = auto.inverted().linear_parts()
+        assert_allclose(M_inv, np.linalg.inv(M), atol=1e-15)
+        assert_allclose(b_inv, [0.0, 0.0], atol=0)
 
-    def test_from_triangular_map(self, laplace_product, gauss2, rng):
-        amap = kr_transport(laplace_product, gauss2)
-        auto = Automorphism.from_map(amap)
-        z = laplace_product.sample(rng, 64)
-        assert_allclose(auto.forward(z), amap.forward(z), atol=1e-12)
-        assert auto.source_map is amap
+    def test_pointwise_map_has_no_linear_parts_or_log_det(self):
+        cube = Automorphism(1, lambda z: z**3, np.cbrt)
+        assert cube.linear_parts() is None and cube.inverted().linear_parts() is None
+        with pytest.raises(NotImplementedError):
+            cube.log_det_jacobian(np.ones((3, 1)))
+
+    def test_linear_log_det_is_constant(self):
+        auto = Automorphism.from_matrix(np.array([[0.0, -2.0], [1.5, 0.0]]))
+        assert_allclose(auto.log_det_jacobian(np.zeros((4, 2))), np.full(4, np.log(3.0)), rtol=1e-15)
+        assert auto.log_det_jacobian(np.ones(2)) == pytest.approx(np.log(3.0), rel=1e-15)
+
+
+class TestLinearParts:
+    """Every latent map answers ``linear_parts()``: ``(matrix, offset)`` or ``None``."""
+
+    def test_affine_map_and_its_inverse(self):
+        L, b = np.array([[2.0, 0.0], [0.7, 1.5]]), np.array([1.0, -2.0])
+        M_out, b_out = AffineMap(L, b).linear_parts()
+        assert_allclose(M_out, L, atol=0)
+        assert_allclose(b_out, b, atol=0)
+        M_inv, b_inv = AffineMap(L, b).inverted().linear_parts()
+        assert_allclose(M_inv, np.linalg.inv(L), atol=1e-15)
+        assert_allclose(b_inv, -np.linalg.inv(L) @ b, atol=1e-15)
+
+    def test_nonlinear_maps_answer_none(self, laplace_product, gauss2):
+        chain = CdfChainMap(laplace_product, gauss2)
+        assert chain.linear_parts() is None
+        assert ComposedMap([AffineMap(np.eye(2)), chain]).linear_parts() is None
 
 
 def test_kr_rejects_dimension_mismatch(gauss2):
