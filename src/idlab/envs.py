@@ -4,10 +4,10 @@ An environment set holds one latent prior per environment and an eta matrix
 whose row ``e`` is environment ``e``'s natural parameter in one `ExpFamily`,
 which supplies the carrier and statistic every environment shares.  On top
 of that the module provides the experiment plumbing: synthetic data
-generation, the three validation clauses a strongly identifiable
-configuration must satisfy, moment and quantile based fitting routines
-whose outputs are triangular maps or linear generators, and the multi-view
-agreement verifier.
+generated as one block of observations per environment, the three
+validation clauses a strongly identifiable configuration must satisfy,
+moment and quantile based fitting routines whose outputs are triangular
+maps or linear generators, and the multi-view agreement verifier.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class EnvironmentSet:
     shares.
     """
 
-    def __init__(self, priors, eta_matrix, family: ExpFamily | None = None):
+    def __init__(self, priors, eta_matrix, family: ExpFamily):
         self.priors = list(priors)
         if not self.priors:
             raise DimensionMismatch("need at least one environment")
@@ -96,59 +96,32 @@ class EnvironmentSet:
 
 @dataclass(frozen=True)
 class EnvironmentData:
-    """Paired observations, latents and environment codes, env-blocked.
+    """Observations stacked in one block per environment.
 
-    Rows are grouped by environment: the rows of each code are contiguous,
-    and the blocks appear in ascending code order (ragged blocks, and codes
-    with no rows at all, are allowed).  Construction checks the layout and
-    raises ``ValueError`` for any other order.  ``blocks`` maps each code
-    present to the slice of its rows, and ``rows_for`` returns views of
-    ``x`` and ``z`` through it, not copies.
+    ``x`` has shape ``(n_envs, n_per_env, obs_dim)``; ``x[e]`` is the block
+    of environment ``e``, in prior order.
     """
 
     x: np.ndarray
-    z: np.ndarray
-    env: np.ndarray
-    n_per_env: int
-    blocks: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        env = self.env
-        if not (len(self.x) == len(self.z) == len(env)):
-            raise DimensionMismatch("x, z and env need one row per sample")
-        if np.any(env[1:] < env[:-1]):
-            raise ValueError("env codes must come in ascending blocks")
-        blocks, lo = {}, 0
-        while lo < len(env):
-            code = env[lo].item()
-            hi = int(np.searchsorted(env, code, side="right"))
-            blocks[code] = slice(lo, hi)
-            lo = hi
-        object.__setattr__(self, "blocks", blocks)
-
-    def rows_for(self, code: int):
-        """Views of the observations and latents of environment ``code``."""
-        rows = self.blocks.get(code, slice(0, 0))
-        return self.x[rows], self.z[rows]
+    @property
+    def n_per_env(self) -> int:
+        return self.x.shape[1]
 
 
 def generate_environment_data(envset: EnvironmentSet, generator,
-                              noise_sd: float, n_per_env: int,
+                              n_per_env: int,
                               rng: np.random.Generator) -> EnvironmentData:
-    """Draw latents per environment and push them through the generator."""
+    """Push ``n_per_env`` latent draws per prior through the generator.
+
+    The observations are noiseless, so every row lies on the generator's
+    range.
+    """
     if n_per_env <= 0:
         raise ValueError("n_per_env must be positive")
-    xs, zs, codes = [], [], []
-    for code, prior in enumerate(envset.priors):
-        z = prior.sample(rng, n_per_env)
-        x = np.atleast_2d(generator.forward(z))
-        if noise_sd > 0:
-            x = x + noise_sd * rng.standard_normal(x.shape)
-        xs.append(x)
-        zs.append(z)
-        codes.append(np.full(n_per_env, code, dtype=int))
-    return EnvironmentData(x=np.vstack(xs), z=np.vstack(zs),
-                           env=np.concatenate(codes), n_per_env=n_per_env)
+    return EnvironmentData(np.stack(
+        [np.atleast_2d(generator.forward(prior.sample(rng, n_per_env)))
+         for prior in envset.priors]))
 
 
 @dataclass
@@ -187,8 +160,6 @@ def validate_strong_vae_config(envset: EnvironmentSet,
     column 0 of its sufficient statistic is strictly monotone along the
     first latent axis.  The first failing clause is reported.
     """
-    if envset.family is None:
-        raise ValueError("configuration must declare one shared family")
     fam = envset.family
     details: dict = {}
 
@@ -364,7 +335,7 @@ def fit_env_affine_generator(data: EnvironmentData, envset: EnvironmentSet):
     E = envset.n_envs
     dz = envset.latent_dim
     mus = np.array([np.asarray(p.mean, dtype=float) for p in envset.priors])
-    means = np.array([data.rows_for(e)[0].mean(axis=0) for e in range(E)])
+    means = np.array([block.mean(axis=0) for block in data.x])
     design = np.column_stack([np.ones(E), mus])
     if E < dz + 1 or _svd_rank(design) < dz + 1:
         raise RankDeficient("environment means do not pin an affine generator")

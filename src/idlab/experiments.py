@@ -228,29 +228,18 @@ def _strong_vae_setup(params):
 
 
 def _split_halves(data):
-    """Per-environment disjoint halves of a dataset.
+    """Per-environment disjoint halves of a dataset, as views of ``data.x``.
 
     Half a takes the first ``n_per_env // 2`` rows of each environment
-    block and half b the next as many, both in block order.
+    block and half b the next as many.
     """
-    half = data.n_per_env // 2
-    spans_a, spans_b = [], []
-    for rows in data.blocks.values():
-        mid = min(rows.start + half, rows.stop)
-        spans_a.append(slice(rows.start, mid))
-        spans_b.append(slice(mid, min(mid + half, rows.stop)))
-
-    def mk(spans):
-        take = lambda a: np.concatenate([a[rows] for rows in spans])
-        return EnvironmentData(x=take(data.x), z=take(data.z),
-                               env=take(data.env), n_per_env=half)
-
-    return mk(spans_a), mk(spans_b)
+    h = data.n_per_env // 2
+    return EnvironmentData(data.x[:, :h]), EnvironmentData(data.x[:, h:2 * h])
 
 
 def _fit_pair_deviation(envset, generator, n_per_env, rng, grid=21):
     """Sup identity deviation of the transform between two half-data fits."""
-    data = generate_environment_data(envset, generator, 0.0, 2 * n_per_env, rng)
+    data = generate_environment_data(envset, generator, 2 * n_per_env, rng)
     half_a, half_b = _split_halves(data)
     fit_a = fit_env_affine_generator(half_a, envset)
     fit_b = fit_env_affine_generator(half_b, envset)
@@ -294,11 +283,12 @@ def _run_ivae_affine(params, seed, jobs):
     means_b = envset.eta_matrix @ G.T + h
     envset_b = EnvironmentSet.gaussian_mean_envs(means_b)
 
-    data = generate_environment_data(envset, generator, 0.0, n, rng)
+    data = generate_environment_data(envset, generator, n, rng)
     fit_b = fit_env_affine_generator(data, envset_b)
 
-    stats_a = np.atleast_2d(fit_a.inverse(data.x))
-    stats_b = np.atleast_2d(fit_b.inverse(data.x))
+    x = data.x.reshape(-1, data.x.shape[-1])
+    stats_a = np.atleast_2d(fit_a.inverse(x))
+    stats_b = np.atleast_2d(fit_b.inverse(x))
     relation = affine_relation_fit(stats_a, stats_b)
 
     matrix_err = float(np.abs(relation.matrix.T - G).max())
@@ -605,6 +595,16 @@ def experiment_info(name: str) -> dict:
 #: (a list or a string) takes only its own type
 _ACCEPTED_TYPES = {int: (int,), float: (int, float)}
 
+
+def _leaves(value):
+    """The scalars of a value, read through any nesting of lists."""
+    if isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
 #: open interval each named float param must lie in, in every experiment
 #: that registers it: tolerances and bounds are positive, alpha a level
 _RANGES = {key: (0.0, math.inf)
@@ -619,10 +619,11 @@ def check_params(name: str, params: dict | None) -> None:
     Raises ``KeyError`` for an unregistered experiment and ``ValueError``
     when ``params`` is not a mapping, names a key with no default, gives a
     value whose type differs from its default's (an int where a float is
-    registered is accepted, a bool where an int is registered is not),
-    gives a value below 1 where the default is a positive int, since every
-    such param is a count or a size, or gives a value outside its open
-    interval in ``_RANGES``.
+    registered is accepted, a bool where an int is registered is not) or,
+    for a list, an entry whose type differs by the same rule from the
+    default's entries, gives a value below 1 where the default is a
+    positive int, since every such param is a count or a size, or gives a
+    value outside its open interval in ``_RANGES``.
     """
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment: {name!r}")
@@ -638,6 +639,13 @@ def check_params(name: str, params: dict | None) -> None:
         if type(value) not in accepted:
             raise ValueError(f"{name}: {key} must be of type "
                              f"{type(default).__name__}, got {value!r}")
+        if type(default) is list:
+            entry_type = type(next(_leaves(default)))
+            accepted = _ACCEPTED_TYPES.get(entry_type, (entry_type,))
+            for entry in _leaves(value):
+                if type(entry) not in accepted:
+                    raise ValueError(f"{name}: {key} entries must be of type "
+                                     f"{entry_type.__name__}, got {entry!r}")
         if type(default) is int and default >= 1 and value < 1:
             raise ValueError(f"{name}: {key} must be >= 1, got {value}")
         lo, hi = _RANGES.get(key, (None, None))

@@ -298,6 +298,8 @@ class Automorphism:
         if M.shape != (d, d):
             raise DimensionMismatch("matrix must be square")
         b = np.zeros(d) if offset is None else np.asarray(offset, dtype=float)
+        if b.shape != (d,):
+            raise DimensionMismatch(f"offset must have length {d}")
         Minv = np.linalg.inv(M)
 
         def fwd(Z):

@@ -132,6 +132,9 @@ class TestUsageErrors:
         ("kr-identity", {"dims": 3}, "dims must be of type list"),
         ("kr-gaussian", {"tol": -1}, "tol must lie in (0, inf), got -1"),
         ("two-labs", {"alpha": 1.5}, "alpha must lie in (0, 1), got 1.5"),
+        ("all", {"task-indep": {"pair": ["a", 0]}}, "task-indep: pair entries must be of type int, got 'a'"),
+        ("kr-identity", {"dims": ["a"]}, "dims entries must be of type int, got 'a'"),
+        ("task-indep", {"pair": [True, 0]}, "pair entries must be of type int, got True"),
     ])
     def test_bad_override_value_writes_nothing(self, tmp_path, capsys, experiment, params, message):
         cfg = write_config(tmp_path / "cfg.json", experiment=experiment, params=params)

@@ -1,14 +1,13 @@
 """Environment families, data generation, and fitting helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from idlab import (
     AffineMap,
-    EnvironmentData,
     EnvironmentSet,
     ExpFamily,
     GaussianDistribution,
@@ -26,8 +25,8 @@ from idlab import (
     validate_strong_vae_config,
     verify_multiview,
 )
-from idlab.errors import DimensionMismatch, RankDeficient, SingularCovariance
-from idlab.experiments import _split_halves
+from idlab.errors import RankDeficient, SingularCovariance
+from idlab.experiments import EXPERIMENTS, _split_halves, _strong_vae_setup
 
 from conftest import probe_grid
 
@@ -78,66 +77,41 @@ class TestEnvironmentData:
         self.es = EnvironmentSet.gaussian_mean_envs(MEANS)
         self.gen = LinearGenerator(np.array([[1.0, 0.0], [0.4, 1.0], [0.0, 0.5]]), np.array([0.0, 0.1, -0.2]))
 
-    def test_shapes_and_env_column(self):
-        data = generate_environment_data(self.es, self.gen, 0.0, 50, stream(41, 0))
-        assert data.x.shape == (150, 3) and data.z.shape == (150, 2)
-        assert sorted(set(data.env)) == [0, 1, 2]
-        x1, z1 = data.rows_for(1)
-        assert x1.shape == (50, 3) and z1.shape == (50, 2)
-        # noiseless: observations sit exactly on the generator image
-        assert_allclose(data.x, self.gen.forward(data.z), atol=1e-12)
+    def test_shapes_and_generator_range(self):
+        data = generate_environment_data(self.es, self.gen, 50, stream(41, 0))
+        assert data.x.shape == (3, 50, 3) and data.n_per_env == 50
+        # noiseless: observations sit exactly on the generator's range
+        assert self.gen.range_residual(data.x.reshape(-1, 3)) < 1e-12
+        # block e holds prior e's draws, taken in prior order from one stream
+        rng = stream(41, 0)
+        for block, prior in zip(data.x, self.es.priors):
+            assert_array_equal(block, self.gen.forward(prior.sample(rng, 50)))
 
-    def test_rows_for_returns_views(self):
-        data = generate_environment_data(self.es, self.gen, 0.0, 50, stream(41, 2))
-        for code in range(3):
-            x_e, z_e = data.rows_for(code)
-            assert np.shares_memory(data.x, x_e) and np.shares_memory(data.z, z_e)
-
-    @pytest.mark.parametrize("env", [[0, 1, 0], [1, 0], [2, 2, 1, 3]])
-    def test_non_blocked_env_is_rejected(self, env):
-        n = len(env)
-        with pytest.raises(ValueError):
-            EnvironmentData(x=np.zeros((n, 3)), z=np.zeros((n, 2)), env=np.array(env), n_per_env=n)
-
-    def test_row_count_mismatch_is_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            EnvironmentData(x=np.zeros((4, 3)), z=np.zeros((3, 2)), env=np.zeros(4, dtype=int), n_per_env=4)
+    @pytest.mark.parametrize("n_per_env", [50, 51])
+    def test_halves_are_disjoint_views(self, n_per_env):
+        data = generate_environment_data(self.es, self.gen, n_per_env, stream(41, 2))
+        half_a, half_b = _split_halves(data)
+        h = n_per_env // 2
+        assert half_a.n_per_env == half_b.n_per_env == h
+        assert np.shares_memory(half_a.x, data.x) and np.shares_memory(half_b.x, data.x)
+        assert not np.shares_memory(half_a.x, half_b.x)
+        assert_array_equal(half_a.x, data.x[:, :h])
+        assert_array_equal(half_b.x, data.x[:, h:2 * h])
 
 
-def _masked_halves(data):
-    """Reference split: the mask-and-gather version of ``_split_halves``."""
-    half = data.n_per_env // 2
-    idx_a, idx_b = [], []
-    for code in np.unique(data.env):
-        where = np.nonzero(data.env == code)[0]
-        idx_a.append(where[:half])
-        idx_b.append(where[half:2 * half])
-    return [(data.x[idx], data.z[idx], data.env[idx])
-            for idx in (np.concatenate(idx_a), np.concatenate(idx_b))]
-
-
-@settings(max_examples=60, deadline=None)
-@given(counts=st.lists(st.integers(0, 12), min_size=1, max_size=5),
-       n_per_env=st.integers(0, 16), seed=st.integers(0, 2**16))
-@example(counts=[4, 0, 7], n_per_env=6, seed=0)
-def test_blocked_rows_match_mask_reference(counts, n_per_env, seed):
-    if sum(counts) == 0:
-        counts = counts + [1]
-    env = np.repeat(np.arange(len(counts)), counts)
-    rng = stream(seed, 0)
-    data = EnvironmentData(x=rng.normal(size=(env.size, 3)), z=rng.normal(size=(env.size, 2)),
-                           env=env, n_per_env=n_per_env)
-    # every code, an empty one and one past the last included
-    for code in range(len(counts) + 1):
-        mask = data.env == code
-        x_e, z_e = data.rows_for(code)
-        assert_array_equal(x_e, data.x[mask])
-        assert_array_equal(z_e, data.z[mask])
-    for half, reference in zip(_split_halves(data), _masked_halves(data)):
-        assert half.n_per_env == n_per_env // 2
-        for got, want in zip((half.x, half.z, half.env), reference):
-            assert got.shape == want.shape
-            assert_array_equal(got, want)
+def test_generation_and_split_peak_memory():
+    # strong-vae's defaults: the halves add nothing to the stacked blocks
+    params = EXPERIMENTS["strong-vae"].defaults
+    envset, generator = _strong_vae_setup(params)
+    tracemalloc.start()
+    try:
+        data = generate_environment_data(envset, generator, 2 * params["n_per_env"], stream(46, 0))
+        halves = _split_halves(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.x.shape == (3, 200_000, 2) and len(halves) == 2
+    assert peak <= 2.5 * data.x.nbytes
 
 
 class TestFitGaussianKr:
@@ -201,7 +175,7 @@ class TestAffineRelationFit:
 def test_fit_env_affine_generator_recovers_truth():
     es = EnvironmentSet.gaussian_mean_envs(MEANS)
     gen = LinearGenerator(np.array([[1.0, 0.2], [0.0, 0.8], [0.3, 0.3]]), np.array([0.1, 0.2, 0.3]))
-    data = generate_environment_data(es, gen, 0.0, 30_000, stream(44, 0))
+    data = generate_environment_data(es, gen, 30_000, stream(44, 0))
     fitted = fit_env_affine_generator(data, es)
     assert_allclose(fitted.loading, gen.loading, atol=0.02)
     assert_allclose(fitted.offset, gen.offset, atol=0.02)

@@ -32,6 +32,7 @@ def test_unknown_param_raises_before_computing():
 
 def test_int_override_accepted_where_default_is_float():
     assert run_experiment("fa-three-env", {"tol": 1}, seed=3).summary["tol"] == 1
+    assert run_experiment("fa-rotation", {"mu1": [2, 0]}, seed=3).passed
 
 
 def test_param_override_merges_with_defaults():

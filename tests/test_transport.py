@@ -308,6 +308,11 @@ class TestAutomorphism:
         assert_allclose(M_out, M, atol=0)
         assert_allclose(b_out, [1.0, 2.0], atol=0)
 
+    @pytest.mark.parametrize("offset", [[0.7], [0.0, 0.0, 0.0], [[1.0, 2.0]]])
+    def test_from_matrix_rejects_offset_of_wrong_shape(self, offset):
+        with pytest.raises(DimensionMismatch):
+            Automorphism.from_matrix(np.eye(2), offset)
+
     def test_identity(self, rng):
         auto = Automorphism.identity(3)
         z = rng.normal(size=(10, 3))
