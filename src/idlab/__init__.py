@@ -17,24 +17,25 @@ from .measures import (Distribution, ExpFamily, GaussianDistribution,
                        distribution_from_spec, interdecile_box, sample)
 from .transport import (AffineMap, Automorphism, CdfChainMap, ComposedMap,
                         PushforwardReport, StructureReport, TriangularMap,
-                        component_wise_check, compose, jacobian_fd,
+                        component_wise_check, jacobian_fd,
                         kr_transport, log_det_jacobian, pushforward_check,
                         rosenblatt)
-from .linear import (ComonReport, EnvConstraintSystem, LinearGenerator,
+from .linear import (ComonReport, LinearGenerator, SpanReport,
                      UniquenessReport, comon_structure_check,
-                     rotation_counterexample, solve_multi_env_linear)
+                     rotation_counterexample, solve_multi_env_linear,
+                     spanning_check)
 from .envs import (AffineRelation, EnvironmentData, EnvironmentSet,
                    MarginalQuantileMap, ModelParams, MultiViewModel,
-                   SpanReport, ValidationReport, affine_relation_fit,
+                   ValidationReport, affine_relation_fit,
                    fit_env_affine_generator, fit_gaussian_kr,
                    fit_marginal_quantile_transport,
-                   generate_environment_data, spanning_check,
-                   validate_strong_vae_config, verify_multiview)
+                   generate_environment_data, validate_strong_vae_config,
+                   verify_multiview)
 from .indeterminacy import (FixedCoordinateReport, IndeterminacyReport,
                             TransportedDistribution, act_on_params,
                             fixed_coordinate_check, generator_transform,
                             identity_deviation, indeterminacy_audit,
-                            kernel_residual, pushforward_distribution)
+                            kernel_residual)
 from .tasks import (TaskReport, TaskSpec, abs_diff_metric,
                     independence_test_task, latent_shift_task,
                     spearman_abs, sup_point_metric,

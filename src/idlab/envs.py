@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DimensionMismatch, RankDeficient, SingularCovariance)
-from .linear import LinearGenerator, _svd_rank
+from .linear import LinearGenerator, _svd_rank, spanning_check
 from .measures import (Distribution, ExpFamily, GaussianDistribution,
                        ProductDistribution)
 from .transport import AffineMap, TriangularMap
@@ -27,12 +27,10 @@ __all__ = [
     "EnvironmentSet",
     "EnvironmentData",
     "MultiViewModel",
-    "SpanReport",
     "ValidationReport",
     "AffineRelation",
     "MarginalQuantileMap",
     "generate_environment_data",
-    "spanning_check",
     "validate_strong_vae_config",
     "affine_relation_fit",
     "fit_gaussian_kr",
@@ -125,40 +123,20 @@ def generate_environment_data(envset: EnvironmentSet, generator,
 
 
 @dataclass
-class SpanReport:
-    spans: bool
-    contrast_rank: int
-    raw_rank: int
-    stat_dim: int
-    n_envs: int
-
-
-def spanning_check(etas) -> SpanReport:
-    """Do the natural-parameter contrasts span the statistic space?"""
-    etas = np.atleast_2d(np.asarray(etas, dtype=float))
-    n_envs, K = etas.shape
-    contrasts = etas[1:] - etas[0]
-    rank = _svd_rank(contrasts)
-    return SpanReport(spans=bool(rank == K), contrast_rank=rank,
-                      raw_rank=_svd_rank(etas), stat_dim=K, n_envs=n_envs)
-
-
-@dataclass
 class ValidationReport:
     passed: bool
     failing_clause: str | None
     details: dict = field(default_factory=dict)
 
 
-def validate_strong_vae_config(envset: EnvironmentSet,
-                               grid_half_width: float = 4.0,
-                               grid_points: int = 41) -> ValidationReport:
+def validate_strong_vae_config(envset: EnvironmentSet) -> ValidationReport:
     """Check the three clauses behind strong multi-environment recovery.
 
     In order: the natural-parameter contrasts span the statistic space; the
-    family's carrier is strictly positive on a cube of latent grid values;
-    column 0 of its sufficient statistic is strictly monotone along the
-    first latent axis.  The first failing clause is reported.
+    family's carrier is strictly positive on the cube of 41 grid values per
+    axis in [-4, 4]; column 0 of its sufficient statistic is strictly
+    monotone along the first latent axis on those values.  The first
+    failing clause is reported.
     """
     fam = envset.family
     details: dict = {}
@@ -171,13 +149,13 @@ def validate_strong_vae_config(envset: EnvironmentSet,
     # the carrier multiplies one scalar carrier per coordinate, so its
     # positivity and minimum on the cube of grid values show on its diagonal
     d = envset.latent_dim
-    t = np.linspace(-grid_half_width, grid_half_width, grid_points)
+    t = np.linspace(-4.0, 4.0, 41)
     log_m = fam.log_base(np.repeat(t[:, None], d, axis=1))
     details["min_log_base"] = float(log_m.min())
     if not np.all(np.isfinite(log_m)):
         return ValidationReport(False, "base_measure_positivity", details)
 
-    line = np.zeros((grid_points, d))
+    line = np.zeros((t.size, d))
     line[:, 0] = t
     vals = fam.suff_stat(line)[:, 0]
     diffs = np.diff(vals)
@@ -348,7 +326,6 @@ class MultiViewModel:
     """One generator per view, all driven by a single shared latent."""
 
     generators: dict
-    prior: Distribution | None = None
 
 
 def verify_multiview(model_a: MultiViewModel, model_b: MultiViewModel,

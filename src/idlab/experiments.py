@@ -22,9 +22,8 @@ from .envs import (EnvironmentData, EnvironmentSet, ModelParams,
 from .indeterminacy import (act_on_params, fixed_coordinate_check,
                             generator_transform, identity_deviation,
                             indeterminacy_audit, kernel_residual)
-from .linear import (EnvConstraintSystem, LinearGenerator,
-                     comon_structure_check, rotation_counterexample,
-                     solve_multi_env_linear)
+from .linear import (LinearGenerator, comon_structure_check,
+                     rotation_counterexample, solve_multi_env_linear)
 from .measures import (GaussianDistribution, GaussianMixture1D, Laplace1D,
                        Logistic1D, ProductDistribution, interdecile_box)
 from .rng import stream
@@ -59,8 +58,8 @@ def _box_grid(box: np.ndarray, per_axis: int) -> np.ndarray:
         -1, box.shape[0])
 
 
-def _equilateral_means(radius: float, phase_deg: float = 15.0) -> np.ndarray:
-    angles = np.radians(phase_deg + np.array([0.0, 120.0, 240.0]))
+def _equilateral_means(radius: float) -> np.ndarray:
+    angles = np.radians(15.0 + np.array([0.0, 120.0, 240.0]))
     return radius * np.column_stack([np.cos(angles), np.sin(angles)])
 
 
@@ -176,8 +175,7 @@ def _run_fa_three_env(params, seed, jobs):
     mus = np.asarray(params["env_means"], dtype=float)
     rows = []
     for count in (2, mus.shape[0]):
-        system = EnvConstraintSystem(mus[:count])
-        report = solve_multi_env_linear(gen, system)
+        report = solve_multi_env_linear(gen, mus[:count])
         rows.append({"n_envs": count, "contrast_rank": report.contrast_rank,
                      "unique": bool(report.unique),
                      "deviation": (report.deviation
@@ -451,16 +449,16 @@ def _run_multiview(params, seed, jobs):
     free_view = LinearGenerator(_rotation(params["angle_deg"])
                                 @ np.array([[1.3, 0.2], [0.1, 0.8]]))
 
-    model_a = MultiViewModel({"tmi": tmi_view, "free": free_view}, prior)
-    model_same = MultiViewModel({"tmi": tmi_view, "free": free_view}, prior)
+    model_a = MultiViewModel({"tmi": tmi_view, "free": free_view})
+    model_same = MultiViewModel({"tmi": tmi_view, "free": free_view})
     pinned = verify_multiview(model_a, model_same, prior, n,
                               stream(seed, 0), tol=tol)
 
     lin_a = MultiViewModel({"tmi": LinearGenerator([[1.0, 0.0], [0.4, 1.0]]),
-                            "free": free_view}, prior)
+                            "free": free_view})
     lin_b = MultiViewModel(
         {"tmi": LinearGenerator(lin_a.generators["tmi"].loading @ R.T),
-         "free": LinearGenerator(free_view.loading @ R.T)}, prior)
+         "free": LinearGenerator(free_view.loading @ R.T)})
     rotated = verify_multiview(lin_a, lin_b, prior, n, stream(seed, 1), tol=tol)
 
     rows = [

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, RangeMismatch
-from .linear import LinearGenerator
-from .measures import Distribution, GaussianDistribution
+from .linear import _RANK_REL_TOL, LinearGenerator
+from .measures import Distribution
 from .transport import (Automorphism, ComposedMap, PushforwardReport,
                         TriangularMap, component_wise_check, pushforward_check)
 
@@ -30,9 +30,15 @@ __all__ = [
     "kernel_residual",
     "fixed_coordinate_check",
     "indeterminacy_audit",
-    "pushforward_distribution",
     "act_on_params",
 ]
+
+#: relative round-trip residual above which two generator ranges differ
+_RANGE_TOL = 1e-6
+#: sup identity deviation, relative to ``1 + max|z|``, of an identity
+_IDENTITY_TOL = 1e-6
+#: affine-fit residual and cross-partial size below which a flag is set
+_STRUCTURE_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -75,20 +81,6 @@ class TransportedDistribution(Distribution):
         return np.atleast_2d(self.transform.forward(self.base.sample(rng, n)))
 
 
-def pushforward_distribution(transform, dist: Distribution) -> Distribution:
-    """Law of ``transform(Z)`` for ``Z ~ dist``, closed form when possible.
-
-    Gaussian laws stay Gaussian under affine transforms; everything else is
-    wrapped as a sampled law whose density, when the transform can price its
-    volume change, comes from the change of variables.
-    """
-    lin = transform.linear_parts()
-    if lin is not None and isinstance(dist, GaussianDistribution):
-        M, b = lin
-        return GaussianDistribution(M @ dist.mean + b, M @ dist.cov @ M.T)
-    return TransportedDistribution(dist, transform)
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -128,29 +120,25 @@ class FixedCoordinateReport:
 # constructing the latent transform from a generator pair
 # ---------------------------------------------------------------------------
 
-def _range_guard(gen_a, gen_b, probes, tol):
+def _range_guard(gen_a, gen_b, probes):
     """Raise unless gen_a's outputs survive a round trip through gen_b."""
     y = np.atleast_2d(gen_a.forward(probes))
     scale = 1.0 + float(np.abs(y).max())
-    if isinstance(gen_b, LinearGenerator):
-        residual = gen_b.range_residual(y)
-    else:
-        back = np.atleast_2d(gen_b.forward(np.atleast_2d(gen_b.inverse(y))))
-        residual = float(np.abs(back - y).max())
-    if residual > tol * scale:
+    back = np.atleast_2d(gen_b.forward(np.atleast_2d(gen_b.inverse(y))))
+    residual = float(np.abs(back - y).max())
+    if residual > _RANGE_TOL * scale:
         raise RangeMismatch(
             f"generator ranges differ: round-trip residual {residual:.3e} "
-            f"exceeds {tol:.1e} at scale {scale:.3e}")
-    return residual
+            f"exceeds {_RANGE_TOL:.1e} at scale {scale:.3e}")
 
 
-def generator_transform(gen_a, gen_b, probes=None, tol: float = 1e-6):
+def generator_transform(gen_a, gen_b, probes=None):
     """Latent transform linking two generators of the same observations.
 
     The result sends model-a latents to model-b latents: forward is
     ``gen_b``'s left inverse after ``gen_a``, inverse is the song played
-    backwards.  Linear-generator pairs come back as an ``Automorphism`` with
-    its linear parts; triangular-map pairs come back as the ``ComposedMap``
+    backwards.  Linear-generator pairs come back as an affine
+    ``Automorphism``; triangular-map pairs come back as the ``ComposedMap``
     of ``gen_a`` and ``gen_b.inverted()``, unless ``gen_b`` has no inverted
     map, in which case they compose pointwise like any other pair.  Probes
     (default: origin plus unit directions) certify that ``gen_a``'s outputs
@@ -168,7 +156,7 @@ def generator_transform(gen_a, gen_b, probes=None, tol: float = 1e-6):
     if isinstance(gen_a, LinearGenerator) and isinstance(gen_b, LinearGenerator):
         if gen_a.obs_dim != gen_b.obs_dim:
             raise DimensionMismatch("generators must share an observation space")
-        _range_guard(gen_a, gen_b, probes, tol)
+        _range_guard(gen_a, gen_b, probes)
         M = gen_b._pinv @ gen_a.loading
         c = gen_b._pinv @ (gen_a.offset - gen_b.offset)
         return Automorphism.from_matrix(M, c)
@@ -179,7 +167,7 @@ def generator_transform(gen_a, gen_b, probes=None, tol: float = 1e-6):
         except NotImplementedError:
             pass  # a fit artifact that inverts only pointwise
 
-    _range_guard(gen_a, gen_b, probes, tol)
+    _range_guard(gen_a, gen_b, probes)
 
     def fwd(Z):
         return np.atleast_2d(gen_b.inverse(gen_a.forward(Z)))
@@ -220,7 +208,7 @@ def kernel_residual(suff_stat, transform, contrasts, probes) -> float:
     u, s, vt = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return 0.0
-    rows = vt[s > 1e-12 * s[0]]
+    rows = vt[s > _RANK_REL_TOL * s[0]]
     proj = diff @ rows.T @ rows
     return float(np.sqrt(np.sum(proj * proj, axis=1)).max())
 
@@ -252,8 +240,7 @@ def _affine_fit_residual(transform, probes) -> float:
     return float(np.abs(X @ coef - vals).max())
 
 
-def structure_flags(transform, probes, is_identity: bool,
-                    structure_tol: float = 1e-4) -> dict:
+def structure_flags(transform, probes, is_identity: bool) -> dict:
     """Classify a transform on probe points: affine, triangular, componentwise.
 
     ``is_identity`` is the caller's identity verdict.  Checks run
@@ -263,14 +250,14 @@ def structure_flags(transform, probes, is_identity: bool,
     componentwise implies triangular.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    is_affine = (is_identity or transform.linear_parts() is not None
-                 or _affine_fit_residual(transform, probes) < structure_tol)
+    is_affine = (is_identity
+                 or _affine_fit_residual(transform, probes) < _STRUCTURE_TOL)
 
-    cw = component_wise_check(transform, probes, tol=structure_tol)
-    is_component_wise = is_identity or cw.max_offdiag < structure_tol
+    cw = component_wise_check(transform, probes, tol=_STRUCTURE_TOL)
+    is_component_wise = is_identity or cw.max_offdiag < _STRUCTURE_TOL
     is_triangular = (is_component_wise
                      or isinstance(transform, TriangularMap)
-                     or cw.max_upper < structure_tol)
+                     or cw.max_upper < _STRUCTURE_TOL)
     return {"is_identity_ae": bool(is_identity),
             "is_component_wise": bool(is_component_wise),
             "is_triangular": bool(is_triangular),
@@ -278,9 +265,7 @@ def structure_flags(transform, probes, is_identity: bool,
 
 
 def indeterminacy_audit(theta_a, theta_b, n: int, rng: np.random.Generator,
-                        alpha: float = 0.01, identity_tol: float = 1e-6,
-                        structure_tol: float = 1e-4,
-                        probes=None) -> IndeterminacyReport:
+                        alpha: float = 0.01) -> IndeterminacyReport:
     """Full audit of the transform linking two models.
 
     Builds the generator transform, tests it distributionally in both
@@ -297,19 +282,16 @@ def indeterminacy_audit(theta_a, theta_b, n: int, rng: np.random.Generator,
 
     z = theta_a.prior.sample(rng, n)
     sup, rms = identity_deviation(transform, z)
-    is_identity = sup < identity_tol * (1.0 + float(np.abs(z).max()))
-    if probes is None:
-        probes = z[:min(64, z.shape[0])]
-    flags = structure_flags(transform, probes, is_identity,
-                            structure_tol=structure_tol)
+    is_identity = sup < _IDENTITY_TOL * (1.0 + float(np.abs(z).max()))
+    flags = structure_flags(transform, z[:64], is_identity)
 
     return IndeterminacyReport(
         identity_sup_dev=sup, identity_rms_dev=rms,
         pushforward_pass=bool(fwd.passed and inv.passed),
         forward_check=fwd, inverse_check=inv,
         structure=flags, n=n,
-        details={"alpha": alpha, "identity_tol": identity_tol,
-                 "structure_tol": structure_tol})
+        details={"alpha": alpha, "identity_tol": _IDENTITY_TOL,
+                 "structure_tol": _STRUCTURE_TOL})
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +318,11 @@ def act_on_params(transform, params):
 
     The new generator undoes the transform before generating, and the new
     prior is the transform's pushforward of the old one, so the observation
-    law is untouched.  Affine generators twisted by linear transforms stay
-    affine; otherwise the generator is a lazy composition and the prior a
-    transported law.
+    law is untouched.  The generator is a lazy composition and the prior a
+    ``TransportedDistribution``, whatever the transform.
     """
     from .envs import ModelParams
-    gen = params.generator
-    lin = transform.linear_parts()
-    if isinstance(gen, LinearGenerator) and lin is not None:
-        M, b = lin
-        Minv = np.linalg.inv(M)
-        F_new = gen.loading @ Minv
-        new_gen = LinearGenerator(F_new, gen.offset - F_new @ b)
-    else:
-        new_gen = _TransformedGenerator(gen, transform)
-    new_prior = pushforward_distribution(transform, params.prior)
     name = f"{params.name}-equiv" if getattr(params, "name", "") else "equiv"
-    return ModelParams(generator=new_gen, prior=new_prior, name=name)
+    return ModelParams(
+        generator=_TransformedGenerator(params.generator, transform),
+        prior=TransportedDistribution(params.prior, transform), name=name)

@@ -15,13 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMeans, DimensionMismatch, SingularMatrix
+from .transport import _offset
 
 __all__ = [
     "LinearGenerator",
-    "EnvConstraintSystem",
+    "SpanReport",
     "UniquenessReport",
     "ComonReport",
     "rotation_counterexample",
+    "spanning_check",
     "solve_multi_env_linear",
     "comon_structure_check",
 ]
@@ -44,15 +46,13 @@ class LinearGenerator:
     def __init__(self, loading, offset=None):
         self.loading = np.atleast_2d(np.asarray(loading, dtype=float))
         dx, dz = self.loading.shape
-        self.offset = (np.zeros(dx) if offset is None
-                       else np.asarray(offset, dtype=float).reshape(dx))
-        if _svd_rank(self.loading) < dz:
-            raise ValueError("loading must have full column rank")
-        # pseudo-inverse restricted to the range, via thresholded SVD
+        self.offset = _offset(offset, dx)
+        # one thresholded SVD gives the rank and the left inverse on the range
         u, s, vt = np.linalg.svd(self.loading, full_matrices=False)
         keep = s > _RANK_REL_TOL * s[0]
+        if np.count_nonzero(keep) < dz:
+            raise ValueError("loading must have full column rank")
         self._pinv = (vt[keep].T / s[keep]) @ u[:, keep].T
-        self._range_basis = u[:, keep]
 
     @property
     def obs_dim(self) -> int:
@@ -70,34 +70,6 @@ class LinearGenerator:
         """Left inverse, exact on offset + range(loading)."""
         X = np.asarray(X, dtype=float)
         return (X - self.offset) @ self._pinv.T
-
-    def range_residual(self, X) -> float:
-        """Sup distance of rows of X - offset from the loading's range."""
-        V = np.atleast_2d(np.asarray(X, dtype=float)) - self.offset
-        proj = V @ self._range_basis @ self._range_basis.T
-        return float(np.abs(V - proj).max())
-
-
-class EnvConstraintSystem:
-    """Environment latent means and the contrasts they induce."""
-
-    def __init__(self, env_means):
-        self.env_means = np.atleast_2d(np.asarray(env_means, dtype=float))
-        if self.env_means.shape[0] < 2:
-            raise DimensionMismatch("need at least two environments")
-
-    @property
-    def latent_dim(self):
-        return self.env_means.shape[1]
-
-    @property
-    def contrasts(self) -> np.ndarray:
-        """Rows mu_e - mu_0 for e >= 1."""
-        return self.env_means[1:] - self.env_means[0]
-
-    @property
-    def contrast_rank(self) -> int:
-        return _svd_rank(self.contrasts)
 
 
 def rotation_counterexample(mu1, mu2, generator: LinearGenerator):
@@ -125,6 +97,24 @@ def rotation_counterexample(mu1, mu2, generator: LinearGenerator):
 
 
 @dataclass
+class SpanReport:
+    spans: bool
+    contrast_rank: int
+    raw_rank: int
+    stat_dim: int
+    n_envs: int
+
+
+def spanning_check(etas) -> SpanReport:
+    """Do the contrasts ``etas[e] - etas[0]`` span the parameter space?"""
+    etas = np.atleast_2d(np.asarray(etas, dtype=float))
+    n_envs, K = etas.shape
+    rank = _svd_rank(etas[1:] - etas[0])
+    return SpanReport(spans=bool(rank == K), contrast_rank=rank,
+                      raw_rank=_svd_rank(etas), stat_dim=K, n_envs=n_envs)
+
+
+@dataclass
 class UniquenessReport:
     unique: bool
     contrast_rank: int
@@ -133,17 +123,21 @@ class UniquenessReport:
 
 
 def solve_multi_env_linear(generator: LinearGenerator,
-                           system: EnvConstraintSystem) -> UniquenessReport:
+                           env_means) -> UniquenessReport:
     """Solve F' C = F C for F' given the contrast columns C.
 
-    The loading is unique exactly when the contrasts span the latent space;
-    in that case the least-squares recovery is reported with its deviation
-    from the true loading.
+    Column ``e`` of C is ``env_means[e + 1] - env_means[0]``.  The loading is
+    unique exactly when the contrasts span the latent space; in that case
+    the least-squares recovery is reported with its deviation from the true
+    loading.
     """
-    if system.latent_dim != generator.latent_dim:
-        raise DimensionMismatch("system and generator latent dimension differ")
-    C = system.contrasts.T                       # (dz, E-1) contrast columns
-    rank = system.contrast_rank
+    env_means = np.atleast_2d(np.asarray(env_means, dtype=float))
+    if env_means.shape[0] < 2:
+        raise DimensionMismatch("need at least two environments")
+    if env_means.shape[1] != generator.latent_dim:
+        raise DimensionMismatch("means and generator latent dimension differ")
+    C = (env_means[1:] - env_means[0]).T         # (dz, E-1) contrast columns
+    rank = spanning_check(env_means).contrast_rank
     unique = rank == generator.latent_dim
     deviation = None
     if unique:

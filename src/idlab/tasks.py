@@ -160,14 +160,13 @@ def independence_test_task(pair, n: int) -> TaskSpec:
 # the identifiability check
 # ---------------------------------------------------------------------------
 
-def task_identifiability_check(task: TaskSpec, theta, transforms, obs,
-                               tol: float, rng: np.random.Generator | None = None,
-                               alpha: float = 0.01,
-                               verify_n: int = 2048) -> TaskReport:
+def task_identifiability_check(
+        task: TaskSpec, theta, transforms, obs, tol: float,
+        rng: np.random.Generator | None = None) -> TaskReport:
     """Does the task's output survive every certified latent transform?
 
     Each transform is first re-verified to preserve the model's prior
-    (coordinatewise KS at level ``alpha``); a failure raises
+    (coordinatewise KS at level 0.01 on 2048 draws); a failure raises
     ``UncertifiedTransform`` since such a transform does not belong to the
     model's equivalence class.  The task then runs on the original model
     and on each twisted model, and the largest output distance decides the
@@ -178,8 +177,8 @@ def task_identifiability_check(task: TaskSpec, theta, transforms, obs,
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
 
     for idx, A in enumerate(transforms):
-        check = pushforward_check(A, theta.prior, theta.prior, verify_n, rng,
-                                  alpha=alpha)
+        check = pushforward_check(A, theta.prior, theta.prior, 2048, rng,
+                                  alpha=0.01)
         if not check.passed:
             raise UncertifiedTransform(
                 f"transform {idx} does not preserve the prior "

@@ -1,8 +1,7 @@
 """Latent maps: triangular monotone transports and general automorphisms.
 
 Every latent map answers one protocol: ``dim``, ``forward``, ``inverse``,
-``inverted()``, ``linear_parts()`` (``(matrix, offset)`` for an affine map,
-else ``None``) and ``log_det_jacobian``.
+``inverted()`` and ``log_det_jacobian``.
 
 A triangular monotone increasing (TMI) map sends coordinate ``m`` to a value
 that depends only on coordinates ``0..m`` and increases strictly in
@@ -19,7 +18,7 @@ laboratory's needs:
 * ``ComposedMap`` - composition chain of TMI maps (closed under composition).
 
 ``Automorphism`` covers the other latent self-maps, built from a forward
-and an inverse callable, optionally with their linear parts.
+and an inverse callable, optionally with a constant log-det.
 
 The module also ships the statistical verifiers used throughout: a
 Rosenblatt-reduction goodness-of-fit check for pushforwards and
@@ -46,13 +45,15 @@ __all__ = [
     "PushforwardReport",
     "StructureReport",
     "kr_transport",
-    "compose",
     "log_det_jacobian",
     "rosenblatt",
     "pushforward_check",
     "component_wise_check",
     "jacobian_fd",
 ]
+
+#: central-difference step of every finite-difference Jacobian
+_STEP = 1e-5
 
 
 class TriangularMap(abc.ABC):
@@ -84,19 +85,15 @@ class TriangularMap(abc.ABC):
         """The inverse map as a TMI object."""
         ...
 
-    def linear_parts(self):
-        """``(matrix, offset)`` of an affine map, else ``None``."""
-        return None
-
     def forward(self, Z):
         Z2, was_1d = _rows(Z, self.dim)
         out = self.forward_prefix(Z2)
         return out[0] if was_1d else out
 
-    def log_det_jacobian(self, Z, step: float = 1e-5):
+    def log_det_jacobian(self, Z):
         """Sum over coordinates of log dT_m/dz_m, central differences.
 
-        Column ``m`` of the input is moved by ``+step`` and ``-step`` and
+        Column ``m`` of the input is moved by ``+_STEP`` and ``-_STEP`` and
         column ``m`` of ``forward_prefix`` on the first ``m + 1`` columns is
         read off.
         """
@@ -104,11 +101,11 @@ class TriangularMap(abc.ABC):
         out = np.zeros(Z2.shape[0])
         for m in range(self.dim):
             hi = Z2[:, :m + 1].copy()
-            hi[:, m] = Z2[:, m] + step
+            hi[:, m] = Z2[:, m] + _STEP
             lo = Z2[:, :m + 1].copy()
-            lo[:, m] = Z2[:, m] - step
+            lo[:, m] = Z2[:, m] - _STEP
             slope = (self.forward_prefix(hi)[:, m]
-                     - self.forward_prefix(lo)[:, m]) / (2.0 * step)
+                     - self.forward_prefix(lo)[:, m]) / (2.0 * _STEP)
             if np.any(~np.isfinite(slope)) or np.any(slope <= 0):
                 raise NonFiniteDerivative(
                     f"component {m} has non-positive or non-finite slope")
@@ -130,8 +127,7 @@ class AffineMap(TriangularMap):
         if np.any(np.diag(L) <= 0):
             raise ValueError("diagonal entries must be strictly positive")
         self.matrix = np.tril(L)
-        self.offset = (np.zeros(L.shape[0]) if offset is None
-                       else np.asarray(offset, dtype=float).reshape(L.shape[0]))
+        self.offset = _offset(offset, L.shape[0])
         self.dim = L.shape[0]
 
     def forward_prefix(self, P):
@@ -148,10 +144,7 @@ class AffineMap(TriangularMap):
         inv = solve_triangular(self.matrix, np.eye(self.dim), lower=True)
         return AffineMap(inv, -inv @ self.offset)
 
-    def linear_parts(self):
-        return self.matrix, self.offset
-
-    def log_det_jacobian(self, Z, step=1e-5):
+    def log_det_jacobian(self, Z):
         Z2, was_1d = _rows(Z, self.dim)
         val = float(np.sum(np.log(np.diag(self.matrix))))
         return val if was_1d else np.full(Z2.shape[0], val)
@@ -188,8 +181,8 @@ class CdfChainMap(TriangularMap):
     def inverse(self, X):
         return self.inverted().forward(X)
 
-    def log_det_jacobian(self, Z, step=1e-5):
-        """Exact ``log p_source(z) - log p_target(T z)``; ``step`` is unused."""
+    def log_det_jacobian(self, Z):
+        """Exact ``log p_source(z) - log p_target(T z)``."""
         Z2, was_1d = _rows(Z, self.dim)
         out = (self.source.log_density(Z2)
                - self.target.log_density(self.forward_prefix(Z2)))
@@ -232,13 +225,13 @@ class ComposedMap(TriangularMap):
     def inverted(self):
         return ComposedMap([p.inverted() for p in reversed(self.parts)])
 
-    def log_det_jacobian(self, Z, step=1e-5):
+    def log_det_jacobian(self, Z):
         """Exact chain rule: triangular Jacobians multiply diagonal-wise."""
         Z2, was_1d = _rows(Z, self.dim)
         out = np.zeros(Z2.shape[0])
         cur = Z2
         for p in self.parts:
-            out = out + np.atleast_1d(p.log_det_jacobian(cur, step=step))
+            out = out + np.atleast_1d(p.log_det_jacobian(cur))
             cur = p.forward_prefix(cur)
         return float(out[0]) if was_1d else out
 
@@ -246,15 +239,16 @@ class ComposedMap(TriangularMap):
 class Automorphism:
     """Invertible self-map of the latent space given by two callables.
 
-    ``linear`` is ``(matrix, offset)`` when the map is affine; it keeps
-    pushforwards and log-dets in closed form.
+    ``log_abs_det`` is the constant ``log|det M|`` of an affine map
+    ``z -> M z + b``; without it the map has no log-det.
     """
 
-    def __init__(self, dim: int, forward, inverse, linear=None):
+    def __init__(self, dim: int, forward, inverse,
+                 log_abs_det: float | None = None):
         self.dim = dim
         self._forward = forward
         self._inverse = inverse
-        self._linear = linear
+        self._log_abs_det = log_abs_det
 
     def forward(self, Z):
         Z2, was_1d = _rows(Z, self.dim)
@@ -267,23 +261,17 @@ class Automorphism:
         return out[0] if was_1d else out
 
     def inverted(self) -> "Automorphism":
-        linear = None
-        if self._linear is not None:
-            M, b = self._linear
-            Minv = np.linalg.inv(M)
-            linear = (Minv, -Minv @ b)
-        return Automorphism(self.dim, self._inverse, self._forward, linear)
+        log_abs_det = (None if self._log_abs_det is None
+                       else -self._log_abs_det)
+        return Automorphism(self.dim, self._inverse, self._forward, log_abs_det)
 
-    def linear_parts(self):
-        return self._linear
-
-    def log_det_jacobian(self, Z, step: float = 1e-5):
-        """Constant ``log|det M|`` of a linear map; ``step`` is unused."""
-        if self._linear is None:
+    def log_det_jacobian(self, Z):
+        """Constant ``log|det M|`` of an affine map."""
+        if self._log_abs_det is None:
             raise NotImplementedError(
                 "transform does not expose a Jacobian determinant")
         Z2, was_1d = _rows(Z, self.dim)
-        val = float(np.linalg.slogdet(self._linear[0])[1])
+        val = self._log_abs_det
         return val if was_1d else np.full(Z2.shape[0], val)
 
     @classmethod
@@ -297,9 +285,7 @@ class Automorphism:
         d = M.shape[0]
         if M.shape != (d, d):
             raise DimensionMismatch("matrix must be square")
-        b = np.zeros(d) if offset is None else np.asarray(offset, dtype=float)
-        if b.shape != (d,):
-            raise DimensionMismatch(f"offset must have length {d}")
+        b = _offset(offset, d)
         Minv = np.linalg.inv(M)
 
         def fwd(Z):
@@ -308,7 +294,15 @@ class Automorphism:
         def inv(X):
             return (X - b) @ Minv.T
 
-        return cls(d, fwd, inv, linear=(M, b))
+        return cls(d, fwd, inv, float(np.linalg.slogdet(M)[1]))
+
+
+def _offset(offset, d: int) -> np.ndarray:
+    """``offset`` as a length-``d`` float vector; zeros for ``None``."""
+    b = np.zeros(d) if offset is None else np.asarray(offset, dtype=float)
+    if b.shape != (d,):
+        raise DimensionMismatch(f"offset must have length {d}")
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +331,9 @@ def kr_transport(source: Distribution, target: Distribution,
     return CdfChainMap(source, target)
 
 
-def compose(outer: TriangularMap, inner: TriangularMap) -> TriangularMap:
-    """Composition ``outer(inner(.))``; affine pairs stay affine."""
-    if outer.dim != inner.dim:
-        raise DimensionMismatch("composition dimensions differ")
-    if isinstance(outer, AffineMap) and isinstance(inner, AffineMap):
-        return AffineMap(outer.matrix @ inner.matrix,
-                         outer.offset + outer.matrix @ inner.offset)
-    return ComposedMap([inner, outer])
-
-
-def log_det_jacobian(mapping: TriangularMap, Z, step: float = 1e-5):
+def log_det_jacobian(mapping: TriangularMap, Z):
     """Log absolute Jacobian determinant of a TMI map at points ``Z``."""
-    return mapping.log_det_jacobian(Z, step=step)
+    return mapping.log_det_jacobian(Z)
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +410,17 @@ def pushforward_check(mapping, source: Distribution, target: Distribution,
         passed=bool(np.all(stats < critical)))
 
 
-def jacobian_fd(forward, Z, step: float = 1e-5) -> np.ndarray:
+def jacobian_fd(forward, Z) -> np.ndarray:
     """Central-difference Jacobians of a vector map, shape (n, d_out, d_in)."""
     Z2 = np.atleast_2d(np.asarray(Z, dtype=float))
     n, d = Z2.shape
     cols = []
     for j in range(d):
         e = np.zeros(d)
-        e[j] = step
+        e[j] = _STEP
         hi = np.atleast_2d(forward(Z2 + e))
         lo = np.atleast_2d(forward(Z2 - e))
-        cols.append((hi - lo) / (2.0 * step))
+        cols.append((hi - lo) / (2.0 * _STEP))
     return np.stack(cols, axis=2)
 
 
@@ -452,7 +436,7 @@ class StructureReport:
     passed: bool
 
 
-def component_wise_check(mapping, probes, step: float = 1e-5,
+def component_wise_check(mapping, probes,
                          tol: float = 1e-4) -> StructureReport:
     """Check that all cross-partials of ``mapping`` vanish on the probes.
 
@@ -461,7 +445,7 @@ def component_wise_check(mapping, probes, step: float = 1e-5,
     each coordinate separately.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    J = jacobian_fd(mapping.forward, probes, step=step)
+    J = jacobian_fd(mapping.forward, probes)
     entry_max = np.max(np.abs(J), axis=0)
     d = entry_max.shape[0]
     off = ~np.eye(d, dtype=bool)
@@ -469,6 +453,6 @@ def component_wise_check(mapping, probes, step: float = 1e-5,
     max_off = float(entry_max[off].max()) if d > 1 else 0.0
     max_up = float(entry_max[upper].max()) if d > 1 else 0.0
     return StructureReport(max_offdiag=max_off, max_upper=max_up,
-                           entry_max=entry_max, tol=tol, step=step,
+                           entry_max=entry_max, tol=tol, step=_STEP,
                            passed=bool(max_off < tol))
 

@@ -81,7 +81,8 @@ class TestEnvironmentData:
         data = generate_environment_data(self.es, self.gen, 50, stream(41, 0))
         assert data.x.shape == (3, 50, 3) and data.n_per_env == 50
         # noiseless: observations sit exactly on the generator's range
-        assert self.gen.range_residual(data.x.reshape(-1, 3)) < 1e-12
+        x = data.x.reshape(-1, 3)
+        assert_allclose(self.gen.forward(self.gen.inverse(x)), x, rtol=0, atol=1e-12)
         # block e holds prior e's draws, taken in prior order from one stream
         rng = stream(41, 0)
         for block, prior in zip(data.x, self.es.priors):
@@ -188,8 +189,8 @@ class TestVerifyMultiview:
         self.free = LinearGenerator(np.array([[1.3, 0.2], [0.1, 0.8]]))
 
     def test_identical_views_are_identified(self):
-        a = MultiViewModel({"tmi": self.tmi, "free": self.free}, self.prior)
-        b = MultiViewModel({"tmi": self.tmi, "free": self.free}, self.prior)
+        a = MultiViewModel({"tmi": self.tmi, "free": self.free})
+        b = MultiViewModel({"tmi": self.tmi, "free": self.free})
         rep = verify_multiview(a, b, self.prior, 4000, stream(45, 0))
         assert rep.structure["is_identity_ae"]
         assert rep.identity_sup_dev < 1e-6
@@ -198,11 +199,11 @@ class TestVerifyMultiview:
     def test_consistent_rotation_evades_identification(self):
         c, s = np.cos(np.pi / 5), np.sin(np.pi / 5)
         R = np.array([[c, -s], [s, c]])
-        a = MultiViewModel({"tmi": self.tmi, "free": self.free}, self.prior)
+        a = MultiViewModel({"tmi": self.tmi, "free": self.free})
         # both views absorb the same rotation, so no view can rule it out
         rot_tmi = LinearGenerator(self.tmi.matrix @ R.T)
         rot_free = LinearGenerator(self.free.loading @ R.T)
-        b = MultiViewModel({"tmi": rot_tmi, "free": rot_free}, self.prior)
+        b = MultiViewModel({"tmi": rot_tmi, "free": rot_free})
         rep = verify_multiview(a, b, self.prior, 4000, stream(45, 1))
         assert not rep.structure["is_identity_ae"]
         assert rep.identity_sup_dev > 0.1

@@ -23,7 +23,7 @@ from idlab import (
     identity_deviation,
     indeterminacy_audit,
     kernel_residual,
-    pushforward_distribution,
+    spanning_check,
     stream,
 )
 from idlab.cli import _to_json
@@ -45,7 +45,8 @@ class TestGeneratorTransform:
         z = rng.normal(size=(30, 2))
         # f_b(A z) = f_a(z) pointwise
         assert_allclose(gen_b.forward(auto.forward(z)), gen_a.forward(z), atol=1e-12)
-        assert auto.linear_parts() is not None
+        # an affine automorphism: its log-det is the constant log|det A|
+        assert_allclose(auto.log_det_jacobian(z), np.log(0.7), rtol=0, atol=1e-12)
 
     def test_triangular_pair_composes_maps(self, rng):
         fa = AffineMap(np.array([[1.0, 0.0], [0.4, 1.0]]))
@@ -115,6 +116,14 @@ class TestKernelResidual:
         flip = Automorphism.from_matrix(np.diag([1.0, 1.0, -1.0]))
         assert kernel_residual(suff, flip, M, self.probes()) > 0.1
 
+    def test_one_rank_cutoff_with_spanning_check(self):
+        # a 1e-10 contrast is rank-deficient to spanning_check, so the kernel
+        # residual must treat its direction as free as well
+        M = np.array([[1.0, 0.0, 0.0], [0.0, 1e-10, 0.0]])
+        assert spanning_check(np.vstack([np.zeros(3), M])).contrast_rank == 1
+        shift = Automorphism.from_matrix(np.eye(3), np.array([0.0, 1.0, 0.0]))
+        assert kernel_residual(lambda z: z, shift, M, self.probes()) == 0.0
+
 
 class TestFixedCoordinateCheck:
     def test_flip_keeps_first_two(self):
@@ -173,19 +182,24 @@ class TestStructureFlags:
 
 
 class TestPushforwardDistribution:
-    def test_gaussian_linear_is_exact(self):
+    """Laws pushed through a latent map, as ``TransportedDistribution``."""
+
+    def test_gaussian_linear_is_exact(self, rng):
+        # change of variables through an affine automorphism and back gives
+        # the closed-form Gaussian densities; det M = 1.64, so the log-det counts
         dist = GaussianDistribution([1.0, -1.0], [[2.0, 0.3], [0.3, 1.0]])
-        M = np.array([[0.8, -0.6], [0.6, 0.8]])
+        M = np.array([[0.8, -0.6], [0.6, 1.6]])
         auto = Automorphism.from_matrix(M, np.array([0.5, 0.5]))
-        pushed = pushforward_distribution(auto, dist)
-        assert isinstance(pushed, GaussianDistribution)
-        assert_allclose(pushed.mean, M @ dist.mean + [0.5, 0.5], atol=1e-12)
-        assert_allclose(pushed.cov, M @ dist.cov @ M.T, atol=1e-12)
+        closed = GaussianDistribution(M @ dist.mean + [0.5, 0.5], M @ dist.cov @ M.T)
+        pushed = TransportedDistribution(dist, auto)
+        x = rng.normal(size=(200, 2))
+        assert_allclose(pushed.log_density(x), closed.log_density(x), rtol=0, atol=1e-12)
+        back = TransportedDistribution(closed, auto.inverted())
+        assert_allclose(back.log_density(x), dist.log_density(x), rtol=0, atol=1e-12)
 
     def test_triangular_push_has_exact_density(self, laplace_product, rng):
         amap = AffineMap(np.array([[2.0, 0.0], [0.7, 1.5]]), np.array([1.0, -2.0]))
-        pushed = pushforward_distribution(amap, laplace_product)
-        assert isinstance(pushed, TransportedDistribution)
+        pushed = TransportedDistribution(laplace_product, amap)
         x = pushed.sample(rng, 500)
         # change of variables against the base density
         z = amap.inverse(x)
@@ -195,7 +209,8 @@ class TestPushforwardDistribution:
     def test_linear_push_of_product_law_has_constant_log_det(self, laplace_product, rng):
         # the task-indep path: a sign flip twists a Laplace product prior
         M = -np.eye(2)
-        pushed = pushforward_distribution(Automorphism.from_matrix(M), laplace_product)
+        pushed = act_on_params(Automorphism.from_matrix(M),
+                               ModelParams(LinearGenerator(EMBED), laplace_product)).prior
         assert isinstance(pushed, TransportedDistribution)
         x = rng.normal(size=(50, 2))
         want = laplace_product.log_density(-x) - np.log(abs(np.linalg.det(M)))
@@ -204,7 +219,7 @@ class TestPushforwardDistribution:
     def test_sampling_matches_base_push(self, rng):
         dist = GaussianDistribution([0.0, 0.0], np.eye(2))
         auto = Automorphism.from_matrix(np.diag([1.0, 3.0]))
-        pushed = pushforward_distribution(auto, dist)
+        pushed = TransportedDistribution(dist, auto)
         x = pushed.sample(rng, 100_000)
         assert_allclose(np.var(x, axis=0), [1.0, 9.0], rtol=0.05)
 
@@ -218,6 +233,8 @@ class TestActOnParams:
         # the observation law is unchanged: f'(A z) == f(z)
         z = stream(54, 0).normal(size=(50, 2))
         assert_allclose(moved.generator.forward(auto.forward(z)), params.generator.forward(z), atol=1e-12)
+        assert_allclose(moved.generator.inverse(params.generator.forward(z)), auto.forward(z), atol=1e-12)
+        assert isinstance(moved.prior, TransportedDistribution)
         assert moved.name.endswith("-equiv")
 
     def test_observation_law_preserved(self, rng):

@@ -5,15 +5,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from idlab import (
+    AffineMap,
     ComonReport,
-    EnvConstraintSystem,
     LinearGenerator,
     comon_structure_check,
     generator_transform,
     rotation_counterexample,
     solve_multi_env_linear,
 )
-from idlab.errors import DegenerateMeans, DimensionMismatch
+from idlab.errors import DegenerateMeans, DimensionMismatch, RangeMismatch
 
 EMBED = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
@@ -25,11 +25,24 @@ def test_generator_forward_inverse_roundtrip(rng):
 
 
 def test_range_residual():
+    # the transform into gen's latents exists only where gen_a's outputs lie
+    # on gen's range: an offset off the x1-x2 plane leaves a round-trip residual
     gen = LinearGenerator(EMBED)
-    on = np.array([[1.0, 2.0, 0.0]])
-    off = np.array([[1.0, 2.0, 3.0]])
-    assert gen.range_residual(on) < 1e-12
-    assert gen.range_residual(off) > 1.0
+    on = LinearGenerator(EMBED, np.array([1.0, 2.0, 0.0]))
+    auto = generator_transform(on, gen)
+    assert_allclose(auto.forward(np.zeros((1, 2))), [[1.0, 2.0]], rtol=0, atol=1e-12)
+    off = LinearGenerator(EMBED, np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(RangeMismatch):
+        generator_transform(off, gen)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AffineMap(np.eye(2), [0.7]),
+    lambda: LinearGenerator(np.eye(3)[:, :2], [0.1]),
+], ids=["affine_map", "linear_generator"])
+def test_offset_of_wrong_length_is_a_dimension_mismatch(make):
+    with pytest.raises(DimensionMismatch):
+        make()
 
 
 def test_rotation_counterexample_oracle():
@@ -65,14 +78,14 @@ def test_rotation_counterexample_needs_latent_dim_two():
 class TestMultiEnvUniqueness:
     def test_two_environments_leave_slack(self):
         gen = LinearGenerator(EMBED)
-        rep = solve_multi_env_linear(gen, EnvConstraintSystem(np.array([[0.0, 0.0], [1.0, 0.0]])))
+        rep = solve_multi_env_linear(gen, np.array([[0.0, 0.0], [1.0, 0.0]]))
         assert not rep.unique
         assert rep.contrast_rank == 1
 
     def test_spanning_environments_pin_the_loading(self):
         gen = LinearGenerator(EMBED, np.array([0.1, 0.2, 0.3]))
         means = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        rep = solve_multi_env_linear(gen, EnvConstraintSystem(means))
+        rep = solve_multi_env_linear(gen, means)
         assert rep.unique
         assert rep.contrast_rank == 2
         assert rep.deviation < 1e-8
@@ -80,7 +93,11 @@ class TestMultiEnvUniqueness:
     def test_redundant_environments_still_unique(self):
         gen = LinearGenerator(EMBED)
         means = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 3.0]])
-        assert solve_multi_env_linear(gen, EnvConstraintSystem(means)).unique
+        assert solve_multi_env_linear(gen, means).unique
+
+    def test_one_environment_is_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            solve_multi_env_linear(LinearGenerator(EMBED), np.array([[1.0, 0.0]]))
 
 
 class TestComonStructure:
@@ -105,9 +122,9 @@ def test_linear_generator_transform_oracle(rng):
     A = np.array([[1.0, 0.2], [0.0, 0.8]])
     gen_a = LinearGenerator(EMBED @ A)
     gen_b = LinearGenerator(EMBED)
-    M, c = generator_transform(gen_a, gen_b).linear_parts()
+    auto = generator_transform(gen_a, gen_b)
     # composing through observation space recovers the latent change of basis
-    assert_allclose(M, A, atol=1e-12)
-    assert_allclose(c, 0.0, atol=1e-12)
     z = rng.normal(size=(20, 2))
-    assert_allclose(gen_b.forward(z @ M.T), gen_a.forward(z), atol=1e-12)
+    assert_allclose(auto.forward(z), z @ A.T, rtol=0, atol=1e-12)
+    assert_allclose(auto.inverse(z), z @ np.linalg.inv(A).T, rtol=0, atol=1e-12)
+    assert_allclose(gen_b.forward(auto.forward(z)), gen_a.forward(z), atol=1e-12)

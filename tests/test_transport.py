@@ -21,7 +21,6 @@ from idlab import (
     ProductDistribution,
     TriangularMap,
     component_wise_check,
-    compose,
     fit_marginal_quantile_transport,
     interdecile_box,
     jacobian_fd,
@@ -49,6 +48,15 @@ class TestAffineMap:
         amap = AffineMap(M)
         z = rng.normal(size=(10, 2))
         assert_allclose(amap.log_det_jacobian(z), np.log(3.0), atol=1e-12)
+
+    def test_inverted_matrix_and_offset(self):
+        L, b = np.array([[2.0, 0.0], [0.7, 1.5]]), np.array([1.0, -2.0])
+        amap = AffineMap(L, b)
+        assert_allclose(amap.matrix, L, atol=0)
+        assert_allclose(amap.offset, b, atol=0)
+        inv = amap.inverted()
+        assert_allclose(inv.matrix, np.linalg.inv(L), atol=1e-15)
+        assert_allclose(inv.offset, -np.linalg.inv(L) @ b, atol=1e-15)
 
     def test_rejects_non_lower_triangular(self):
         with pytest.raises(Exception):
@@ -195,13 +203,13 @@ class TestClosureLaws:
         qr = kr_transport(self.Q, self.R)
         pr = kr_transport(self.P, self.R)
         z = self.P.sample(rng, 400)
-        assert float(np.abs(compose(qr, pq).forward(z) - pr.forward(z)).max()) < 1e-5
+        assert float(np.abs(ComposedMap([pq, qr]).forward(z) - pr.forward(z)).max()) < 1e-5
 
     def test_composed_log_det_adds(self, rng):
         pq = kr_transport(self.P, self.Q)
         qr = kr_transport(self.Q, self.R)
         z = self.P.sample(rng, 50)
-        total = compose(qr, pq).log_det_jacobian(z)
+        total = ComposedMap([pq, qr]).log_det_jacobian(z)
         assert_allclose(total, pq.log_det_jacobian(z) + qr.log_det_jacobian(pq.forward(z)), atol=1e-5)
 
 
@@ -234,8 +242,8 @@ def test_compose_with_inverse_is_identity(ends):
     src, tgt = ends
     T = kr_transport(src, tgt)
     w, z = tgt.sample(stream(37, 1), 200), src.sample(stream(37, 2), 200)
-    assert np.abs(compose(T, T.inverted()).forward(w) - w).max() <= 1e-9
-    assert np.abs(compose(T.inverted(), T).forward(z) - z).max() <= 1e-9
+    assert np.abs(ComposedMap([T.inverted(), T]).forward(w) - w).max() <= 1e-9
+    assert np.abs(ComposedMap([T, T.inverted()]).forward(z) - z).max() <= 1e-9
 
 
 def test_rosenblatt_uniformises(gauss2):
@@ -304,9 +312,7 @@ class TestAutomorphism:
         auto = Automorphism.from_matrix(M, np.array([1.0, 2.0]))
         z = rng.normal(size=(30, 2))
         assert_allclose(auto.inverse(auto.forward(z)), z, atol=1e-12)
-        M_out, b_out = auto.linear_parts()
-        assert_allclose(M_out, M, atol=0)
-        assert_allclose(b_out, [1.0, 2.0], atol=0)
+        assert_allclose(auto.forward(z), z @ M.T + [1.0, 2.0], rtol=0, atol=0)
 
     @pytest.mark.parametrize("offset", [[0.7], [0.0, 0.0, 0.0], [[1.0, 2.0]]])
     def test_from_matrix_rejects_offset_of_wrong_shape(self, offset):
@@ -323,38 +329,21 @@ class TestAutomorphism:
         auto = Automorphism.from_matrix(M)
         z = rng.normal(size=(12, 2))
         assert_allclose(auto.inverted().forward(z), auto.inverse(z), atol=1e-12)
-        M_inv, b_inv = auto.inverted().linear_parts()
-        assert_allclose(M_inv, np.linalg.inv(M), atol=1e-15)
-        assert_allclose(b_inv, [0.0, 0.0], atol=0)
+        assert_allclose(auto.inverted().inverse(z), auto.forward(z), atol=1e-12)
+        # the inverse's log-det is log|det M^-1| = -log|det M|
+        scaled = Automorphism.from_matrix(3.0 * M)
+        assert_allclose(scaled.inverted().log_det_jacobian(z), np.full(12, -np.log(9.0)), rtol=0, atol=1e-15)
 
-    def test_pointwise_map_has_no_linear_parts_or_log_det(self):
+    def test_pointwise_map_has_no_log_det(self):
         cube = Automorphism(1, lambda z: z**3, np.cbrt)
-        assert cube.linear_parts() is None and cube.inverted().linear_parts() is None
-        with pytest.raises(NotImplementedError):
-            cube.log_det_jacobian(np.ones((3, 1)))
+        for auto in (cube, cube.inverted()):
+            with pytest.raises(NotImplementedError):
+                auto.log_det_jacobian(np.ones((3, 1)))
 
     def test_linear_log_det_is_constant(self):
         auto = Automorphism.from_matrix(np.array([[0.0, -2.0], [1.5, 0.0]]))
         assert_allclose(auto.log_det_jacobian(np.zeros((4, 2))), np.full(4, np.log(3.0)), rtol=1e-15)
         assert auto.log_det_jacobian(np.ones(2)) == pytest.approx(np.log(3.0), rel=1e-15)
-
-
-class TestLinearParts:
-    """Every latent map answers ``linear_parts()``: ``(matrix, offset)`` or ``None``."""
-
-    def test_affine_map_and_its_inverse(self):
-        L, b = np.array([[2.0, 0.0], [0.7, 1.5]]), np.array([1.0, -2.0])
-        M_out, b_out = AffineMap(L, b).linear_parts()
-        assert_allclose(M_out, L, atol=0)
-        assert_allclose(b_out, b, atol=0)
-        M_inv, b_inv = AffineMap(L, b).inverted().linear_parts()
-        assert_allclose(M_inv, np.linalg.inv(L), atol=1e-15)
-        assert_allclose(b_inv, -np.linalg.inv(L) @ b, atol=1e-15)
-
-    def test_nonlinear_maps_answer_none(self, laplace_product, gauss2):
-        chain = CdfChainMap(laplace_product, gauss2)
-        assert chain.linear_parts() is None
-        assert ComposedMap([AffineMap(np.eye(2)), chain]).linear_parts() is None
 
 
 def test_kr_rejects_dimension_mismatch(gauss2):
