@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (DimensionMismatch, RankDeficient, SingularCovariance)
 from .linear import LinearGenerator, _svd_rank, spanning_check
 from .measures import (Distribution, ExpFamily, GaussianDistribution,
-                       ProductDistribution)
+                       ProductDistribution, _rows)
 from .transport import AffineMap, TriangularMap
 
 __all__ = [
@@ -118,7 +118,7 @@ def generate_environment_data(envset: EnvironmentSet, generator,
     if n_per_env <= 0:
         raise ValueError("n_per_env must be positive")
     return EnvironmentData(np.stack(
-        [np.atleast_2d(generator.forward(prior.sample(rng, n_per_env)))
+        [generator.forward(prior.sample(rng, n_per_env))
          for prior in envset.priors]))
 
 
@@ -266,14 +266,13 @@ class MarginalQuantileMap(TriangularMap):
         return out
 
     def inverse(self, X):
-        X2 = np.atleast_2d(np.asarray(X, dtype=float))
-        was_1d = np.asarray(X).ndim == 1
+        X2 = _rows(X, self.dim)
         out = np.empty_like(X2)
         for m in range(self.dim):
             u = self._interp(X2[:, m], self.knots[m], self.levels)
             out[:, m] = self.prior.marginals[m].ppf(
                 np.clip(u, 1e-12, 1.0 - 1e-12))
-        return out[0] if was_1d else out
+        return out
 
     def inverted(self):
         raise NotImplementedError("use .inverse; the map is a fit artifact")
@@ -349,7 +348,7 @@ def verify_multiview(model_a: MultiViewModel, model_b: MultiViewModel,
     for label in sorted(model_a.generators):
         transform = generator_transform(model_a.generators[label],
                                         model_b.generators[label], probes=z)
-        values[label] = np.atleast_2d(transform.forward(z))
+        values[label] = transform.forward(z)
         sups[label], rmss[label] = identity_deviation(transform, z)
     labels = sorted(values)
     disagreement = 0.0

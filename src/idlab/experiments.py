@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -137,7 +137,8 @@ def _run_ica_comon(params, seed, jobs):
     probes = source.sample(stream(seed), params["n_probes"])
     report = component_wise_check(mapping, probes, tol=params["tol"])
     # the Jacobian at the sample median should be a diagonal matrix
-    J = jacobian_fd(mapping.forward, np.median(probes, axis=0))[0]
+    J = jacobian_fd(mapping.forward,
+                    np.median(probes, axis=0, keepdims=True))[0]
     comon = comon_structure_check(J, tol=params["tol"])
     passed = bool(report.passed and comon.component_wise)
     row = {"max_offdiag": report.max_offdiag, "max_upper": report.max_upper,
@@ -191,7 +192,7 @@ def _run_expfam_kernel(params, seed, jobs):
     M = np.asarray(params["contrasts"], dtype=float)
     probes = GaussianDistribution(np.zeros(d), np.eye(d)).sample(
         stream(seed), params["n_probes"])
-    suff = lambda z: np.atleast_2d(z)
+    suff = lambda z: z
 
     flip = Automorphism.from_matrix(np.diag([1.0, 1.0, -1.0]))
     r_flip = kernel_residual(suff, flip, M, probes)
@@ -285,9 +286,7 @@ def _run_ivae_affine(params, seed, jobs):
     fit_b = fit_env_affine_generator(data, envset_b)
 
     x = data.x.reshape(-1, data.x.shape[-1])
-    stats_a = np.atleast_2d(fit_a.inverse(x))
-    stats_b = np.atleast_2d(fit_b.inverse(x))
-    relation = affine_relation_fit(stats_a, stats_b)
+    relation = affine_relation_fit(fit_a.inverse(x), fit_b.inverse(x))
 
     matrix_err = float(np.abs(relation.matrix.T - G).max())
     offset_err = float(np.abs(relation.offset - h).max())
@@ -489,6 +488,8 @@ class ExperimentDef:
     anchor: str
     defaults: dict
     columns: list
+    #: the shape of each list default, as ``_fits`` reads it
+    shapes: dict = field(default_factory=dict)
 
 
 EXPERIMENTS = {
@@ -498,7 +499,8 @@ EXPERIMENTS = {
         {"dims": [1, 2, 3],
          "families": ["gaussian", "laplace_product", "gaussian_mixture"],
          "n_probes": 1000, "tol": 1e-6},
-        ["family", "dim", "sup_dev", "rms_dev", "passed"]),
+        ["family", "dim", "sup_dev", "rms_dev", "passed"],
+        {"dims": ("k",), "families": ("f",)}),
     "kr-gaussian": ExperimentDef(
         _run_kr_gaussian,
         "conditional-CDF recursion between Gaussians matches the closed-form "
@@ -517,21 +519,24 @@ EXPERIMENTS = {
         {"mu1": [0.0, 0.0], "mu2": [1.0, 0.0],
          "loading": [[1.0, 0.0], [0.5, 1.0], [-0.25, 0.7]],
          "tol_constraint": 1e-12, "min_distance": 0.5},
-        ["constraint_dev", "loading_distance", "counterexample_valid"]),
+        ["constraint_dev", "loading_distance", "counterexample_valid"],
+        {"mu1": (2,), "mu2": (2,), "loading": ("x", 2)}),
     "fa-three-env": ExperimentDef(
         _run_fa_three_env,
         "environment mean contrasts spanning the latent space pin the "
         "loading uniquely",
         {"env_means": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
          "loading": [[1.0, 0.0], [0.5, 1.0], [-0.25, 0.7]], "tol": 1e-8},
-        ["n_envs", "contrast_rank", "unique", "deviation"]),
+        ["n_envs", "contrast_rank", "unique", "deviation"],
+        {"env_means": ("e", "d"), "loading": ("x", "d")}),
     "expfam-kernel": ExperimentDef(
         _run_expfam_kernel,
         "statistic differences under an equivalence transform fall in the "
         "kernel of the parameter contrasts",
         {"contrasts": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
          "n_probes": 500, "tol": 1e-12, "shift": 0.1},
-        ["case", "residual", "fixed_coords_pass", "passed"]),
+        ["case", "residual", "fixed_coords_pass", "passed"],
+        {"contrasts": ("c", 3)}),
     "strong-vae": ExperimentDef(
         _run_strong_vae,
         "with spanning environment means, independent fits on disjoint data "
@@ -539,7 +544,7 @@ EXPERIMENTS = {
         {"n_seeds": 20, "n_per_env": 100000, "radius": 3.0,
          "angle_deg": 30.0, "offset": [0.5, -0.3], "min_passes": 19,
          "grid": 21},
-        ["seed", "sup_dev", "tol", "passed"]),
+        ["seed", "sup_dev", "tol", "passed"], {"offset": (2,)}),
     "ivae-affine": ExperimentDef(
         _run_ivae_affine,
         "re-anchoring the prior means changes recovered latents only by an "
@@ -548,7 +553,8 @@ EXPERIMENTS = {
          "offset": [0.5, -0.3], "gauge_matrix": [[1.2, 0.3], [-0.2, 0.9]],
          "gauge_offset": [0.4, -1.0], "max_cond": 1e3, "resid_factor": 10.0},
         ["residual", "cond_L", "frozen_dev", "matrix_err", "offset_err",
-         "passed"]),
+         "passed"],
+        {"offset": (2,), "gauge_matrix": (2, 2), "gauge_offset": (2,)}),
     "two-labs": ExperimentDef(
         _run_two_labs,
         "equivalent fits differ by a prior-preserving transform; "
@@ -556,20 +562,20 @@ EXPERIMENTS = {
         {"n": 100000, "angle_deg": 45.0, "alpha": 0.01, "ks_ratio_min": 3.0,
          "loading": [[1.0, 0.0], [0.6, 1.0]]},
         ["cell", "pushforward_pass", "identity_sup_dev", "max_ks_ratio",
-         "fit_dev", "passed"]),
+         "fit_dev", "passed"], {"loading": (2, 2)}),
     "task-shift": ExperimentDef(
         _run_task_shift,
         "a latent-shift task changes output under a certified rotation but "
         "not under the identity",
         {"delta": 1.0, "k": 0, "obs": [[1.0, 0.0, 0.0]], "tol": 1e-9},
-        ["cell", "distance", "identifiable", "passed"]),
+        ["cell", "distance", "identifiable", "passed"], {"obs": ("n", 3)}),
     "task-indep": ExperimentDef(
         _run_task_indep,
         "a rank-correlation task is exactly blind to componentwise monotone "
         "relabelings",
         {"n": 1000, "pair": [0, 0], "loading": [[1.0, 0.0], [0.6, 1.0]],
          "null_bound": 0.08},
-        ["cell", "value", "passed"]),
+        ["cell", "value", "passed"], {"pair": (2,), "loading": (2, 2)}),
     "multiview": ExperimentDef(
         _run_multiview,
         "one constrained view pins the shared latent for every view",
@@ -603,6 +609,22 @@ def _leaves(value):
         yield value
 
 
+def _fits(value, shape, sizes) -> bool:
+    """Is the nested list ``value`` of ``shape``?
+
+    An int axis takes that length.  A named axis takes any length >= 1, and
+    then only that length wherever the name recurs: ``sizes`` binds it.
+    """
+    if not shape:
+        return not isinstance(value, list)
+    if not isinstance(value, list):
+        return False
+    axis = shape[0]
+    n = sizes.setdefault(axis, len(value)) if isinstance(axis, str) else axis
+    return len(value) == n >= 1 and all(_fits(v, shape[1:], sizes)
+                                        for v in value)
+
+
 #: open interval each named float param must lie in, in every experiment
 #: that registers it: tolerances and bounds are positive, alpha a level
 _RANGES = {key: (0.0, math.inf)
@@ -620,8 +642,9 @@ def check_params(name: str, params: dict | None) -> None:
     registered is accepted, a bool where an int is registered is not) or,
     for a list, an entry whose type differs by the same rule from the
     default's entries, gives a value below 1 where the default is a
-    positive int, since every such param is a count or a size, or gives a
-    value outside its open interval in ``_RANGES``.
+    positive int, since every such param is a count or a size, gives a
+    value outside its open interval in ``_RANGES``, or leaves a list param,
+    overridden or not, off its shape in ``ExperimentDef.shapes``.
     """
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment: {name!r}")
@@ -650,6 +673,13 @@ def check_params(name: str, params: dict | None) -> None:
         if lo is not None and not lo < value < hi:
             raise ValueError(f"{name}: {key} must lie in ({lo:g}, {hi:g}), "
                              f"got {value}")
+    sizes: dict = {}
+    for key, shape in EXPERIMENTS[name].shapes.items():
+        value = (params or {}).get(key, defaults[key])
+        want = tuple(sizes.get(axis, axis) for axis in shape)
+        if not _fits(value, shape, sizes):
+            raise ValueError(f"{name}: {key} must have shape {want}, "
+                             f"got {value!r}")
 
 
 def run_experiment(name: str, params: dict | None = None, seed: int = 7,

@@ -58,18 +58,14 @@ class TransportedDistribution(Distribution):
     def __init__(self, base: Distribution, transform):
         self.base = base
         self.transform = transform
-        self.full_support = getattr(base, "full_support", True)
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
     def log_density(self, z):
-        z2 = np.atleast_2d(np.asarray(z, dtype=float))
-        w = np.atleast_2d(self.transform.inverse(z2))
-        out = (self.base.log_density(w)
-               - np.asarray(self.transform.log_det_jacobian(w)))
-        return out if np.asarray(z).ndim > 1 else float(out[0])
+        w = self.transform.inverse(z)
+        return self.base.log_density(w) - self.transform.log_det_jacobian(w)
 
     def conditional_cdf(self, m, prefix, values):
         raise NotImplementedError("transported laws do not expose conditionals")
@@ -78,7 +74,7 @@ class TransportedDistribution(Distribution):
         raise NotImplementedError("transported laws do not expose conditionals")
 
     def sample(self, rng, n):
-        return np.atleast_2d(self.transform.forward(self.base.sample(rng, n)))
+        return self.transform.forward(self.base.sample(rng, n))
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +118,9 @@ class FixedCoordinateReport:
 
 def _range_guard(gen_a, gen_b, probes):
     """Raise unless gen_a's outputs survive a round trip through gen_b."""
-    y = np.atleast_2d(gen_a.forward(probes))
+    y = gen_a.forward(probes)
     scale = 1.0 + float(np.abs(y).max())
-    back = np.atleast_2d(gen_b.forward(np.atleast_2d(gen_b.inverse(y))))
+    back = gen_b.forward(gen_b.inverse(y))
     residual = float(np.abs(back - y).max())
     if residual > _RANGE_TOL * scale:
         raise RangeMismatch(
@@ -151,7 +147,6 @@ def generator_transform(gen_a, gen_b, probes=None):
     dz = int(dz_a)
     if probes is None:
         probes = np.vstack([np.zeros(dz), np.eye(dz), -np.eye(dz)])
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
 
     if isinstance(gen_a, LinearGenerator) and isinstance(gen_b, LinearGenerator):
         if gen_a.obs_dim != gen_b.obs_dim:
@@ -169,13 +164,8 @@ def generator_transform(gen_a, gen_b, probes=None):
 
     _range_guard(gen_a, gen_b, probes)
 
-    def fwd(Z):
-        return np.atleast_2d(gen_b.inverse(gen_a.forward(Z)))
-
-    def inv(W):
-        return np.atleast_2d(gen_a.inverse(gen_b.forward(W)))
-
-    return Automorphism(dz, fwd, inv)
+    return Automorphism(dz, lambda Z: gen_b.inverse(gen_a.forward(Z)),
+                        lambda W: gen_a.inverse(gen_b.forward(W)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +173,8 @@ def generator_transform(gen_a, gen_b, probes=None):
 # ---------------------------------------------------------------------------
 
 def identity_deviation(transform, probes):
-    """(sup, rms) of ``transform(z) - z`` over the probe rows."""
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    delta = np.atleast_2d(transform.forward(probes)) - probes
+    """(sup, rms) of ``transform(z) - z`` over the ``(n, d)`` probe rows."""
+    delta = transform.forward(probes) - probes
     return float(np.abs(delta).max()), float(np.sqrt(np.mean(delta * delta)))
 
 
@@ -197,10 +186,7 @@ def kernel_residual(suff_stat, transform, contrasts, probes) -> float:
     back, so a near-zero value certifies that the transform only moves
     statistics along the constraint kernel.
     """
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    moved = np.atleast_2d(transform.forward(probes))
-    diff = (np.atleast_2d(suff_stat(probes))
-            - np.atleast_2d(suff_stat(moved)))
+    diff = suff_stat(probes) - suff_stat(transform.forward(probes))
     M = np.atleast_2d(np.asarray(contrasts, dtype=float))
     if M.shape[1] != diff.shape[1]:
         raise DimensionMismatch(
@@ -219,9 +205,7 @@ def fixed_coordinate_check(transform, coords, probes,
     coords = [int(c) for c in coords]
     if not coords:
         raise ValueError("coordinate set must be non-empty")
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    moved = np.atleast_2d(transform.forward(probes))
-    dev = np.abs(moved - probes).max(axis=0)
+    dev = np.abs(transform.forward(probes) - probes).max(axis=0)
     devs = {c: float(dev[c]) for c in coords}
     return FixedCoordinateReport(deviations=devs,
                                  passed=bool(max(devs.values()) < tol),
@@ -234,7 +218,7 @@ def fixed_coordinate_check(transform, coords, probes,
 
 def _affine_fit_residual(transform, probes) -> float:
     """Sup misfit of the best affine approximation on the probes."""
-    vals = np.atleast_2d(transform.forward(probes))
+    vals = transform.forward(probes)
     X = np.column_stack([probes, np.ones(probes.shape[0])])
     coef, *_ = np.linalg.lstsq(X, vals, rcond=None)
     return float(np.abs(X @ coef - vals).max())
@@ -249,7 +233,6 @@ def structure_flags(transform, probes, is_identity: bool) -> dict:
     cumulative: identity implies componentwise and affine, and
     componentwise implies triangular.
     """
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
     is_affine = (is_identity
                  or _affine_fit_residual(transform, probes) < _STRUCTURE_TOL)
 

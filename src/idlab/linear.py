@@ -46,6 +46,9 @@ class LinearGenerator:
     def __init__(self, loading, offset=None):
         self.loading = np.atleast_2d(np.asarray(loading, dtype=float))
         dx, dz = self.loading.shape
+        if self.loading.size == 0:
+            raise DimensionMismatch(
+                f"loading must have entries, got shape {self.loading.shape}")
         self.offset = _offset(offset, dx)
         # one thresholded SVD gives the rank and the left inverse on the range
         u, s, vt = np.linalg.svd(self.loading, full_matrices=False)

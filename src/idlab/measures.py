@@ -255,20 +255,12 @@ class GaussianMixture1D(Univariate):
 # ---------------------------------------------------------------------------
 
 def _rows(z, dim):
-    """Normalize points to a 2-D (n, dim) array; report if input was 1-D."""
+    """Points as an ``(n, dim)`` float array; any other shape is a mismatch."""
     z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        if z.shape[0] != dim:
-            raise DimensionMismatch(f"expected point of dimension {dim}")
-        return z[None, :], True
     if z.ndim != 2 or z.shape[1] != dim:
-        raise DimensionMismatch(f"expected (n, {dim}) array")
-    return z, False
-
-
-def _like_p(p, out):
-    """``out`` as a float when ``p`` is a scalar and gave one row."""
-    return float(out[0]) if np.ndim(p) == 0 and out.shape[0] == 1 else out
+        raise DimensionMismatch(
+            f"expected (n, {dim}) rows, got shape {z.shape}")
+    return z
 
 
 class Distribution(abc.ABC):
@@ -277,10 +269,11 @@ class Distribution(abc.ABC):
     Subclasses provide ``log_density``, a sampler, ``conditional_cdf`` and
     its inverse ``conditional_quantile``.  Coordinates are indexed 0-based: the
     conditional for coordinate ``m`` conditions on coordinates ``0..m-1``.
+    Points are ``(n, dim)`` float rows and per-point values ``(n,)`` arrays,
+    in every method: a single ``(dim,)`` point is rejected with
+    ``DimensionMismatch``, not broadcast.
     """
 
-    #: density strictly positive on the (possibly box-shaped) support
-    full_support: bool = True
     #: whether conditional CDFs are available (transported laws may lack them)
     has_conditionals: bool = True
 
@@ -300,33 +293,28 @@ class Distribution(abc.ABC):
     def conditional_cdf(self, m: int, prefix, values):
         """CDF of coordinate ``m`` given the first ``m`` coordinates.
 
-        ``prefix`` is an ``(n, m)`` array (or a single ``(m,)`` row) and
-        ``values`` a scalar or ``(n,)`` array; rows pair off elementwise.
+        ``prefix`` is an ``(n, m)`` array and ``values`` an ``(n,)`` array;
+        row ``i`` of the prefix conditions ``values[i]``, and the result is
+        an ``(n,)`` array.
         """
         ...
 
     def _prep_conditional(self, m, prefix, values):
-        prefix = np.asarray(prefix, dtype=float)
-        if prefix.ndim <= 1:
-            prefix = prefix.reshape(1, -1)
-        if prefix.shape[1] != m:
-            raise DimensionMismatch(f"prefix must have {m} columns")
-        values = np.atleast_1d(np.asarray(values, dtype=float))
-        n = max(prefix.shape[0], values.shape[0])
-        if prefix.shape[0] == 1 and n > 1:
-            prefix = np.broadcast_to(prefix, (n, m))
-        if values.shape[0] == 1 and n > 1:
-            values = np.broadcast_to(values, (n,))
-        if prefix.shape[0] != n or values.shape[0] != n:
-            raise DimensionMismatch("prefix rows and values must align")
+        prefix = _rows(prefix, m)
+        values = np.asarray(values, dtype=float)
+        if values.shape != (prefix.shape[0],):
+            raise DimensionMismatch(
+                f"values must have shape ({prefix.shape[0]},), "
+                f"got {values.shape}")
         return prefix, values
 
     @abc.abstractmethod
     def conditional_quantile(self, m: int, prefix, p):
         """Inverse of ``conditional_cdf`` in ``values`` at probabilities ``p``.
 
-        ``p`` is clipped to ``[_P_FLOOR, _P_CEIL]``, so 0 and 1 give finite
-        points; a scalar ``p`` with one prefix row gives a float.
+        ``prefix`` and ``p`` are shaped as in ``conditional_cdf``, and the
+        result is an ``(n,)`` array.  ``p`` is clipped to
+        ``[_P_FLOOR, _P_CEIL]``, so 0 and 1 give finite points.
         """
         ...
 
@@ -357,12 +345,11 @@ class GaussianDistribution(Distribution):
         return self.mean.shape[0]
 
     def log_density(self, z):
-        z2, was_1d = _rows(z, self.dim)
+        z2 = _rows(z, self.dim)
         w = np.linalg.solve(self.cholesky.T,
                             np.linalg.solve(self.cholesky, (z2 - self.mean).T))
         quad = np.sum((z2 - self.mean).T * w, axis=0)
-        out = -0.5 * (quad + self._log_det + self.dim * _LOG_2PI)
-        return float(out[0]) if was_1d else out
+        return -0.5 * (quad + self._log_det + self.dim * _LOG_2PI)
 
     def _cond_coef(self, m):
         """Regression coefficients and residual sd of coord m on 0..m-1."""
@@ -390,8 +377,7 @@ class GaussianDistribution(Distribution):
         """Closed form ``mu + sd * ndtri(p)``."""
         prefix2, p2 = self._prep_conditional(m, prefix, p)
         mu, sd = self._cond_moments(m, prefix2)
-        return _like_p(p, mu + sd * special.ndtri(
-            np.clip(p2, _P_FLOOR, _P_CEIL)))
+        return mu + sd * special.ndtri(np.clip(p2, _P_FLOOR, _P_CEIL))
 
     def sample(self, rng, n):
         return self.mean + rng.standard_normal((n, self.dim)) @ self.cholesky.T
@@ -417,11 +403,11 @@ class ProductDistribution(Distribution):
         return self.marginals[m].support
 
     def log_density(self, z):
-        z2, was_1d = _rows(z, self.dim)
+        z2 = _rows(z, self.dim)
         out = np.zeros(z2.shape[0])
         for m, marg in enumerate(self.marginals):
             out += marg.log_pdf(z2[:, m])
-        return float(out[0]) if was_1d else out
+        return out
 
     def conditional_cdf(self, m, prefix, values):
         _, v2 = self._prep_conditional(m, prefix, values)
@@ -430,7 +416,7 @@ class ProductDistribution(Distribution):
     def conditional_quantile(self, m, prefix, p):
         """The marginal's quantile."""
         _, p2 = self._prep_conditional(m, prefix, p)
-        return _like_p(p, self.marginals[m].ppf(np.clip(p2, _P_FLOOR, _P_CEIL)))
+        return self.marginals[m].ppf(np.clip(p2, _P_FLOOR, _P_CEIL))
 
     def sample(self, rng, n):
         return np.column_stack([marg.sample(rng, n) for marg in self.marginals])
@@ -526,11 +512,11 @@ class ExpFamily(ProductDistribution):
 
     def log_base(self, z):
         """Log carrier  sum_i log q(z_i)  of each row."""
-        return self._scalar[0](_rows(z, self.dim)[0]).sum(axis=1)
+        return self._scalar[0](_rows(z, self.dim)).sum(axis=1)
 
     def suff_stat(self, z):
         """Statistic rows  (T(z_1), ..., T(z_d)),  shape ``(n, dim)``."""
-        return self._scalar[1](_rows(z, self.dim)[0])
+        return self._scalar[1](_rows(z, self.dim))
 
     def log_partition(self, eta):
         """Log partition  sum_i A(eta_i)."""

@@ -31,9 +31,9 @@ __all__ = [
 
 
 def sup_point_metric(out_a, out_b) -> float:
-    """Largest per-point Euclidean distance between two point sets."""
-    A = np.atleast_2d(np.asarray(out_a, dtype=float))
-    B = np.atleast_2d(np.asarray(out_b, dtype=float))
+    """Largest per-row Euclidean distance between two ``(n, d)`` arrays."""
+    A = np.asarray(out_a, dtype=float)
+    B = np.asarray(out_b, dtype=float)
     if A.shape != B.shape:
         raise DimensionMismatch("task outputs have different shapes")
     return float(np.sqrt(np.sum((A - B) ** 2, axis=1)).max())
@@ -77,8 +77,8 @@ class TaskReport:
 # ---------------------------------------------------------------------------
 
 def _invert_obs(theta, obs):
-    return np.atleast_2d(theta.generator.inverse(np.atleast_2d(
-        np.asarray(obs, dtype=float))))
+    """Selection shared by both tasks: the latents of the observation rows."""
+    return theta.generator.inverse(obs)
 
 
 def latent_shift_task(delta: float, k: int) -> TaskSpec:
@@ -89,18 +89,14 @@ def latent_shift_task(delta: float, k: int) -> TaskSpec:
     sets compared by the largest per-point distance.
     """
 
-    def select(theta, obs):
-        return _invert_obs(theta, obs)
-
     def evaluate(theta, obs, latents):
-        Z = np.atleast_2d(np.asarray(latents, dtype=float))
-        if not 0 <= k < Z.shape[1]:
+        shifted = np.array(latents, dtype=float)
+        if not 0 <= k < shifted.shape[1]:
             raise DimensionMismatch(f"shift coordinate {k} out of range")
-        shifted = Z.copy()
         shifted[:, k] += delta
-        return np.atleast_2d(theta.generator.forward(shifted))
+        return theta.generator.forward(shifted)
 
-    return TaskSpec(select=select, evaluate=evaluate,
+    return TaskSpec(select=_invert_obs, evaluate=evaluate,
                     output_metric=sup_point_metric,
                     name=f"latent_shift[delta={delta},k={k}]")
 
@@ -141,17 +137,14 @@ def independence_test_task(pair, n: int) -> TaskSpec:
     if n < 30:
         raise ValueError("independence statistic needs n >= 30")
 
-    def select(theta, obs):
-        return _invert_obs(theta, obs)
-
     def evaluate(theta, obs, latents):
-        X = np.atleast_2d(np.asarray(obs, dtype=float))
-        Z = np.atleast_2d(np.asarray(latents, dtype=float))
+        X = np.asarray(obs, dtype=float)
+        Z = np.asarray(latents, dtype=float)
         if X.shape[0] < 30:
             raise ValueError("independence statistic needs n >= 30 rows")
         return spearman_abs(X[:, j], Z[:, k])
 
-    return TaskSpec(select=select, evaluate=evaluate,
+    return TaskSpec(select=_invert_obs, evaluate=evaluate,
                     output_metric=abs_diff_metric,
                     name=f"independence[obs={j},latent={k}]")
 

@@ -86,9 +86,7 @@ class TriangularMap(abc.ABC):
         ...
 
     def forward(self, Z):
-        Z2, was_1d = _rows(Z, self.dim)
-        out = self.forward_prefix(Z2)
-        return out[0] if was_1d else out
+        return self.forward_prefix(_rows(Z, self.dim))
 
     def log_det_jacobian(self, Z):
         """Sum over coordinates of log dT_m/dz_m, central differences.
@@ -97,7 +95,7 @@ class TriangularMap(abc.ABC):
         column ``m`` of ``forward_prefix`` on the first ``m + 1`` columns is
         read off.
         """
-        Z2, was_1d = _rows(Z, self.dim)
+        Z2 = _rows(Z, self.dim)
         out = np.zeros(Z2.shape[0])
         for m in range(self.dim):
             hi = Z2[:, :m + 1].copy()
@@ -110,7 +108,7 @@ class TriangularMap(abc.ABC):
                 raise NonFiniteDerivative(
                     f"component {m} has non-positive or non-finite slope")
             out += np.log(slope)
-        return float(out[0]) if was_1d else out
+        return out
 
 
 class AffineMap(TriangularMap):
@@ -136,18 +134,17 @@ class AffineMap(TriangularMap):
         return self.offset[:k] + P @ self.matrix[:k, :k].T
 
     def inverse(self, X):
-        X2, was_1d = _rows(X, self.dim)
-        out = solve_triangular(self.matrix, (X2 - self.offset).T, lower=True).T
-        return out[0] if was_1d else out
+        X2 = _rows(X, self.dim)
+        return solve_triangular(self.matrix, (X2 - self.offset).T,
+                                lower=True).T
 
     def inverted(self):
         inv = solve_triangular(self.matrix, np.eye(self.dim), lower=True)
         return AffineMap(inv, -inv @ self.offset)
 
     def log_det_jacobian(self, Z):
-        Z2, was_1d = _rows(Z, self.dim)
-        val = float(np.sum(np.log(np.diag(self.matrix))))
-        return val if was_1d else np.full(Z2.shape[0], val)
+        return np.full(_rows(Z, self.dim).shape[0],
+                       np.sum(np.log(np.diag(self.matrix))))
 
 
 class CdfChainMap(TriangularMap):
@@ -183,12 +180,12 @@ class CdfChainMap(TriangularMap):
 
     def log_det_jacobian(self, Z):
         """Exact ``log p_source(z) - log p_target(T z)``."""
-        Z2, was_1d = _rows(Z, self.dim)
+        Z2 = _rows(Z, self.dim)
         out = (self.source.log_density(Z2)
                - self.target.log_density(self.forward_prefix(Z2)))
         if not np.all(np.isfinite(out)):
             raise NonFiniteDerivative("log-det is not finite off the support")
-        return float(out[0]) if was_1d else out
+        return out
 
     def inverted(self):
         return CdfChainMap(self.target, self.source)
@@ -217,7 +214,7 @@ class ComposedMap(TriangularMap):
         return out
 
     def inverse(self, X):
-        out = np.asarray(X, dtype=float)
+        out = _rows(X, self.dim)
         for p in reversed(self.parts):
             out = p.inverse(out)
         return out
@@ -227,13 +224,12 @@ class ComposedMap(TriangularMap):
 
     def log_det_jacobian(self, Z):
         """Exact chain rule: triangular Jacobians multiply diagonal-wise."""
-        Z2, was_1d = _rows(Z, self.dim)
-        out = np.zeros(Z2.shape[0])
-        cur = Z2
+        cur = _rows(Z, self.dim)
+        out = np.zeros(cur.shape[0])
         for p in self.parts:
-            out = out + np.atleast_1d(p.log_det_jacobian(cur))
+            out = out + p.log_det_jacobian(cur)
             cur = p.forward_prefix(cur)
-        return float(out[0]) if was_1d else out
+        return out
 
 
 class Automorphism:
@@ -251,14 +247,10 @@ class Automorphism:
         self._log_abs_det = log_abs_det
 
     def forward(self, Z):
-        Z2, was_1d = _rows(Z, self.dim)
-        out = np.asarray(self._forward(Z2), dtype=float)
-        return out[0] if was_1d else out
+        return np.asarray(self._forward(_rows(Z, self.dim)), dtype=float)
 
     def inverse(self, X):
-        X2, was_1d = _rows(X, self.dim)
-        out = np.asarray(self._inverse(X2), dtype=float)
-        return out[0] if was_1d else out
+        return np.asarray(self._inverse(_rows(X, self.dim)), dtype=float)
 
     def inverted(self) -> "Automorphism":
         log_abs_det = (None if self._log_abs_det is None
@@ -270,9 +262,7 @@ class Automorphism:
         if self._log_abs_det is None:
             raise NotImplementedError(
                 "transform does not expose a Jacobian determinant")
-        Z2, was_1d = _rows(Z, self.dim)
-        val = self._log_abs_det
-        return val if was_1d else np.full(Z2.shape[0], val)
+        return np.full(_rows(Z, self.dim).shape[0], self._log_abs_det)
 
     @classmethod
     def identity(cls, dim: int) -> "Automorphism":
@@ -319,8 +309,6 @@ def kr_transport(source: Distribution, target: Distribution,
     """
     if source.dim != target.dim:
         raise DimensionMismatch("source and target dimension differ")
-    if not (source.full_support and target.full_support):
-        raise ValueError("transport endpoints must be fully supported")
     if method not in ("auto", "cdf_chain"):
         raise ValueError(f"unknown method: {method!r}")
     if (method == "auto" and isinstance(source, GaussianDistribution)
@@ -345,7 +333,7 @@ def rosenblatt(dist: Distribution, X) -> np.ndarray:
 
     Under ``X ~ dist`` every output column is i.i.d. uniform on (0, 1).
     """
-    X2, _ = _rows(X, dist.dim)
+    X2 = _rows(X, dist.dim)
     U = np.empty_like(X2)
     for m in range(dist.dim):
         U[:, m] = dist.conditional_cdf(m, X2[:, :m], X2[:, m])
@@ -411,16 +399,14 @@ def pushforward_check(mapping, source: Distribution, target: Distribution,
 
 
 def jacobian_fd(forward, Z) -> np.ndarray:
-    """Central-difference Jacobians of a vector map, shape (n, d_out, d_in)."""
-    Z2 = np.atleast_2d(np.asarray(Z, dtype=float))
-    n, d = Z2.shape
+    """Central-difference Jacobians at ``(n, d)`` rows, ``(n, d_out, d)``."""
+    Z2 = np.asarray(Z, dtype=float)
+    d = Z2.shape[-1]
     cols = []
     for j in range(d):
         e = np.zeros(d)
         e[j] = _STEP
-        hi = np.atleast_2d(forward(Z2 + e))
-        lo = np.atleast_2d(forward(Z2 - e))
-        cols.append((hi - lo) / (2.0 * _STEP))
+        cols.append((forward(Z2 + e) - forward(Z2 - e)) / (2.0 * _STEP))
     return np.stack(cols, axis=2)
 
 
@@ -444,7 +430,6 @@ def component_wise_check(mapping, probes,
     ``tol`` in absolute value at every probe point, i.e. the map acts on
     each coordinate separately.
     """
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
     J = jacobian_fd(mapping.forward, probes)
     entry_max = np.max(np.abs(J), axis=0)
     d = entry_max.shape[0]

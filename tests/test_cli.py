@@ -135,6 +135,14 @@ class TestUsageErrors:
         ("all", {"task-indep": {"pair": ["a", 0]}}, "task-indep: pair entries must be of type int, got 'a'"),
         ("kr-identity", {"dims": ["a"]}, "dims entries must be of type int, got 'a'"),
         ("task-indep", {"pair": [True, 0]}, "pair entries must be of type int, got True"),
+        ("fa-rotation", {"mu1": [0, 0, 0]}, "mu1 must have shape (2,), got [0, 0, 0]"),
+        ("fa-rotation", {"loading": []}, "loading must have shape ('x', 2), got []"),
+        ("two-labs", {"loading": [[1.0, 0.0, 0.0], [0.6, 1.0, 0.0]]}, "loading must have shape (2, 2)"),
+        ("strong-vae", {"offset": [0.5]}, "offset must have shape (2,), got [0.5]"),
+        ("all", {"task-shift": {"obs": [[1.0, 0.0]]}}, "task-shift: obs must have shape ('n', 3)"),
+        # a named axis takes one length across params, overridden or not
+        ("fa-three-env", {"loading": [[1.0, 0.0, 0.0]]}, "loading must have shape ('x', 2)"),
+        ("fa-rotation", {"loading": [[1.0, 0.0], [0.5]]}, "loading must have shape ('x', 2)"),
     ])
     def test_bad_override_value_writes_nothing(self, tmp_path, capsys, experiment, params, message):
         cfg = write_config(tmp_path / "cfg.json", experiment=experiment, params=params)

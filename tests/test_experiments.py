@@ -6,6 +6,7 @@ import pytest
 
 from idlab import EXPERIMENTS, ExperimentResult, experiment_info, run_experiment
 from idlab.cli import _to_json
+from idlab.experiments import check_params
 
 
 def test_registry_has_twelve_entries():
@@ -18,6 +19,20 @@ def test_every_entry_documents_itself():
         assert info["anchor"].strip()
         assert isinstance(info["defaults"], dict)
         assert info["columns"]
+
+
+def test_every_list_default_declares_its_shape():
+    for name, spec in EXPERIMENTS.items():
+        lists = {key for key, value in spec.defaults.items() if type(value) is list}
+        assert set(spec.shapes) == lists, name
+        check_params(name, spec.defaults)
+
+
+def test_named_axes_take_any_length_they_agree_on():
+    three = {"env_means": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "loading": [[1.0, 0.0, 0.0]] * 4}
+    check_params("fa-three-env", three)
+    with pytest.raises(ValueError, match=r"loading must have shape \('x', 3\)"):
+        check_params("fa-three-env", {**three, "loading": [[1.0, 0.0]]})
 
 
 def test_unknown_name_raises_before_computing():

@@ -45,6 +45,12 @@ def test_offset_of_wrong_length_is_a_dimension_mismatch(make):
         make()
 
 
+@pytest.mark.parametrize("loading", [np.zeros((3, 0)), np.zeros((0, 2)), []], ids=["no_columns", "no_rows", "empty_list"])
+def test_empty_loading_is_a_dimension_mismatch(loading):
+    with pytest.raises(DimensionMismatch, match="loading"):
+        LinearGenerator(loading)
+
+
 def test_rotation_counterexample_oracle():
     gen = LinearGenerator(EMBED)
     mu1, mu2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])

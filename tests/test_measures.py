@@ -184,7 +184,10 @@ def test_closed_form_quantile_edges_and_scalars(dist):
         v = dist.conditional_quantile(m, z[:, :m], np.array([0.0, 1.0]))
         lo, hi = dist.coordinate_support(m)
         assert np.all(np.isfinite(v)) and np.all((lo <= v) & (v <= hi))
-        assert type(dist.conditional_quantile(m, z[0, :m], 0.3)) is float
+        # a single query is one (1, m) prefix row and one (1,) probability
+        one = dist.conditional_quantile(m, z[:1, :m], np.array([0.3]))
+        assert one.shape == (1,) and one.dtype == np.float64
+        assert_allclose(one, dist.conditional_quantile(m, z[:, :m], np.full(2, 0.3))[:1], rtol=1e-14)
 
 
 class TestProductDistribution:
@@ -239,8 +242,8 @@ class TestExpFamilyTables:
     def test_rows_do_not_depend_on_blocks(self):
         z = stream(17, 0).normal(size=(130, 2)) + self.fam.eta
         p = stream(17, 1).random(130)
-        single_q = [self.fam.conditional_quantile(1, z[i, :1], p[i]) for i in range(130)]
-        single_c = [self.fam.conditional_cdf(1, z[i, :1], z[i, 1])[0] for i in range(130)]
+        single_q = [self.fam.conditional_quantile(1, z[i:i + 1, :1], p[i:i + 1])[0] for i in range(130)]
+        single_c = [self.fam.conditional_cdf(1, z[i:i + 1, :1], z[i:i + 1, 1])[0] for i in range(130)]
         for n in (1, 64, 65, 130):
             assert np.array_equal(self.fam.conditional_quantile(1, z[:n, :1], p[:n]), single_q[:n])
             assert np.array_equal(self.fam.conditional_cdf(1, z[:n, :1], z[:n, 1]), single_c[:n])

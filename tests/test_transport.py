@@ -12,6 +12,7 @@ from idlab import (
     Automorphism,
     CdfChainMap,
     ComposedMap,
+    ExpFamily,
     Exponential1D,
     GaussianDistribution,
     GaussianMixture1D,
@@ -170,7 +171,8 @@ class TestCdfChainLogDet:
 
     def test_outside_source_support_raises(self):
         chain = CdfChainMap(ProductDistribution([Exponential1D(1.0)]), ProductDistribution([Normal1D()]))
-        assert np.isfinite(chain.log_det_jacobian(np.array([0.5])))
+        inside = chain.log_det_jacobian(np.array([[0.5]]))
+        assert inside.shape == (1,) and np.isfinite(inside[0])
         with pytest.raises(NonFiniteDerivative):
             chain.log_det_jacobian(np.array([[0.5], [-1.0]]))
 
@@ -343,7 +345,41 @@ class TestAutomorphism:
     def test_linear_log_det_is_constant(self):
         auto = Automorphism.from_matrix(np.array([[0.0, -2.0], [1.5, 0.0]]))
         assert_allclose(auto.log_det_jacobian(np.zeros((4, 2))), np.full(4, np.log(3.0)), rtol=1e-15)
-        assert auto.log_det_jacobian(np.ones(2)) == pytest.approx(np.log(3.0), rel=1e-15)
+        assert_allclose(auto.log_det_jacobian(np.ones((1, 2))), [np.log(3.0)], rtol=1e-15)
+
+
+def _row_takers():
+    """Each map and law in d = 2, with the methods that take points."""
+    gauss = GaussianDistribution([0.0, 0.5], [[1.0, 0.3], [0.3, 2.0]])
+    product = ProductDistribution([Laplace1D(), GaussianMixture1D([0.4, 0.6], [-1.0, 1.0], [0.5, 1.0])])
+    affine = AffineMap([[2.0, 0.0], [0.7, 1.5]], [1.0, -2.0])
+    rotation = Automorphism.from_matrix([[0.0, -1.0], [1.0, 0.0]])
+    maps = ("forward", "inverse", "log_det_jacobian")
+    return {
+        "AffineMap": (affine, maps),
+        "CdfChainMap": (CdfChainMap(product, gauss), maps),
+        "ComposedMap": (ComposedMap([affine, CdfChainMap(gauss, product)]), maps),
+        "Automorphism": (rotation, maps),
+        "GaussianDistribution": (gauss, ("log_density",)),
+        "ProductDistribution": (product, ("log_density",)),
+        "ExpFamily": (ExpFamily.gaussian_mean_family([0.5, -1.0]), ("log_density",)),
+        "TransportedDistribution": (TransportedDistribution(gauss, rotation), ("log_density",)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_row_takers()))
+def test_points_are_rows_only(name):
+    # (n, d) rows in, arrays out; a (d,) point or a scalar p is not broadcast
+    obj, methods = _row_takers()[name]
+    for method in methods:
+        assert getattr(obj, method)(np.zeros((1, 2))).shape[0] == 1
+        with pytest.raises(DimensionMismatch):
+            getattr(obj, method)(np.zeros(2))
+    if getattr(obj, "has_conditionals", False):
+        assert obj.conditional_quantile(1, np.zeros((1, 1)), np.array([0.3])).shape == (1,)
+        for prefix, p in [(np.zeros((1, 1)), 0.3), (np.zeros(1), np.array([0.3])), (np.zeros((1, 1)), np.full(2, 0.3))]:
+            with pytest.raises(DimensionMismatch):
+                obj.conditional_quantile(1, prefix, p)
 
 
 def test_kr_rejects_dimension_mismatch(gauss2):
