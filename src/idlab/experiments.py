@@ -19,6 +19,7 @@ from .envs import (EnvironmentData, EnvironmentSet, ModelParams,
                    fit_gaussian_kr, generate_environment_data,
                    validate_strong_vae_config, verify_multiview,
                    MultiViewModel)
+from .errors import IdlabError
 from .indeterminacy import (act_on_params, fixed_coordinate_check,
                             generator_transform, identity_deviation,
                             indeterminacy_audit, kernel_residual)
@@ -490,6 +491,8 @@ class ExperimentDef:
     columns: list
     #: the shape of each list default, as ``_fits`` reads it
     shapes: dict = field(default_factory=dict)
+    #: the constructor each param is built by, so its checks run up front
+    builds: dict = field(default_factory=dict)
 
 
 EXPERIMENTS = {
@@ -520,7 +523,8 @@ EXPERIMENTS = {
          "loading": [[1.0, 0.0], [0.5, 1.0], [-0.25, 0.7]],
          "tol_constraint": 1e-12, "min_distance": 0.5},
         ["constraint_dev", "loading_distance", "counterexample_valid"],
-        {"mu1": (2,), "mu2": (2,), "loading": ("x", 2)}),
+        {"mu1": (2,), "mu2": (2,), "loading": ("x", 2)},
+        {"loading": LinearGenerator}),
     "fa-three-env": ExperimentDef(
         _run_fa_three_env,
         "environment mean contrasts spanning the latent space pin the "
@@ -528,7 +532,8 @@ EXPERIMENTS = {
         {"env_means": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
          "loading": [[1.0, 0.0], [0.5, 1.0], [-0.25, 0.7]], "tol": 1e-8},
         ["n_envs", "contrast_rank", "unique", "deviation"],
-        {"env_means": ("e", "d"), "loading": ("x", "d")}),
+        {"env_means": ("e", "d"), "loading": ("x", "d")},
+        {"loading": LinearGenerator}),
     "expfam-kernel": ExperimentDef(
         _run_expfam_kernel,
         "statistic differences under an equivalence transform fall in the "
@@ -562,7 +567,7 @@ EXPERIMENTS = {
         {"n": 100000, "angle_deg": 45.0, "alpha": 0.01, "ks_ratio_min": 3.0,
          "loading": [[1.0, 0.0], [0.6, 1.0]]},
         ["cell", "pushforward_pass", "identity_sup_dev", "max_ks_ratio",
-         "fit_dev", "passed"], {"loading": (2, 2)}),
+         "fit_dev", "passed"], {"loading": (2, 2)}, {"loading": AffineMap}),
     "task-shift": ExperimentDef(
         _run_task_shift,
         "a latent-shift task changes output under a certified rotation but "
@@ -575,7 +580,8 @@ EXPERIMENTS = {
         "relabelings",
         {"n": 1000, "pair": [0, 0], "loading": [[1.0, 0.0], [0.6, 1.0]],
          "null_bound": 0.08},
-        ["cell", "value", "passed"], {"pair": (2,), "loading": (2, 2)}),
+        ["cell", "value", "passed"], {"pair": (2,), "loading": (2, 2)},
+        {"loading": AffineMap}),
     "multiview": ExperimentDef(
         _run_multiview,
         "one constrained view pins the shared latent for every view",
@@ -643,8 +649,10 @@ def check_params(name: str, params: dict | None) -> None:
     for a list, an entry whose type differs by the same rule from the
     default's entries, gives a value below 1 where the default is a
     positive int, since every such param is a count or a size, gives a
-    value outside its open interval in ``_RANGES``, or leaves a list param,
-    overridden or not, off its shape in ``ExperimentDef.shapes``.
+    value outside its open interval in ``_RANGES``, leaves a list param,
+    overridden or not, off its shape in ``ExperimentDef.shapes`` or its
+    constructor in ``ExperimentDef.builds``, gives ``env_means`` fewer than
+    two rows, or a ``pair`` entry that is no column of the 2-column data.
     """
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment: {name!r}")
@@ -680,6 +688,16 @@ def check_params(name: str, params: dict | None) -> None:
         if not _fits(value, shape, sizes):
             raise ValueError(f"{name}: {key} must have shape {want}, "
                              f"got {value!r}")
+    effective = {**defaults, **(params or {})}
+    for key, build in EXPERIMENTS[name].builds.items():
+        try:
+            build(effective[key])
+        except (ValueError, IdlabError) as exc:
+            raise ValueError(f"{name}: {key} rejected: {exc}") from exc
+    if "env_means" in effective and len(effective["env_means"]) < 2:
+        raise ValueError(f"{name}: env_means needs at least 2 rows")
+    if not all(0 <= j < 2 for j in effective.get("pair", [])):
+        raise ValueError(f"{name}: pair entries must be 0 or 1")
 
 
 def run_experiment(name: str, params: dict | None = None, seed: int = 7,

@@ -66,8 +66,9 @@ class LinearGenerator:
         return self.loading.shape[1]
 
     def forward(self, Z):
-        Z = np.asarray(Z, dtype=float)
-        return Z @ self.loading.T + self.offset
+        out = np.asarray(Z, dtype=float) @ self.loading.T
+        out += self.offset
+        return out
 
     def inverse(self, X):
         """Left inverse, exact on offset + range(loading)."""

@@ -380,7 +380,9 @@ class GaussianDistribution(Distribution):
         return mu + sd * special.ndtri(np.clip(p2, _P_FLOOR, _P_CEIL))
 
     def sample(self, rng, n):
-        return self.mean + rng.standard_normal((n, self.dim)) @ self.cholesky.T
+        out = rng.standard_normal((n, self.dim)) @ self.cholesky.T
+        out += self.mean
+        return out
 
     def marginal_ppf(self, m, p):
         sd = math.sqrt(self.cov[m, m])

@@ -131,7 +131,9 @@ class AffineMap(TriangularMap):
     def forward_prefix(self, P):
         P = np.asarray(P, dtype=float)
         k = P.shape[1]
-        return self.offset[:k] + P @ self.matrix[:k, :k].T
+        out = P @ self.matrix[:k, :k].T
+        out += self.offset[:k]
+        return out
 
     def inverse(self, X):
         X2 = _rows(X, self.dim)
@@ -350,10 +352,13 @@ def _ks_uniform_stat(u: np.ndarray) -> float:
 
 @dataclass
 class PushforwardReport:
-    """Per-coordinate KS verdicts for a pushforward goodness-of-fit check."""
+    """Per-coordinate KS statistics and the Bonferroni critical value.
+
+    ``passed`` is true when every statistic lies below ``critical_value``,
+    the exact KS quantile at ``per_coordinate_level``.  It holds no p-values.
+    """
 
     statistics: np.ndarray
-    pvalues: np.ndarray
     critical_value: float
     alpha: float
     per_coordinate_level: float
@@ -368,9 +373,10 @@ def pushforward_check(mapping, source: Distribution, target: Distribution,
     """Test whether ``mapping`` pushes ``source`` onto ``target``.
 
     Mapped samples are reduced by the target's conditional-CDF transform to
-    coordinatewise uniforms, each tested by a one-sample KS test at level
-    ``alpha`` with Bonferroni correction across coordinates.  If the target
-    cannot evaluate conditionals (transported laws), the equivalent inverse
+    coordinatewise uniforms.  The report holds each coordinate's one-sample
+    KS statistic and the critical value at level ``alpha`` with Bonferroni
+    correction across coordinates, not p-values.  If the target cannot
+    evaluate conditionals (transported laws), the equivalent inverse
     statement - ``mapping^{-1}`` pushes ``target`` onto ``source`` - is
     tested instead against the source's conditionals.
     """
@@ -390,10 +396,9 @@ def pushforward_check(mapping, source: Distribution, target: Distribution,
     d = ref.dim
     level = alpha / d
     stats = np.array([_ks_uniform_stat(U[:, m]) for m in range(d)])
-    pvals = np.array([float(kstwo.sf(s, n)) for s in stats])
     critical = float(kstwo.isf(level, n))
     return PushforwardReport(
-        statistics=stats, pvalues=pvals, critical_value=critical,
+        statistics=stats, critical_value=critical,
         alpha=alpha, per_coordinate_level=level, n=n, direction=direction,
         passed=bool(np.all(stats < critical)))
 

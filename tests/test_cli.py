@@ -143,6 +143,17 @@ class TestUsageErrors:
         # a named axis takes one length across params, overridden or not
         ("fa-three-env", {"loading": [[1.0, 0.0, 0.0]]}, "loading must have shape ('x', 2)"),
         ("fa-rotation", {"loading": [[1.0, 0.0], [0.5]]}, "loading must have shape ('x', 2)"),
+        # value rules a constructor or runner enforces are checked up front,
+        # so under "all" no earlier experiment is written first
+        ("fa-three-env", {"env_means": [[0.0, 0.0]]}, "fa-three-env: env_means needs at least 2 rows"),
+        ("all", {"task-indep": {"pair": [2, 0]}}, "task-indep: pair entries must be 0 or 1"),
+        ("task-indep", {"pair": [0, -1]}, "task-indep: pair entries must be 0 or 1"),
+        ("all", {"two-labs": {"loading": [[1.0, 0.0], [0.6, -1.0]]}},
+         "two-labs: loading rejected: diagonal entries must be strictly positive"),
+        ("all", {"fa-rotation": {"loading": [[1.0, 0.0], [2.0, 0.0]]}},
+         "fa-rotation: loading rejected: loading must have full column rank"),
+        ("task-indep", {"loading": [[1.0, 0.5], [0.6, 1.0]]}, "task-indep: loading rejected: matrix must be lower triangular"),
+        ("fa-three-env", {"loading": [[1.0, 2.0], [2.0, 4.0]]}, "fa-three-env: loading rejected"),
     ])
     def test_bad_override_value_writes_nothing(self, tmp_path, capsys, experiment, params, message):
         cfg = write_config(tmp_path / "cfg.json", experiment=experiment, params=params)

@@ -29,7 +29,8 @@ def test_every_list_default_declares_its_shape():
 
 
 def test_named_axes_take_any_length_they_agree_on():
-    three = {"env_means": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "loading": [[1.0, 0.0, 0.0]] * 4}
+    loading = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
+    three = {"env_means": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "loading": loading}
     check_params("fa-three-env", three)
     with pytest.raises(ValueError, match=r"loading must have shape \('x', 3\)"):
         check_params("fa-three-env", {**three, "loading": [[1.0, 0.0]]})

@@ -17,6 +17,7 @@ from idlab import (
     GaussianDistribution,
     GaussianMixture1D,
     Laplace1D,
+    LinearGenerator,
     MarginalQuantileMap,
     Normal1D,
     ProductDistribution,
@@ -292,6 +293,61 @@ class TestPushforwardCheck:
         amap = kr_transport(laplace_product, gauss2)
         rep = pushforward_check(amap, laplace_product, gauss2, n=20_000, rng=stream(31, 2))
         assert rep.passed
+
+
+    @pytest.mark.parametrize("target_cov, seed, statistics, passed", [
+        ([[2.0, 0.6], [0.6, 1.0]], 0, [0.035604223131321056, 0.044072496756322826], True),
+        ([[4.0, 0.0], [0.0, 4.0]], 1, [0.17404897176255182, 0.18331104138428017], False),
+    ])
+    def test_verdict_needs_no_p_values(self, monkeypatch, target_cov, seed, statistics, passed):
+        # the figures are those the check gave when it also computed
+        # kstwo.sf p-values; without them nothing may change
+        def no_sf(*args, **kwargs):
+            raise AssertionError("pushforward_check computed a p-value")
+
+        monkeypatch.setattr(scipy.stats.kstwo, "sf", no_sf)
+        src = GaussianDistribution([0.0, 0.0], np.eye(2))
+        tgt = GaussianDistribution([0.5, -1.0] if passed else [0.0, 0.0], target_cov)
+        amap = kr_transport(src, tgt if passed else src)
+        rep = pushforward_check(amap, src, tgt, n=500, rng=stream(41, seed))
+        assert_allclose(rep.statistics, statistics, rtol=1e-12, atol=0)
+        assert_allclose(rep.critical_value, 0.07703777808315361, rtol=1e-12, atol=0)
+        assert rep.passed is passed
+
+
+@st.composite
+def affine_kernel_cases(draw):
+    """Sizes, a seed and well-posed affine coefficients at d <= 4."""
+    n = draw(st.sampled_from([1, 7, 1000]))
+    d = draw(st.integers(1, 4))
+    dx = draw(st.integers(d, 4))
+    entries = st.floats(-0.5, 0.5)
+    A = np.reshape(draw(st.lists(entries, min_size=dx * d, max_size=dx * d)), (dx, d))
+    b = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=dx, max_size=dx)))
+    # a unit diagonal of 3 dominates the off-diagonal entries, so the top
+    # block is invertible and its lower triangle a valid AffineMap matrix
+    return n, d, draw(st.integers(1, d)), draw(st.integers(0, 2**32 - 1)), A + 3.0 * np.eye(dx, d), b
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=affine_kernel_cases())
+def test_affine_kernels_match_broadcast_add(case):
+    # the kernels add the offset in place; the bits must equal the plain
+    # broadcast expressions and the caller's array must stay as it was
+    n, d, k, seed, W, b = case
+    gauss = GaussianDistribution(b[:d], W[:d] @ W[:d].T)
+    expected = b[:d] + stream(seed).standard_normal((n, d)) @ gauss.cholesky.T
+    assert np.array_equal(gauss.sample(stream(seed), n), expected)
+
+    Z = stream(seed, 1).normal(size=(n, d))
+    Z0 = Z.copy()
+    assert np.array_equal(LinearGenerator(W, b).forward(Z), Z @ W.T + b)
+    assert np.array_equal(Z, Z0)
+
+    amap = AffineMap(np.tril(W[:d]), b[:d])
+    P = Z[:, :k]
+    assert np.array_equal(amap.forward_prefix(P), b[:k] + P @ amap.matrix[:k, :k].T)
+    assert np.array_equal(Z, Z0)
 
 
 class TestComponentWiseCheck:
