@@ -309,15 +309,20 @@ def fit_env_affine_generator(data: EnvironmentData, envset: EnvironmentSet):
     matrix ``W`` including any rotation part.  Requires at least
     ``latent_dim + 1`` environments in general position.
     """
-    E = envset.n_envs
-    dz = envset.latent_dim
     mus = np.array([np.asarray(p.mean, dtype=float) for p in envset.priors])
-    means = np.array([block.mean(axis=0) for block in data.x])
-    design = np.column_stack([np.ones(E), mus])
-    if E < dz + 1 or _svd_rank(design) < dz + 1:
-        raise RankDeficient("environment means do not pin an affine generator")
-    coef, *_ = np.linalg.lstsq(design, means, rcond=None)
+    # einsum adds each block's rows in order, as .mean(axis=0) does, but
+    # in one call for all blocks; the bits agree for obs_dim >= 2
+    means = np.einsum("enk->ek", data.x) / data.n_per_env
+    coef, *_ = np.linalg.lstsq(_affine_design(mus), means, rcond=None)
     return LinearGenerator(coef[1:].T, coef[0])
+
+
+def _affine_design(mus) -> np.ndarray:
+    """The mean fit's ``[1, mu_e]`` rows; ``RankDeficient`` unless full rank."""
+    design = np.column_stack([np.ones(len(mus)), mus])
+    if _svd_rank(design) < design.shape[1]:
+        raise RankDeficient("environment means do not pin an affine generator")
+    return design
 
 
 @dataclass

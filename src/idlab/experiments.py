@@ -18,7 +18,7 @@ from .envs import (EnvironmentData, EnvironmentSet, ModelParams,
                    affine_relation_fit, fit_env_affine_generator,
                    fit_gaussian_kr, generate_environment_data,
                    validate_strong_vae_config, verify_multiview,
-                   MultiViewModel)
+                   MultiViewModel, _affine_design)
 from .errors import IdlabError
 from .indeterminacy import (act_on_params, fixed_coordinate_check,
                             generator_transform, identity_deviation,
@@ -581,7 +581,8 @@ EXPERIMENTS = {
         {"n": 1000, "pair": [0, 0], "loading": [[1.0, 0.0], [0.6, 1.0]],
          "null_bound": 0.08},
         ["cell", "value", "passed"], {"pair": (2,), "loading": (2, 2)},
-        {"loading": AffineMap}),
+        {"loading": AffineMap,
+         "n": lambda n: independence_test_task((0, 0), n)}),
     "multiview": ExperimentDef(
         _run_multiview,
         "one constrained view pins the shared latent for every view",
@@ -652,7 +653,9 @@ def check_params(name: str, params: dict | None) -> None:
     value outside its open interval in ``_RANGES``, leaves a list param,
     overridden or not, off its shape in ``ExperimentDef.shapes`` or its
     constructor in ``ExperimentDef.builds``, gives ``env_means`` fewer than
-    two rows, or a ``pair`` entry that is no column of the 2-column data.
+    two rows, a ``pair`` entry or a ``k`` that is no coordinate of the
+    2-column data, or a ``radius`` or ``gauge_matrix`` whose environment
+    means fail the rank test of ``fit_env_affine_generator``.
     """
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment: {name!r}")
@@ -698,6 +701,17 @@ def check_params(name: str, params: dict | None) -> None:
         raise ValueError(f"{name}: env_means needs at least 2 rows")
     if not all(0 <= j < 2 for j in effective.get("pair", [])):
         raise ValueError(f"{name}: pair entries must be 0 or 1")
+    if effective.get("k", 0) not in (0, 1):
+        raise ValueError(f"{name}: k must be 0 or 1, got {effective['k']}")
+    if "radius" in effective:
+        means = _equilateral_means(effective["radius"])
+        G = np.asarray(effective.get("gauge_matrix", np.eye(2)), dtype=float)
+        h = np.asarray(effective.get("gauge_offset", 0.0), dtype=float)
+        for key, mus in (("radius", means), ("gauge_matrix", means @ G.T + h)):
+            try:
+                _affine_design(mus)
+            except (ValueError, IdlabError) as exc:
+                raise ValueError(f"{name}: {key} rejected: {exc}") from exc
 
 
 def run_experiment(name: str, params: dict | None = None, seed: int = 7,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMeans, DimensionMismatch, SingularMatrix
+from .measures import _add_offset
 from .transport import _offset
 
 __all__ = [
@@ -66,14 +67,14 @@ class LinearGenerator:
         return self.loading.shape[1]
 
     def forward(self, Z):
-        out = np.asarray(Z, dtype=float) @ self.loading.T
-        out += self.offset
-        return out
+        """``offset + F z`` per row; the offset goes on by column."""
+        return _add_offset(np.asarray(Z, dtype=float) @ self.loading.T,
+                           self.offset)
 
     def inverse(self, X):
-        """Left inverse, exact on offset + range(loading)."""
-        X = np.asarray(X, dtype=float)
-        return (X - self.offset) @ self._pinv.T
+        """Left inverse, exact on offset + range(loading), by column."""
+        centred = _add_offset(np.array(X, dtype=float), -self.offset)
+        return centred @ self._pinv.T
 
 
 def rotation_counterexample(mu1, mu2, generator: LinearGenerator):

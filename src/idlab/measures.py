@@ -263,6 +263,18 @@ def _rows(z, dim):
     return z
 
 
+def _add_offset(out, v):
+    """``out += v`` on rows, in place, one strided pass per column.
+
+    Broadcasting runs numpy's inner loop once per d-wide row; the same IEEE
+    additions by column give the same bits faster.  Inverses pass a copy
+    and ``-v``, since ``x - v`` is ``x + (-v)`` bit for bit.
+    """
+    for j in range(out.shape[-1]):
+        out[..., j] += v[j]
+    return out
+
+
 class Distribution(abc.ABC):
     """A fully supported probability measure on R^d.
 
@@ -345,10 +357,9 @@ class GaussianDistribution(Distribution):
         return self.mean.shape[0]
 
     def log_density(self, z):
-        z2 = _rows(z, self.dim)
-        w = np.linalg.solve(self.cholesky.T,
-                            np.linalg.solve(self.cholesky, (z2 - self.mean).T))
-        quad = np.sum((z2 - self.mean).T * w, axis=0)
+        c = _add_offset(np.array(_rows(z, self.dim)), -self.mean)
+        w = np.linalg.solve(self.cholesky.T, np.linalg.solve(self.cholesky, c.T))
+        quad = np.sum(c.T * w, axis=0)
         return -0.5 * (quad + self._log_det + self.dim * _LOG_2PI)
 
     def _cond_coef(self, m):
@@ -380,9 +391,9 @@ class GaussianDistribution(Distribution):
         return mu + sd * special.ndtri(np.clip(p2, _P_FLOOR, _P_CEIL))
 
     def sample(self, rng, n):
-        out = rng.standard_normal((n, self.dim)) @ self.cholesky.T
-        out += self.mean
-        return out
+        """``mean + L e`` per row; the mean goes on by column."""
+        return _add_offset(rng.standard_normal((n, self.dim)) @ self.cholesky.T,
+                           self.mean)
 
     def marginal_ppf(self, m, p):
         sd = math.sqrt(self.cov[m, m])

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, NonFiniteDerivative
-from .measures import Distribution, GaussianDistribution, _rows
+from .measures import Distribution, GaussianDistribution, _add_offset, _rows
 
 __all__ = [
     "TriangularMap",
@@ -129,16 +129,15 @@ class AffineMap(TriangularMap):
         self.dim = L.shape[0]
 
     def forward_prefix(self, P):
+        # the offset goes on, and in inverse comes off a copy, by column,
+        # which is cheaper than broadcasting (see measures._add_offset)
         P = np.asarray(P, dtype=float)
         k = P.shape[1]
-        out = P @ self.matrix[:k, :k].T
-        out += self.offset[:k]
-        return out
+        return _add_offset(P @ self.matrix[:k, :k].T, self.offset[:k])
 
     def inverse(self, X):
-        X2 = _rows(X, self.dim)
-        return solve_triangular(self.matrix, (X2 - self.offset).T,
-                                lower=True).T
+        X2 = _add_offset(np.array(_rows(X, self.dim)), -self.offset)
+        return solve_triangular(self.matrix, X2.T, lower=True).T
 
     def inverted(self):
         inv = solve_triangular(self.matrix, np.eye(self.dim), lower=True)

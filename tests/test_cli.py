@@ -7,8 +7,10 @@ import sys
 import jsonschema
 import pytest
 
-from idlab import experiment_names
+from idlab import experiment_names, experiments
 from idlab.cli import CONFIG_SCHEMA, main
+from idlab.errors import RankDeficient
+from idlab.experiments import check_params
 
 REGISTRY_ORDER = [
     "kr-identity",
@@ -154,6 +156,14 @@ class TestUsageErrors:
          "fa-rotation: loading rejected: loading must have full column rank"),
         ("task-indep", {"loading": [[1.0, 0.5], [0.6, 1.0]]}, "task-indep: loading rejected: matrix must be lower triangular"),
         ("fa-three-env", {"loading": [[1.0, 2.0], [2.0, 4.0]]}, "fa-three-env: loading rejected"),
+        ("all", {"task-shift": {"k": 5}}, "task-shift: k must be 0 or 1, got 5"),
+        ("all", {"task-indep": {"n": 10}}, "task-indep: n rejected: independence statistic needs n >= 30"),
+        # means that fail fit_env_affine_generator's rank test
+        ("all", {"strong-vae": {"radius": 0.0}},
+         "strong-vae: radius rejected: environment means do not pin an affine generator"),
+        ("ivae-affine", {"radius": 0.0}, "ivae-affine: radius rejected"),
+        ("all", {"ivae-affine": {"gauge_matrix": [[1.0, 2.0], [0.5, 1.0]]}},
+         "ivae-affine: gauge_matrix rejected: environment means do not pin an affine generator"),
     ])
     def test_bad_override_value_writes_nothing(self, tmp_path, capsys, experiment, params, message):
         cfg = write_config(tmp_path / "cfg.json", experiment=experiment, params=params)
@@ -172,14 +182,24 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
 
 
-def test_numerical_failure_exits_3_and_writes_nothing(tmp_path, capsys):
-    # at radius 0 every environment mean sits at the origin, so the fit
-    # raises RankDeficient: a numerical failure, not a rejected config
-    params = {"radius": 0.0, "n_per_env": 1000, "n_seeds": 1, "min_passes": 1}
+def test_numerical_failure_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # a config that passes check_params can still fail numerically in the
+    # run; a fit that raises RankDeficient stands in for such a failure
+    def failing_fit(data, envset):
+        raise RankDeficient("environment means do not pin an affine generator")
+
+    monkeypatch.setattr(experiments, "fit_env_affine_generator", failing_fit)
+    params = {"n_per_env": 1000, "n_seeds": 1, "min_passes": 1}
     cfg = write_config(tmp_path / "cfg.json", experiment="strong-vae", params=params)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     assert not (tmp_path / "out" / "strong-vae").exists()
     assert "environment means do not pin an affine generator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["strong-vae", "ivae-affine"])
+def test_negative_radius_is_accepted(name):
+    # a negative radius turns the equilateral means half a turn; they still pin
+    check_params(name, {"radius": -3.0})
 
 
 def test_other_error_inside_an_experiment_exits_2(tmp_path, capsys):

@@ -1,13 +1,17 @@
 """Environment families, data generation, and fitting helpers."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from idlab import (
     AffineMap,
+    EnvironmentData,
     EnvironmentSet,
     ExpFamily,
     GaussianDistribution,
@@ -180,6 +184,28 @@ def test_fit_env_affine_generator_recovers_truth():
     fitted = fit_env_affine_generator(data, es)
     assert_allclose(fitted.loading, gen.loading, atol=0.02)
     assert_allclose(fitted.offset, gen.offset, atol=0.02)
+
+
+@settings(max_examples=60, deadline=None)
+@given(obs_dim=st.integers(1, 4), n_envs=st.integers(2, 5), half_n=st.integers(1, 2000),
+       odd=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_fit_env_means_equal_per_block_means(obs_dim, n_envs, half_n, odd, seed):
+    # the fit takes every block's mean in one einsum; that adds each block's
+    # rows in the order .mean(axis=0) does, so the bits agree from obs_dim 2
+    # on, on both half-split views; at obs_dim 1 .mean sums pairwise
+    rng = stream(seed)
+    envset = EnvironmentSet.gaussian_mean_envs(rng.normal(size=(n_envs, min(obs_dim, n_envs - 1))))
+    x = rng.normal(size=(n_envs, 2 * half_n + odd, obs_dim))
+    lstsq = np.linalg.lstsq
+    for half in _split_halves(EnvironmentData(x)):
+        seen = []
+        with mock.patch("numpy.linalg.lstsq", lambda a, b, rcond: seen.append(b) or lstsq(a, b, rcond=rcond)):
+            fit_env_affine_generator(half, envset)
+        expected = np.array([block.mean(axis=0) for block in half.x])
+        if obs_dim >= 2:
+            assert np.array_equal(seen[0], expected)
+        else:
+            assert_allclose(seen[0], expected, rtol=1e-13)
 
 
 class TestVerifyMultiview:

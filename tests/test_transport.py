@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -332,8 +333,9 @@ def affine_kernel_cases(draw):
 @settings(max_examples=40, deadline=None)
 @given(case=affine_kernel_cases())
 def test_affine_kernels_match_broadcast_add(case):
-    # the kernels add the offset in place; the bits must equal the plain
-    # broadcast expressions and the caller's array must stay as it was
+    # the kernels add or take off the offset column by column in place; the
+    # bits must equal the plain broadcast expressions and the caller's array
+    # must stay as it was
     n, d, k, seed, W, b = case
     gauss = GaussianDistribution(b[:d], W[:d] @ W[:d].T)
     expected = b[:d] + stream(seed).standard_normal((n, d)) @ gauss.cholesky.T
@@ -341,12 +343,29 @@ def test_affine_kernels_match_broadcast_add(case):
 
     Z = stream(seed, 1).normal(size=(n, d))
     Z0 = Z.copy()
-    assert np.array_equal(LinearGenerator(W, b).forward(Z), Z @ W.T + b)
+    gen = LinearGenerator(W, b)
+    assert np.array_equal(gen.forward(Z), Z @ W.T + b)
     assert np.array_equal(Z, Z0)
 
     amap = AffineMap(np.tril(W[:d]), b[:d])
     P = Z[:, :k]
     assert np.array_equal(amap.forward_prefix(P), b[:k] + P @ amap.matrix[:k, :k].T)
+    assert np.array_equal(Z, Z0)
+
+    X = stream(seed, 2).normal(size=(n, W.shape[0]))
+    X0 = X.copy()
+    assert np.array_equal(gen.inverse(X), (X - b) @ gen._pinv.T)
+    assert np.array_equal(X, X0)
+    expected = scipy.linalg.solve_triangular(amap.matrix, (Z - b[:d]).T, lower=True).T
+    assert np.array_equal(amap.inverse(Z), expected)
+    assert np.array_equal(Z, Z0)
+
+    L = gauss.cholesky
+    c = Z - b[:d]
+    w = np.linalg.solve(L.T, np.linalg.solve(L, c.T))
+    quad = np.sum(c.T * w, axis=0)
+    expected = -0.5 * (quad + 2.0 * np.sum(np.log(np.diag(L))) + d * np.log(2.0 * np.pi))
+    assert np.array_equal(gauss.log_density(Z), expected)
     assert np.array_equal(Z, Z0)
 
 
