@@ -5,7 +5,8 @@ JSON config and writes machine-readable artifacts, ``list`` prints the
 registry, ``schema`` prints the config schema with per-experiment defaults
 and CSV columns.  Exit codes: 0 all pass-conditions hold, 1 a claim check
 failed (artifacts still written), 2 usage or configuration error, 3 a
-numerical failure (an ``IdlabError``) inside an experiment.
+numerical failure (an ``IdlabError``) inside an experiment; ``run`` writes
+nothing on 2 or 3, as it runs every experiment before writing any.
 """
 
 from __future__ import annotations
@@ -49,14 +50,8 @@ CONFIG_SCHEMA = {
 
 
 def _to_jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, (np.ndarray, np.bool_, np.integer, np.floating)):
+        return obj.tolist()  # numpy scalars come back as Python scalars
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
@@ -88,9 +83,7 @@ def _csv_cell(v):
 
 
 def _write_csv(path: str, columns, rows):
-    lines = []
-    for row in rows:
-        lines.append([_csv_cell(row.get(c, "")) for c in columns])
+    lines = [[_csv_cell(row.get(c, "")) for c in columns] for row in rows]
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -104,10 +97,14 @@ def _fail(msg: str, code: int = 2) -> int:
     return code
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"config holds the non-finite number {name}")
+
+
 def _load_config(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ValueError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -163,26 +160,27 @@ def _cmd_run(args) -> int:
 
     name = config["experiment"]
     seed = args.seed if args.seed is not None else config.get("seed", 7)
+    jobs = args.jobs if args.jobs is not None else config.get("jobs", 1)
     out_dir = args.out or config.get("out_dir", "results")
-    jobs = config.get("jobs", 1)
-    if args.jobs is not None:
-        jobs = args.jobs
     # flags bypass the schema's minimums
     if seed < 0:
         return _fail(f"seed must be >= 0, got {seed}")
     if jobs < 1:
         return _fail(f"jobs must be >= 1, got {jobs}")
 
-    statuses = {}
+    results = {}
     for exp_name, params in plan.items():
         try:
-            result = run_experiment(exp_name, params, seed=seed, jobs=jobs)
-        except IdlabError as exc:  # numerical failure, before its artifacts
+            results[exp_name] = run_experiment(exp_name, params, seed, jobs)
+        except IdlabError as exc:  # numerical failure, before any artifact
             return _fail(f"{exp_name}: {exc}", code=3)
-        except Exception as exc:  # a bad value surfaces before its artifacts
+        except Exception as exc:  # a bad value surfaces before any artifact
             return _fail(f"{exp_name}: {exc}")
+
+    statuses = {}
+    for exp_name, result in results.items():
         echo = {"experiment": exp_name, "seed": seed, "jobs": jobs,
-                "params": {**EXPERIMENTS[exp_name].defaults, **params},
+                "params": {**EXPERIMENTS[exp_name].defaults, **plan[exp_name]},
                 "out_dir": out_dir}
         try:
             _write_experiment_artifacts(out_dir, result, echo)

@@ -6,8 +6,8 @@ which supplies the carrier and statistic every environment shares.  On top
 of that the module provides the experiment plumbing: synthetic data
 generated as one block of observations per environment, the three
 validation clauses a strongly identifiable configuration must satisfy,
-moment and quantile based fitting routines whose outputs are triangular
-maps or linear generators, and the multi-view agreement verifier.
+fitting routines whose outputs are triangular maps or, from the
+per-environment means alone, linear generators, and the multi-view verifier.
 """
 
 from __future__ import annotations
@@ -105,6 +105,12 @@ class EnvironmentData:
     @property
     def n_per_env(self) -> int:
         return self.x.shape[1]
+
+    @property
+    def block_means(self) -> np.ndarray:
+        """``(n_envs, obs_dim)`` means; one einsum adds each block's rows in
+        ``.mean(axis=0)``'s order, so the bits agree from obs_dim 2 on."""
+        return np.einsum("enk->ek", self.x) / self.n_per_env
 
 
 def generate_environment_data(envset: EnvironmentSet, generator,
@@ -301,18 +307,15 @@ def fit_marginal_quantile_transport(samples, target_prior: ProductDistribution,
     return MarginalQuantileMap(target_prior, levels, knots)
 
 
-def fit_env_affine_generator(data: EnvironmentData, envset: EnvironmentSet):
+def fit_env_affine_generator(means, envset: EnvironmentSet):
     """Recover an affine generator from per-environment observation means.
 
-    Solves ``mean_e ~ b + W mu_e`` across environments by least squares;
+    Solves ``means[e] ~ b + W mu_e``, one row per prior, by least squares;
     with latent-mean anchors spanning the latent space this pins the full
     matrix ``W`` including any rotation part.  Requires at least
     ``latent_dim + 1`` environments in general position.
     """
     mus = np.array([np.asarray(p.mean, dtype=float) for p in envset.priors])
-    # einsum adds each block's rows in order, as .mean(axis=0) does, but
-    # in one call for all blocks; the bits agree for obs_dim >= 2
-    means = np.einsum("enk->ek", data.x) / data.n_per_env
     coef, *_ = np.linalg.lstsq(_affine_design(mus), means, rcond=None)
     return LinearGenerator(coef[1:].T, coef[0])
 

@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .envs import (EnvironmentData, EnvironmentSet, ModelParams,
-                   affine_relation_fit, fit_env_affine_generator,
-                   fit_gaussian_kr, generate_environment_data,
+from .envs import (EnvironmentSet, ModelParams, affine_relation_fit,
+                   fit_env_affine_generator, fit_gaussian_kr,
+                   generate_environment_data,
                    validate_strong_vae_config, verify_multiview,
                    MultiViewModel, _affine_design)
 from .errors import IdlabError
@@ -227,22 +227,19 @@ def _strong_vae_setup(params):
     return envset, generator
 
 
-def _split_halves(data):
-    """Per-environment disjoint halves of a dataset, as views of ``data.x``.
-
-    Half a takes the first ``n_per_env // 2`` rows of each environment
-    block and half b the next as many.
-    """
-    h = data.n_per_env // 2
-    return EnvironmentData(data.x[:, :h]), EnvironmentData(data.x[:, h:2 * h])
+def _exact_block_means(envset, generator, n_per_env, rng):
+    """Means of ``n_per_env`` rows per environment, from their exact law:
+    for z ~ N(mu_e, I) and x = W z + b the mean of h rows is
+    W (mu_e + xi / sqrt(h)) + b with xi ~ N(0, I)."""
+    mus = envset.eta_matrix  # a Gaussian-mean set's eta rows are its means
+    return generator.forward(mus + rng.standard_normal(mus.shape)
+                             / math.sqrt(n_per_env))
 
 
 def _fit_pair_deviation(envset, generator, n_per_env, rng, grid=21):
-    """Sup identity deviation of the transform between two half-data fits."""
-    data = generate_environment_data(envset, generator, 2 * n_per_env, rng)
-    half_a, half_b = _split_halves(data)
-    fit_a = fit_env_affine_generator(half_a, envset)
-    fit_b = fit_env_affine_generator(half_b, envset)
+    """Sup identity deviation of the transform between two independent fits."""
+    fit_a, fit_b = (fit_env_affine_generator(_exact_block_means(
+        envset, generator, n_per_env, rng), envset) for _ in range(2))
     transform = generator_transform(fit_a, fit_b)
     box = interdecile_box(GaussianDistribution(np.zeros(2), np.eye(2)))
     sup, _ = identity_deviation(transform, _box_grid(box, grid))
@@ -256,9 +253,8 @@ def _run_strong_vae(params, seed, jobs):
     tol = 5.0 / math.sqrt(n)
 
     def one_seed(s):
-        rng = stream(seed, s)
-        sup, _, _ = _fit_pair_deviation(envset, generator, n, rng,
-                                        grid=params["grid"])
+        sup, _, _ = _fit_pair_deviation(envset, generator, n,
+                                        stream(seed, s), params["grid"])
         return {"seed": s, "sup_dev": sup, "tol": tol,
                 "passed": bool(sup < tol)}
 
@@ -284,7 +280,7 @@ def _run_ivae_affine(params, seed, jobs):
     envset_b = EnvironmentSet.gaussian_mean_envs(means_b)
 
     data = generate_environment_data(envset, generator, n, rng)
-    fit_b = fit_env_affine_generator(data, envset_b)
+    fit_b = fit_env_affine_generator(data.block_means, envset_b)
 
     x = data.x.reshape(-1, data.x.shape[-1])
     relation = affine_relation_fit(fit_a.inverse(x), fit_b.inverse(x))
@@ -648,14 +644,14 @@ def check_params(name: str, params: dict | None) -> None:
     value whose type differs from its default's (an int where a float is
     registered is accepted, a bool where an int is registered is not) or,
     for a list, an entry whose type differs by the same rule from the
-    default's entries, gives a value below 1 where the default is a
-    positive int, since every such param is a count or a size, gives a
-    value outside its open interval in ``_RANGES``, leaves a list param,
-    overridden or not, off its shape in ``ExperimentDef.shapes`` or its
-    constructor in ``ExperimentDef.builds``, gives ``env_means`` fewer than
-    two rows, a ``pair`` entry or a ``k`` that is no coordinate of the
-    2-column data, or a ``radius`` or ``gauge_matrix`` whose environment
-    means fail the rank test of ``fit_env_affine_generator``.
+    default's entries, gives a non-finite float, gives a value below 1 where
+    the default is a positive int, since every such param is a count or a
+    size, gives a value outside its open interval in ``_RANGES``, leaves a
+    list param, overridden or not, off its shape in ``ExperimentDef.shapes``
+    or its constructor in ``ExperimentDef.builds``, gives ``env_means``
+    fewer than two rows, a ``pair`` entry or a ``k`` that is no coordinate
+    of the 2-column data, or a ``radius`` or ``gauge_matrix`` whose
+    environment means fail the rank test of ``fit_env_affine_generator``.
     """
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment: {name!r}")
@@ -678,6 +674,9 @@ def check_params(name: str, params: dict | None) -> None:
                 if type(entry) not in accepted:
                     raise ValueError(f"{name}: {key} entries must be of type "
                                      f"{entry_type.__name__}, got {entry!r}")
+        if not all(math.isfinite(v) for v in _leaves(value)
+                   if type(v) is float):
+            raise ValueError(f"{name}: {key} must be finite, got {value!r}")
         if type(default) is int and default >= 1 and value < 1:
             raise ValueError(f"{name}: {key} must be >= 1, got {value}")
         lo, hi = _RANGES.get(key, (None, None))

@@ -8,7 +8,8 @@ they were made with.
 
     python tests/goldens.py regen
         rerun the suite from this checkout's ``src`` and rewrite the
-        goldens, so a change of results shows in the diff
+        goldens, so a change of results shows in the diff; first print,
+        for each golden that changes, every field that moved
     python tests/goldens.py check RESULTS GOLDEN
         compare one ``results.json`` with one golden within tolerance;
         exit 1 and print each mismatch if they differ
@@ -75,27 +76,42 @@ def recorded_versions() -> dict:
     return json.loads((GOLDEN_DIR / VERSIONS).read_text())
 
 
-def mismatches(got, want, where: str = "$") -> list:
+def mismatches(got, want, where: str = "$", rtol: float = RTOL) -> list:
     """Where the decoded ``got`` differs from the decoded golden ``want``."""
     if isinstance(want, dict):
         if not isinstance(got, dict) or set(got) != set(want):
             return [f"{where}: keys differ"]
         return [m for k in sorted(want)
-                for m in mismatches(got[k], want[k], f"{where}.{k}")]
+                for m in mismatches(got[k], want[k], f"{where}.{k}", rtol)]
     if isinstance(want, list):
         if not isinstance(got, list) or len(got) != len(want):
             return [f"{where}: lengths differ"]
         return [m for i, (g, w) in enumerate(zip(got, want))
-                for m in mismatches(g, w, f"{where}[{i}]")]
+                for m in mismatches(g, w, f"{where}[{i}]", rtol)]
     if type(got) is not type(want):
         return [f"{where}: {got!r} is not a {type(want).__name__}"]
     if got == want:
         return []
     if isinstance(want, float) and (
             (math.isnan(got) and math.isnan(want))
-            or abs(got - want) <= RTOL * max(1.0, abs(want))):
+            or abs(got - want) <= rtol * max(1.0, abs(want))):
         return []
     return [f"{where}: {got!r} != golden {want!r}"]
+
+
+def changes(runs: dict, old: dict) -> list:
+    """One line per golden that ``runs`` adds or removes, per field it moves.
+
+    A field moves when its value changes at all, even within tolerance.
+    """
+    lines = [f"{name}: removed" for name in sorted(set(old) - set(runs))]
+    for name, data in sorted(runs.items()):
+        if name not in old:
+            lines.append(f"{name}: new")
+        elif data != old[name]:
+            found = mismatches(json.loads(data), json.loads(old[name]), rtol=0)
+            lines += [f"{name} {m}" for m in found or ["$: bytes differ"]]
+    return lines
 
 
 def regen() -> None:
@@ -112,7 +128,10 @@ def regen() -> None:
             raise SystemExit(f"idlab run exited {code}; goldens not written")
         runs = collect(out)
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for stale in set(golden_files()) - set(runs):
+    old = golden_files()
+    for line in changes(runs, old):
+        print(line)
+    for stale in set(old) - set(runs):
         (GOLDEN_DIR / stale).unlink()
     for name, data in runs.items():
         (GOLDEN_DIR / name).write_bytes(data)

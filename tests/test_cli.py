@@ -164,6 +164,10 @@ class TestUsageErrors:
         ("ivae-affine", {"radius": 0.0}, "ivae-affine: radius rejected"),
         ("all", {"ivae-affine": {"gauge_matrix": [[1.0, 2.0], [0.5, 1.0]]}},
          "ivae-affine: gauge_matrix rejected: environment means do not pin an affine generator"),
+        # the config reader refuses the non-finite numbers Python's json admits
+        ("all", {"multiview": {"angle_deg": float("nan")}}, "non-finite number NaN"),
+        ("all", {"two-labs": {"angle_deg": float("inf")}}, "non-finite number Infinity"),
+        ("all", {"task-shift": {"delta": float("nan")}}, "non-finite number NaN"),
     ])
     def test_bad_override_value_writes_nothing(self, tmp_path, capsys, experiment, params, message):
         cfg = write_config(tmp_path / "cfg.json", experiment=experiment, params=params)
@@ -182,10 +186,18 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("delta", float("nan")), ("delta", float("inf")), ("obs", [[1.0, float("-inf"), 0.0]]),
+])
+def test_non_finite_override_rejected_in_process(key, value):
+    with pytest.raises(ValueError, match=f"task-shift: {key} must be finite"):
+        check_params("task-shift", {key: value})
+
+
 def test_numerical_failure_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
     # a config that passes check_params can still fail numerically in the
     # run; a fit that raises RankDeficient stands in for such a failure
-    def failing_fit(data, envset):
+    def failing_fit(means, envset):
         raise RankDeficient("environment means do not pin an affine generator")
 
     monkeypatch.setattr(experiments, "fit_env_affine_generator", failing_fit)
@@ -194,6 +206,16 @@ def test_numerical_failure_exits_3_and_writes_nothing(tmp_path, capsys, monkeypa
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     assert not (tmp_path / "out" / "strong-vae").exists()
     assert "environment means do not pin an affine generator" in capsys.readouterr().err
+
+
+def test_numerical_failure_under_all_writes_nothing(tmp_path, capsys):
+    # equal means fail inside fa-rotation, after three experiments have run;
+    # results are written only once every experiment has returned
+    params = {"fa-rotation": {"mu1": [1.0, 0.0], "mu2": [1.0, 0.0]}}
+    cfg = write_config(tmp_path / "cfg.json", experiment="all", params=params)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
+    assert "fa-rotation: environment means must be distinct" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["strong-vae", "ivae-affine"])

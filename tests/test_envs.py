@@ -30,7 +30,7 @@ from idlab import (
     verify_multiview,
 )
 from idlab.errors import RankDeficient, SingularCovariance
-from idlab.experiments import EXPERIMENTS, _split_halves, _strong_vae_setup
+from idlab.experiments import EXPERIMENTS, _exact_block_means, _strong_vae_setup
 
 from conftest import probe_grid
 
@@ -92,31 +92,42 @@ class TestEnvironmentData:
         for block, prior in zip(data.x, self.es.priors):
             assert_array_equal(block, self.gen.forward(prior.sample(rng, 50)))
 
-    @pytest.mark.parametrize("n_per_env", [50, 51])
-    def test_halves_are_disjoint_views(self, n_per_env):
-        data = generate_environment_data(self.es, self.gen, n_per_env, stream(41, 2))
-        half_a, half_b = _split_halves(data)
-        h = n_per_env // 2
-        assert half_a.n_per_env == half_b.n_per_env == h
-        assert np.shares_memory(half_a.x, data.x) and np.shares_memory(half_b.x, data.x)
-        assert not np.shares_memory(half_a.x, half_b.x)
-        assert_array_equal(half_a.x, data.x[:, :h])
-        assert_array_equal(half_b.x, data.x[:, h:2 * h])
-
 
 def test_generation_and_split_peak_memory():
-    # strong-vae's defaults: the halves add nothing to the stacked blocks
-    params = EXPERIMENTS["strong-vae"].defaults
+    # ivae-affine's defaults: the block means add nothing to the stacked blocks
+    params = EXPERIMENTS["ivae-affine"].defaults
     envset, generator = _strong_vae_setup(params)
     tracemalloc.start()
     try:
-        data = generate_environment_data(envset, generator, 2 * params["n_per_env"], stream(46, 0))
-        halves = _split_halves(data)
+        data = generate_environment_data(envset, generator, params["n_per_env"], stream(46, 0))
+        means = data.block_means
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert data.x.shape == (3, 200_000, 2) and len(halves) == 2
+    assert data.x.shape == (3, 100_000, 2) and means.shape == (3, 2)
     assert peak <= 2.5 * data.x.nbytes
+
+
+def test_exact_law_block_means_match_generated_rows():
+    # strong-vae's fits read block means drawn from their exact law; over many
+    # seeds they have the first two moments of the means of generated rows
+    h, seeds = 40, 4000
+    envset = EnvironmentSet.gaussian_mean_envs(MEANS)
+    gen = LinearGenerator(np.array([[1.0, 0.2], [0.0, 0.8], [0.3, 0.3]]), np.array([0.1, 0.2, 0.3]))
+    generated = np.array([generate_environment_data(envset, gen, h, stream(s, 0)).block_means
+                          for s in range(seeds)])
+    exact = np.array([_exact_block_means(envset, gen, h, stream(s, 1)) for s in range(seeds)])
+    assert generated.shape == exact.shape == (seeds, 3, 3)
+    cov = gen.loading @ gen.loading.T / h
+    # standard errors of a mean and of a covariance entry over the seeds
+    se_mean = np.sqrt(np.diag(cov) / seeds)
+    se_cov = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / seeds)
+    gap = np.abs(generated.mean(axis=0) - exact.mean(axis=0))
+    assert np.all(gap < 4 * np.sqrt(2) * se_mean)
+    for draws in (generated, exact):
+        assert np.all(np.abs(draws.mean(axis=0) - gen.forward(MEANS)) < 4 * se_mean)
+        for e in range(3):
+            assert np.all(np.abs(np.cov(draws[:, e], rowvar=False) - cov) < 5 * se_cov)
 
 
 class TestFitGaussianKr:
@@ -181,31 +192,38 @@ def test_fit_env_affine_generator_recovers_truth():
     es = EnvironmentSet.gaussian_mean_envs(MEANS)
     gen = LinearGenerator(np.array([[1.0, 0.2], [0.0, 0.8], [0.3, 0.3]]), np.array([0.1, 0.2, 0.3]))
     data = generate_environment_data(es, gen, 30_000, stream(44, 0))
-    fitted = fit_env_affine_generator(data, es)
+    fitted = fit_env_affine_generator(data.block_means, es)
     assert_allclose(fitted.loading, gen.loading, atol=0.02)
     assert_allclose(fitted.offset, gen.offset, atol=0.02)
+    # exact means pin the generator exactly
+    exact = fit_env_affine_generator(gen.forward(MEANS), es)
+    assert_allclose(exact.loading, gen.loading, atol=1e-12)
+    assert_allclose(exact.offset, gen.offset, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
-@given(obs_dim=st.integers(1, 4), n_envs=st.integers(2, 5), half_n=st.integers(1, 2000),
-       odd=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_fit_env_means_equal_per_block_means(obs_dim, n_envs, half_n, odd, seed):
-    # the fit takes every block's mean in one einsum; that adds each block's
-    # rows in the order .mean(axis=0) does, so the bits agree from obs_dim 2
-    # on, on both half-split views; at obs_dim 1 .mean sums pairwise
+@given(obs_dim=st.integers(1, 4), n_envs=st.integers(2, 5), n=st.integers(1, 4001),
+       seed=st.integers(0, 2**32 - 1))
+def test_fit_env_means_equal_per_block_means(obs_dim, n_envs, n, seed):
+    # ivae-affine fits the block means of its data, taken in one einsum; that
+    # adds each block's rows in the order .mean(axis=0) does, so the bits
+    # agree from obs_dim 2 on; at obs_dim 1 .mean sums pairwise, and each
+    # mean lies within n * eps * max|x| of the exact one
     rng = stream(seed)
     envset = EnvironmentSet.gaussian_mean_envs(rng.normal(size=(n_envs, min(obs_dim, n_envs - 1))))
-    x = rng.normal(size=(n_envs, 2 * half_n + odd, obs_dim))
+    data = EnvironmentData(rng.normal(size=(n_envs, n, obs_dim)))
+    expected = np.array([block.mean(axis=0) for block in data.x])
+    if obs_dim >= 2:
+        assert np.array_equal(data.block_means, expected)
+    else:
+        bound = 2 * n * np.finfo(float).eps * np.abs(data.x).max()
+        assert_allclose(data.block_means, expected, rtol=0, atol=bound)
+    # the fit reads the mean matrix as given
+    seen = []
     lstsq = np.linalg.lstsq
-    for half in _split_halves(EnvironmentData(x)):
-        seen = []
-        with mock.patch("numpy.linalg.lstsq", lambda a, b, rcond: seen.append(b) or lstsq(a, b, rcond=rcond)):
-            fit_env_affine_generator(half, envset)
-        expected = np.array([block.mean(axis=0) for block in half.x])
-        if obs_dim >= 2:
-            assert np.array_equal(seen[0], expected)
-        else:
-            assert_allclose(seen[0], expected, rtol=1e-13)
+    with mock.patch("numpy.linalg.lstsq", lambda a, b, rcond: seen.append(b) or lstsq(a, b, rcond=rcond)):
+        fit_env_affine_generator(data.block_means, envset)
+    assert np.array_equal(seen[0], data.block_means)
 
 
 class TestVerifyMultiview:

@@ -9,8 +9,8 @@ import json
 import numpy as np
 import pytest
 
-from goldens import (collect, golden_files, installed_versions, mismatches,
-                     recorded_versions, strip_timestamp)
+from goldens import (changes, collect, golden_files, installed_versions,
+                     mismatches, recorded_versions, strip_timestamp)
 
 
 def test_suite_matches_goldens_within_tolerance(suite_run):
@@ -65,3 +65,15 @@ def test_strip_timestamp_keeps_the_other_bytes():
     assert strip_timestamp(text) == b'{\n  "name": "x",\n  "passed": true\n}\n'
     with pytest.raises(ValueError):
         strip_timestamp(b'{\n  "name": "x"\n}\n')
+
+
+def test_regen_report_names_every_moved_field():
+    old = {"a.json": b'{"x": 1.0, "y": 2.0}', "b.json": b'{"x": 1.0}',
+           "c.json": b'{"x": 1.0}', "d.json": b'{"x": 1.0}'}
+    runs = {"a.json": b'{"x": 1.5, "y": 2.5}', "c.json": b'{"x": 1.0}',
+            "d.json": b'{"x": 1.0000000000000002}', "e.json": b'{"x": 1.0}'}
+    assert changes(runs, old) == [
+        "b.json: removed",
+        "a.json $.x: 1.5 != golden 1.0", "a.json $.y: 2.5 != golden 2.0",
+        "d.json $.x: 1.0000000000000002 != golden 1.0",
+        "e.json: new"]
