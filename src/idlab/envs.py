@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import (DimensionMismatch, RankDeficient, SingularCovariance)
 from .linear import LinearGenerator, _svd_rank, spanning_check
@@ -229,7 +230,6 @@ def fit_gaussian_kr(samples, target_prior: GaussianDistribution, *,
         L_fit = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance("sample covariance is not positive definite") from exc
-    from scipy.linalg import solve_triangular
     L = L_fit @ solve_triangular(target_prior.cholesky, np.eye(d), lower=True)
     return AffineMap(L, mean - L @ target_prior.mean)
 

@@ -438,6 +438,18 @@ class ProductDistribution(Distribution):
         return self.marginals[m].ppf(p)
 
 
+def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """``scipy.integrate.cumulative_simpson(y, dx=dx)`` on >= 3 points, to
+    its bits: interval k integrates its left (h1) or, at odd k and the last
+    interval, its right (h2) three-point neighbourhood."""
+    def h1(f):
+        return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+    h2 = h1(y[::-1])[::-1]
+    parts = np.empty(y.shape[0] - 1)
+    parts[:-1:2], parts[1::2], parts[-1] = h1(y)[::2], h2[::2], h2[-1]
+    return np.cumsum(parts)
+
+
 class _TiltedMarginal(Univariate):
     """Scalar tilted law  q(x) exp(eta T(x) - A(eta))  on a truncated interval.
 
@@ -460,12 +472,10 @@ class _TiltedMarginal(Univariate):
 
     def _cdf_table(self):
         """The grid and its normalized CDF, built once."""
-        from scipy.integrate import cumulative_simpson
-
         if self._table is None:
             grid = np.linspace(*self.support, self._GRID)
-            cdf = np.concatenate([[0.0], cumulative_simpson(
-                np.exp(self.log_pdf(grid)), dx=grid[1] - grid[0])])
+            cdf = np.concatenate([[0.0], _cumulative_simpson(
+                np.exp(self.log_pdf(grid)), grid[1] - grid[0])])
             cdf = np.maximum.accumulate(cdf)
             if cdf[-1] <= 0:
                 raise BracketFailure("tilted marginal has no mass on its box")

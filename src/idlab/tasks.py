@@ -101,23 +101,28 @@ def latent_shift_task(delta: float, k: int) -> TaskSpec:
                     name=f"latent_shift[delta={delta},k={k}]")
 
 
+def _midranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``a``, each tie sharing the mean of its ranks."""
+    _, inv, counts = np.unique(a, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((2 * ends - counts + 1) / 2)[inv]
+
+
 def spearman_abs(x, y) -> float:
     """Absolute Spearman rank correlation with midranks for ties.
 
-    Ranks are centered by their exact mean (n+1)/2, which midranks preserve,
-    so reversing either argument's order flips the sign of the statistic
-    exactly in floating point and the absolute value is exactly invariant
-    under strictly monotone componentwise maps.
+    `_midranks` are exact (half-)integers, centered by their exact mean
+    (n+1)/2, so reversing either argument's order flips the sign of the
+    statistic exactly in floating point and the absolute value is exactly
+    invariant under strictly monotone componentwise maps.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     if x.shape != y.shape:
         raise DimensionMismatch("columns must have equal length")
-    from scipy.stats import rankdata
-
     n = x.shape[0]
-    cx = rankdata(x) - (n + 1) / 2.0
-    cy = rankdata(y) - (n + 1) / 2.0
+    cx = _midranks(x) - (n + 1) / 2.0
+    cy = _midranks(y) - (n + 1) / 2.0
     den = float(np.sqrt((cx @ cx) * (cy @ cy)))
     if den == 0.0:
         return 0.0

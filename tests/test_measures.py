@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 import scipy.stats
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from idlab import (
     interdecile_box,
     stream,
 )
+from idlab.measures import _cumulative_simpson
 
 from conftest import bisect_quantile, gaussian_laws, gaussian_mean_families, gaussian_mixtures, product_laws
 
@@ -238,6 +240,14 @@ def test_expfam_sample_means_at_d4():
 
 class TestExpFamilyTables:
     fam = ExpFamily.gaussian_mean_family([2.9, 0.78])
+
+    @pytest.mark.parametrize("n", [4097, 3, 4, 1000])
+    def test_cumulative_simpson_equals_scipy_bits(self, n):
+        g = np.linspace(-9.1, 12.0, n)
+        y = np.exp(-0.5 * (g - 1.3) ** 2) * (1.0 + 0.3 * np.sin(5.0 * g))
+        dx = g[1] - g[0]
+        want = scipy.integrate.cumulative_simpson(y, dx=dx)
+        assert _cumulative_simpson(y, dx).tobytes() == want.tobytes()
 
     def test_rows_do_not_depend_on_blocks(self):
         z = stream(17, 0).normal(size=(130, 2)) + self.fam.eta

@@ -26,6 +26,7 @@ from idlab import (
     task_identifiability_check,
 )
 from idlab.cli import _to_json
+from idlab.tasks import _midranks
 from idlab.errors import DimensionMismatch, UncertifiedTransform
 
 EMBED = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -79,6 +80,15 @@ class TestSpearman:
 
     def test_constant_input_returns_zero(self):
         assert spearman_abs(np.ones(10), np.arange(10.0)) == 0.0
+
+    def test_midranks_equal_rankdata_bits(self, rng):
+        cases = [np.array([]), np.array([3.0]), np.array([1.0, 1.0, 2.0, 3.0]),
+                 np.array([2.0, -1.0, 2.0, 2.0, -1.0, 0.5])]
+        for n in range(0, 400, 4):
+            cases.append(rng.normal(size=n))
+            cases.append(rng.integers(0, n // 3 + 1, n).astype(float))
+        for a in cases:
+            assert _midranks(a).tobytes() == scipy.stats.rankdata(a).tobytes()
 
 
 class TestLatentShiftTask:

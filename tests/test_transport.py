@@ -35,6 +35,7 @@ from idlab import (
 )
 from idlab.errors import DimensionMismatch, NonFiniteDerivative
 from idlab.indeterminacy import TransportedDistribution
+from idlab.transport import _ks_critical
 
 from conftest import gaussian_laws, gaussian_mixtures, probe_grid, product_laws
 
@@ -300,20 +301,28 @@ class TestPushforwardCheck:
         ([[2.0, 0.6], [0.6, 1.0]], 0, [0.035604223131321056, 0.044072496756322826], True),
         ([[4.0, 0.0], [0.0, 4.0]], 1, [0.17404897176255182, 0.18331104138428017], False),
     ])
-    def test_verdict_needs_no_p_values(self, monkeypatch, target_cov, seed, statistics, passed):
-        # the figures are those the check gave when it also computed
-        # kstwo.sf p-values; without them nothing may change
-        def no_sf(*args, **kwargs):
-            raise AssertionError("pushforward_check computed a p-value")
-
-        monkeypatch.setattr(scipy.stats.kstwo, "sf", no_sf)
+    def test_verdict_needs_no_p_values(self, target_cov, seed, statistics, passed):
+        # the statistics and verdicts are those the check gave when it also
+        # computed kstwo.sf p-values; the critical value is Stephens' at
+        # n = 500, level 0.005 (kstwo.isf gave 0.07703777808315361)
         src = GaussianDistribution([0.0, 0.0], np.eye(2))
         tgt = GaussianDistribution([0.5, -1.0] if passed else [0.0, 0.0], target_cov)
         amap = kr_transport(src, tgt if passed else src)
         rep = pushforward_check(amap, src, tgt, n=500, rng=stream(41, seed))
         assert_allclose(rep.statistics, statistics, rtol=1e-12, atol=0)
-        assert_allclose(rep.critical_value, 0.07703777808315361, rtol=1e-12, atol=0)
+        assert_allclose(rep.critical_value, 0.07697452804163014, rtol=1e-12, atol=0)
         assert rep.passed is passed
+
+    @pytest.mark.parametrize("level", [0.01, 0.0125, 0.005, 0.01 / 3, 0.0025, 1e-6, 5e-7, 1e-6 / 3, 2.5e-7])
+    def test_critical_value_against_kstwo(self, level):
+        small = np.arange(1, 141)
+        exact = scipy.stats.kstwo.isf(level, small)
+        assert_allclose([_ks_critical(level, n) for n in small], exact, rtol=1e-7, atol=0)
+        large = np.r_[141:400, 500, 1000, 2000, 5000, 20_000, 100_000, 1_000_000]
+        exact = scipy.stats.kstwo.isf(level, large)
+        got = np.array([_ks_critical(level, n) for n in large])
+        assert np.all(got <= exact)
+        assert_allclose(got, exact, rtol=1.5e-3, atol=0)
 
 
 @st.composite
