@@ -102,7 +102,10 @@ def latent_shift_task(delta: float, k: int) -> TaskSpec:
 
 
 def _midranks(a: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``a``, each tie sharing the mean of its ranks."""
+    """1-based ranks of ``a``, each tie sharing the mean of its ranks; all
+    NaN if any entry is NaN, as in ``scipy.stats.rankdata``."""
+    if np.isnan(a).any():
+        return np.full(a.shape, np.nan)
     _, inv, counts = np.unique(a, return_inverse=True, return_counts=True)
     ends = np.cumsum(counts)
     return ((2 * ends - counts + 1) / 2)[inv]

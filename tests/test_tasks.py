@@ -83,7 +83,8 @@ class TestSpearman:
 
     def test_midranks_equal_rankdata_bits(self, rng):
         cases = [np.array([]), np.array([3.0]), np.array([1.0, 1.0, 2.0, 3.0]),
-                 np.array([2.0, -1.0, 2.0, 2.0, -1.0, 0.5])]
+                 np.array([2.0, -1.0, 2.0, 2.0, -1.0, 0.5]),
+                 np.array([np.inf, -np.inf, 1.0, np.inf]), np.array([1.0, np.nan, 2.0])]
         for n in range(0, 400, 4):
             cases.append(rng.normal(size=n))
             cases.append(rng.integers(0, n // 3 + 1, n).astype(float))
