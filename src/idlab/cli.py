@@ -5,8 +5,8 @@ JSON config and writes machine-readable artifacts, ``list`` prints the
 registry, ``schema`` prints the config schema with per-experiment defaults
 and CSV columns.  Exit codes: 0 all pass-conditions hold, 1 a claim check
 failed (artifacts still written), 2 usage or configuration error, 3 a
-numerical failure (an ``IdlabError``) inside an experiment; ``run`` writes
-nothing on 2 or 3, as it runs every experiment before writing any.
+numerical failure (an ``IdlabError``) inside an experiment's run; ``run``
+writes nothing on 2 or 3, as it runs every experiment before writing any.
 """
 
 from __future__ import annotations
@@ -16,14 +16,14 @@ import csv
 import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .errors import IdlabError
-from .experiments import (EXPERIMENTS, check_params, experiment_info,
-                          run_experiment)
+from .experiments import EXPERIMENTS, check_params, experiment_info
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -55,13 +55,6 @@ def _to_jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
-def _atomic_write(path: str, text: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _to_json(obj) -> str:
     """The text every JSON artifact is written as."""
     return json.dumps(obj, indent=2, sort_keys=True,
@@ -69,7 +62,10 @@ def _to_json(obj) -> str:
 
 
 def _dump_json(path: str, obj):
-    _atomic_write(path, _to_json(obj))
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(_to_json(obj))
+    os.replace(tmp, path)
 
 
 def _csv_cell(v):
@@ -112,11 +108,11 @@ def _load_config(path: str):
 
 
 def _validate_config(config) -> dict:
-    """Check a config; return each experiment to run with its overrides.
+    """Check a config; map each experiment to run to its overrides and to
+    the ``run(seed)`` its setup returned.
 
-    Every experiment's overrides are checked against its registered
-    defaults here, so a bad entry rejects the run before any experiment
-    starts.
+    Every experiment's setup runs here, so a bad entry rejects the run
+    before any experiment starts.
     """
     import jsonschema
     try:
@@ -134,9 +130,8 @@ def _validate_config(config) -> dict:
         raise ValueError(f"unknown experiment: {name!r}")
     else:
         plan = {name: params}
-    for exp_name, overrides in plan.items():
-        check_params(exp_name, overrides)
-    return plan
+    return {exp_name: (overrides, check_params(exp_name, overrides))
+            for exp_name, overrides in plan.items()}
 
 
 def _write_experiment_artifacts(out_dir, result, echo):
@@ -168,27 +163,30 @@ def _cmd_run(args) -> int:
     if jobs < 1:
         return _fail(f"jobs must be >= 1, got {jobs}")
 
+    # each experiment draws only from its own streams, so the pool's size
+    # and order cannot change a result
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        futures = {exp_name: pool.submit(run, seed)
+                   for exp_name, (_, run) in plan.items()}
     results = {}
-    for exp_name, params in plan.items():
+    for exp_name, future in futures.items():
         try:
-            results[exp_name] = run_experiment(exp_name, params, seed, jobs)
+            results[exp_name] = future.result()
         except IdlabError as exc:  # numerical failure, before any artifact
             return _fail(f"{exp_name}: {exc}", code=3)
-        except Exception as exc:  # a bad value surfaces before any artifact
-            return _fail(f"{exp_name}: {exc}")
 
     statuses = {}
     for exp_name, result in results.items():
         echo = {"experiment": exp_name, "seed": seed, "jobs": jobs,
-                "params": {**EXPERIMENTS[exp_name].defaults, **plan[exp_name]},
+                "params": {**EXPERIMENTS[exp_name].defaults,
+                           **plan[exp_name][0]},
                 "out_dir": out_dir}
         try:
             _write_experiment_artifacts(out_dir, result, echo)
         except OSError as exc:
             return _fail(f"cannot write artifacts: {exc}")
         statuses[exp_name] = result.passed
-        verdict = "pass" if result.passed else "FAIL"
-        print(f"{exp_name}: {verdict}")
+        print(f"{exp_name}: {'pass' if result.passed else 'FAIL'}")
 
     if name == "all":
         _dump_json(os.path.join(out_dir, "results.json"),
@@ -233,7 +231,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--out", default=None,
                        help="override the config output directory")
     run_p.add_argument("--jobs", type=int, default=None,
-                       help="worker threads for per-seed cells "
+                       help="experiments run concurrently "
                             "(overrides the config's jobs)")
     run_p.set_defaults(func=_cmd_run)
 

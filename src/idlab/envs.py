@@ -226,6 +226,8 @@ def fit_gaussian_kr(samples, target_prior: GaussianDistribution, *,
         raise ValueError("provide samples or explicit moments")
     mean = np.asarray(mean, dtype=float).reshape(d)
     cov = np.asarray(cov, dtype=float).reshape(d, d)
+    if not np.all(np.isfinite(cov)):
+        raise SingularCovariance("sample covariance is not finite")
     try:
         L_fit = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:

@@ -1,15 +1,16 @@
 """Registered experiments: each one checks a claim end to end.
 
-Every experiment is a pure function of (params, seed, jobs) returning a
-pass/fail verdict, a JSON-serializable summary, and plot-ready CSV rows
-with a fixed column set.  The registry maps stable names to runners plus
-the claim each one exercises; the CLI is a thin shell around `run_experiment`.
+An experiment's setup builds everything its claim needs from the params and
+draws nothing, so a config it cannot build is rejected before any
+computation.  It returns ``run(seed)``, which draws, fits and checks, and
+gives a pass/fail verdict, a JSON-serializable summary and plot-ready CSV
+rows with a fixed column set.  ``check_params`` runs the setup.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -53,10 +54,11 @@ def _rotation(angle_deg: float) -> np.ndarray:
                      [math.sin(t), math.cos(t)]])
 
 
-def _box_grid(box: np.ndarray, per_axis: int) -> np.ndarray:
+def _bulk_grid(per_axis: int) -> np.ndarray:
+    """``per_axis`` squared points on the standard normal's interdecile box."""
+    box = interdecile_box(GaussianDistribution(np.zeros(2), np.eye(2)))
     axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(
-        -1, box.shape[0])
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 def _equilateral_means(radius: float) -> np.ndarray:
@@ -64,13 +66,13 @@ def _equilateral_means(radius: float) -> np.ndarray:
     return radius * np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-def _map_seeds(fn, seeds, jobs):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(fn, seeds))
-    else:
-        rows = [fn(s) for s in seeds]
-    return sorted(rows, key=lambda r: r["seed"])
+@contextmanager
+def _rejected(key: str):
+    """Name the param ``key`` in a rejection by a constructor it feeds."""
+    try:
+        yield
+    except (ValueError, IdlabError) as exc:
+        raise ValueError(f"{key} rejected: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -92,139 +94,158 @@ def _identity_prior(family: str, d: int):
     raise ValueError(f"unknown prior family: {family!r}")
 
 
-def _run_kr_identity(params, seed, jobs):
-    rows = []
-    sid = 0
+def _kr_identity(params):
+    cells = []
     for family in params["families"]:
         for d in params["dims"]:
             prior = _identity_prior(family, d)
-            mapping = kr_transport(prior, prior)
+            cells.append((family, d, prior, kr_transport(prior, prior)))
+
+    def run(seed):
+        rows = []
+        for sid, (family, d, prior, mapping) in enumerate(cells):
             z = prior.sample(stream(seed, sid), params["n_probes"])
-            sid += 1
             sup, rms = identity_deviation(mapping, z)
             rows.append({"family": family, "dim": d, "sup_dev": sup,
-                         "rms_dev": rms,
-                         "passed": bool(sup < params["tol"])})
-    passed = all(r["passed"] for r in rows)
-    worst = max(r["sup_dev"] for r in rows)
-    return passed, {"max_sup_dev": worst, "tol": params["tol"]}, rows
+                         "rms_dev": rms, "passed": bool(sup < params["tol"])})
+        passed = all(r["passed"] for r in rows)
+        worst = max(r["sup_dev"] for r in rows)
+        return passed, {"max_sup_dev": worst, "tol": params["tol"]}, rows
+    return run
 
 
-def _run_kr_gaussian(params, seed, jobs):
-    rows = []
-    for i in range(params["n_pairs"]):
-        rng = stream(seed, i)
-        d = int(rng.integers(1, params["max_dim"] + 1))
-        def rand_gauss():
-            A = 0.5 * rng.standard_normal((d, d))
-            return GaussianDistribution(rng.standard_normal(d),
-                                        A @ A.T + 0.5 * np.eye(d))
-        source, target = rand_gauss(), rand_gauss()
-        closed = kr_transport(source, target)
-        chain = kr_transport(source, target, method="cdf_chain")
-        z = source.sample(rng, params["n_probes"])
-        diff = float(np.abs(closed.forward(z) - chain.forward(z)).max())
-        rows.append({"pair": i, "dim": d, "sup_diff": diff,
-                     "passed": bool(diff < params["tol"])})
-    passed = all(r["passed"] for r in rows)
-    worst = max(r["sup_diff"] for r in rows)
-    return passed, {"max_sup_diff": worst, "tol": params["tol"]}, rows
+def _kr_gaussian(params):
+    def run(seed):
+        rows = []
+        for i in range(params["n_pairs"]):
+            rng = stream(seed, i)
+            d = int(rng.integers(1, params["max_dim"] + 1))
+            def rand_gauss():
+                A = 0.5 * rng.standard_normal((d, d))
+                return GaussianDistribution(rng.standard_normal(d),
+                                            A @ A.T + 0.5 * np.eye(d))
+            source, target = rand_gauss(), rand_gauss()
+            closed = kr_transport(source, target)
+            chain = kr_transport(source, target, method="cdf_chain")
+            z = source.sample(rng, params["n_probes"])
+            diff = float(np.abs(closed.forward(z) - chain.forward(z)).max())
+            rows.append({"pair": i, "dim": d, "sup_diff": diff,
+                         "passed": bool(diff < params["tol"])})
+        passed = all(r["passed"] for r in rows)
+        worst = max(r["sup_diff"] for r in rows)
+        return passed, {"max_sup_diff": worst, "tol": params["tol"]}, rows
+    return run
 
 
-def _run_ica_comon(params, seed, jobs):
+def _ica_comon(params):
     source = ProductDistribution([Laplace1D(0.0, 1.0), Laplace1D(0.3, 1.3)])
     target = ProductDistribution([Logistic1D(-0.2, 0.8), Logistic1D(0.4, 1.1)])
     mapping = kr_transport(source, target)
-    probes = source.sample(stream(seed), params["n_probes"])
-    report = component_wise_check(mapping, probes, tol=params["tol"])
-    # the Jacobian at the sample median should be a diagonal matrix
-    J = jacobian_fd(mapping.forward,
-                    np.median(probes, axis=0, keepdims=True))[0]
-    comon = comon_structure_check(J, tol=params["tol"])
-    passed = bool(report.passed and comon.component_wise)
-    row = {"max_offdiag": report.max_offdiag, "max_upper": report.max_upper,
-           "jacobian_component_wise": bool(comon.component_wise),
-           "passed": passed}
-    return passed, {"structure": asdict(report),
-                    "jacobian_check": asdict(comon)}, [row]
+
+    def run(seed):
+        probes = source.sample(stream(seed), params["n_probes"])
+        report = component_wise_check(mapping, probes, tol=params["tol"])
+        # the Jacobian at the sample median should be a diagonal matrix
+        J = jacobian_fd(mapping.forward,
+                        np.median(probes, axis=0, keepdims=True))[0]
+        comon = comon_structure_check(J, tol=params["tol"])
+        passed = bool(report.passed and comon.component_wise)
+        row = {"max_offdiag": report.max_offdiag,
+               "max_upper": report.max_upper,
+               "jacobian_component_wise": bool(comon.component_wise),
+               "passed": passed}
+        return passed, {"structure": asdict(report),
+                        "jacobian_check": asdict(comon)}, [row]
+    return run
 
 
 # ---------------------------------------------------------------------------
 # linear factor-analysis experiments
 # ---------------------------------------------------------------------------
 
-def _run_fa_rotation(params, seed, jobs):
+def _fa_rotation(params):
     mu1 = np.asarray(params["mu1"], dtype=float)
     mu2 = np.asarray(params["mu2"], dtype=float)
-    gen1 = LinearGenerator(params["loading"])
+    with _rejected("loading"):
+        gen1 = LinearGenerator(params["loading"])
     gen2, R = rotation_counterexample(mu1, mu2, gen1)
-    dev = 0.0
-    for mu in (mu1, mu2):
-        dev = max(dev, float(np.abs(gen1.forward(mu) - gen2.forward(mu)).max()))
-    distance = float(np.linalg.norm(gen1.loading - gen2.loading))
-    valid = bool(dev < params["tol_constraint"]
-                 and distance > params["min_distance"])
-    row = {"constraint_dev": dev, "loading_distance": distance,
-           "counterexample_valid": valid}
-    summary = {"counterexample_valid": valid, "constraint_dev": dev,
-               "loading_distance": distance,
-               "rotation": np.asarray(R).tolist()}
-    return valid, summary, [row]
+
+    def run(seed):
+        dev = max(float(np.abs(gen1.forward(mu) - gen2.forward(mu)).max())
+                  for mu in (mu1, mu2))
+        distance = float(np.linalg.norm(gen1.loading - gen2.loading))
+        valid = bool(dev < params["tol_constraint"]
+                     and distance > params["min_distance"])
+        row = {"constraint_dev": dev, "loading_distance": distance,
+               "counterexample_valid": valid}
+        summary = {"counterexample_valid": valid, "constraint_dev": dev,
+                   "loading_distance": distance,
+                   "rotation": np.asarray(R).tolist()}
+        return valid, summary, [row]
+    return run
 
 
-def _run_fa_three_env(params, seed, jobs):
-    gen = LinearGenerator(params["loading"])
+def _fa_three_env(params):
+    with _rejected("loading"):
+        gen = LinearGenerator(params["loading"])
     mus = np.asarray(params["env_means"], dtype=float)
-    rows = []
-    for count in (2, mus.shape[0]):
-        report = solve_multi_env_linear(gen, mus[:count])
-        rows.append({"n_envs": count, "contrast_rank": report.contrast_rank,
-                     "unique": bool(report.unique),
-                     "deviation": (report.deviation
-                                   if report.deviation is not None else -1.0)})
-    two_env, full = rows[0], rows[-1]
-    passed = bool(full["unique"] and 0.0 <= full["deviation"] < params["tol"]
-                  and not two_env["unique"])
-    return passed, {"deviation": full["deviation"], "tol": params["tol"]}, rows
+    if mus.shape[0] < 2:
+        raise ValueError("env_means needs at least 2 rows")
+
+    def run(seed):
+        rows = []
+        for count in (2, mus.shape[0]):
+            rep = solve_multi_env_linear(gen, mus[:count])
+            rows.append({"n_envs": count, "contrast_rank": rep.contrast_rank,
+                         "unique": bool(rep.unique),
+                         "deviation": (-1.0 if rep.deviation is None
+                                       else rep.deviation)})
+        two_env, full = rows[0], rows[-1]
+        passed = bool(full["unique"]
+                      and 0.0 <= full["deviation"] < params["tol"]
+                      and not two_env["unique"])
+        return passed, {"deviation": full["deviation"],
+                        "tol": params["tol"]}, rows
+    return run
 
 
-def _run_expfam_kernel(params, seed, jobs):
+def _expfam_kernel(params):
     d = 3
     M = np.asarray(params["contrasts"], dtype=float)
-    probes = GaussianDistribution(np.zeros(d), np.eye(d)).sample(
-        stream(seed), params["n_probes"])
-    suff = lambda z: z
-
+    prior = GaussianDistribution(np.zeros(d), np.eye(d))
     flip = Automorphism.from_matrix(np.diag([1.0, 1.0, -1.0]))
-    r_flip = kernel_residual(suff, flip, M, probes)
-    fixed = fixed_coordinate_check(flip, [0, 1], probes, tol=1e-10)
-
     shift = Automorphism.from_matrix(np.eye(d), [params["shift"], 0.0, 0.0])
-    r_shift = kernel_residual(suff, shift, M, probes)
-
+    suff = lambda z: z
     tol = params["tol"]
-    rows = [
-        {"case": "coordinate_flip", "residual": r_flip,
-         "fixed_coords_pass": bool(fixed.passed),
-         "passed": bool(r_flip < tol and fixed.passed)},
-        {"case": "translation", "residual": r_shift, "fixed_coords_pass": False,
-         "passed": bool(r_shift >= params["shift"] - tol)},
-    ]
-    passed = all(r["passed"] for r in rows)
-    return passed, {"flip_residual": r_flip, "shift_residual": r_shift,
-                    "fixed_coord_dev": asdict(fixed)}, rows
+
+    def run(seed):
+        probes = prior.sample(stream(seed), params["n_probes"])
+        r_flip = kernel_residual(suff, flip, M, probes)
+        fixed = fixed_coordinate_check(flip, [0, 1], probes, tol=1e-10)
+        r_shift = kernel_residual(suff, shift, M, probes)
+        rows = [
+            {"case": "coordinate_flip", "residual": r_flip,
+             "fixed_coords_pass": bool(fixed.passed),
+             "passed": bool(r_flip < tol and fixed.passed)},
+            {"case": "translation", "residual": r_shift,
+             "fixed_coords_pass": False,
+             "passed": bool(r_shift >= params["shift"] - tol)},
+        ]
+        passed = all(r["passed"] for r in rows)
+        return passed, {"flip_residual": r_flip, "shift_residual": r_shift,
+                        "fixed_coord_dev": asdict(fixed)}, rows
+    return run
 
 
 # ---------------------------------------------------------------------------
 # multi-environment estimation experiments
 # ---------------------------------------------------------------------------
 
-def _strong_vae_setup(params):
-    means = _equilateral_means(params["radius"])
-    envset = EnvironmentSet.gaussian_mean_envs(means)
-    generator = LinearGenerator(_rotation(params["angle_deg"]),
-                                params["offset"])
-    return envset, generator
+def _mean_envs(key: str, means) -> EnvironmentSet:
+    """Gaussian-mean environments at means the mean fit can pin."""
+    with _rejected(key):
+        _affine_design(means)
+    return EnvironmentSet.gaussian_mean_envs(means)
 
 
 def _exact_block_means(envset, generator, n_per_env, rng):
@@ -236,243 +257,245 @@ def _exact_block_means(envset, generator, n_per_env, rng):
                              / math.sqrt(n_per_env))
 
 
-def _fit_pair_deviation(envset, generator, n_per_env, rng, grid=21):
-    """Sup identity deviation of the transform between two independent fits."""
+def _fit_pair_deviation(envset, generator, n_per_env, rng, probes):
+    """Sup identity deviation on ``probes`` between two independent fits."""
     fit_a, fit_b = (fit_env_affine_generator(_exact_block_means(
         envset, generator, n_per_env, rng), envset) for _ in range(2))
-    transform = generator_transform(fit_a, fit_b)
-    box = interdecile_box(GaussianDistribution(np.zeros(2), np.eye(2)))
-    sup, _ = identity_deviation(transform, _box_grid(box, grid))
+    sup, _ = identity_deviation(generator_transform(fit_a, fit_b), probes)
     return sup, fit_a, fit_b
 
 
-def _run_strong_vae(params, seed, jobs):
-    envset, generator = _strong_vae_setup(params)
+def _strong_vae(params):
+    envset = _mean_envs("radius", _equilateral_means(params["radius"]))
+    generator = LinearGenerator(_rotation(params["angle_deg"]),
+                                params["offset"])
     config = validate_strong_vae_config(envset)
     n = params["n_per_env"]
     tol = 5.0 / math.sqrt(n)
+    probes = _bulk_grid(params["grid"])
 
-    def one_seed(s):
-        sup, _, _ = _fit_pair_deviation(envset, generator, n,
-                                        stream(seed, s), params["grid"])
-        return {"seed": s, "sup_dev": sup, "tol": tol,
-                "passed": bool(sup < tol)}
+    def run(seed):
+        rows = []
+        for s in range(params["n_seeds"]):
+            sup, _, _ = _fit_pair_deviation(envset, generator, n,
+                                            stream(seed, s), probes)
+            rows.append({"seed": s, "sup_dev": sup, "tol": tol,
+                         "passed": bool(sup < tol)})
+        n_pass = sum(r["passed"] for r in rows)
+        passed = bool(config.passed and n_pass >= params["min_passes"])
+        summary = {"config_valid": config.passed, "n_pass": n_pass,
+                   "n_seeds": params["n_seeds"], "tol": tol,
+                   "max_sup_dev": max(r["sup_dev"] for r in rows)}
+        return passed, summary, rows
+    return run
 
-    rows = _map_seeds(one_seed, range(params["n_seeds"]), jobs)
-    n_pass = sum(r["passed"] for r in rows)
-    passed = bool(config.passed and n_pass >= params["min_passes"])
-    summary = {"config_valid": config.passed, "n_pass": n_pass,
-               "n_seeds": params["n_seeds"], "tol": tol,
-               "max_sup_dev": max(r["sup_dev"] for r in rows)}
-    return passed, summary, rows
 
-
-def _run_ivae_affine(params, seed, jobs):
-    envset, generator = _strong_vae_setup(params)
-    n = params["n_per_env"]
-    rng = stream(seed)
-    frozen_dev, fit_a, _ = _fit_pair_deviation(envset, generator, n, rng)
-
+def _ivae_affine(params):
+    means = _equilateral_means(params["radius"])
     # lab B re-anchors on its own learned means: an affine re-gauging
     G = np.asarray(params["gauge_matrix"], dtype=float)
     h = np.asarray(params["gauge_offset"], dtype=float)
-    means_b = envset.eta_matrix @ G.T + h
-    envset_b = EnvironmentSet.gaussian_mean_envs(means_b)
+    envset = _mean_envs("radius", means)
+    envset_b = _mean_envs("gauge_matrix", means @ G.T + h)
+    generator = LinearGenerator(_rotation(params["angle_deg"]),
+                                params["offset"])
+    n = params["n_per_env"]
+    probes = _bulk_grid(21)
 
-    data = generate_environment_data(envset, generator, n, rng)
-    fit_b = fit_env_affine_generator(data.block_means, envset_b)
+    def run(seed):
+        rng = stream(seed)
+        frozen_dev, fit_a, _ = _fit_pair_deviation(envset, generator, n, rng,
+                                                   probes)
+        data = generate_environment_data(envset, generator, n, rng)
+        fit_b = fit_env_affine_generator(data.block_means, envset_b)
 
-    x = data.x.reshape(-1, data.x.shape[-1])
-    relation = affine_relation_fit(fit_a.inverse(x), fit_b.inverse(x))
+        x = data.x.reshape(-1, data.x.shape[-1])
+        relation = affine_relation_fit(fit_a.inverse(x), fit_b.inverse(x))
 
-    matrix_err = float(np.abs(relation.matrix.T - G).max())
-    offset_err = float(np.abs(relation.offset - h).max())
-    passed = bool(relation.residual < params["resid_factor"] * frozen_dev
-                  and relation.condition_number < params["max_cond"])
-    row = {"residual": relation.residual,
-           "cond_L": relation.condition_number, "frozen_dev": frozen_dev,
-           "matrix_err": matrix_err, "offset_err": offset_err,
-           "passed": passed}
-    return passed, {"relation": asdict(relation),
-                    "frozen_dev": frozen_dev}, [row]
+        passed = bool(relation.residual < params["resid_factor"] * frozen_dev
+                      and relation.condition_number < params["max_cond"])
+        row = {"residual": relation.residual,
+               "cond_L": relation.condition_number, "frozen_dev": frozen_dev,
+               "matrix_err": float(np.abs(relation.matrix.T - G).max()),
+               "offset_err": float(np.abs(relation.offset - h).max()),
+               "passed": passed}
+        return passed, {"relation": asdict(relation),
+                        "frozen_dev": frozen_dev}, [row]
+    return run
 
 
-def _run_two_labs(params, seed, jobs):
+def _two_labs(params):
     n = params["n"]
-    angle = params["angle_deg"]
-    rows = []
-
-    def audit_cell(name, prior):
-        gen_a = LinearGenerator(np.eye(2))
-        gen_b = LinearGenerator(_rotation(-angle))  # f_a composed after undoing R
-        report = indeterminacy_audit(ModelParams(gen_a, prior),
-                                     ModelParams(gen_b, prior),
-                                     n, stream(seed, len(rows)),
-                                     alpha=params["alpha"])
-        ratio = float(max(np.max(report.forward_check.statistics)
-                          / report.forward_check.critical_value,
-                          np.max(report.inverse_check.statistics)
-                          / report.inverse_check.critical_value))
-        return report, ratio
-
-    gauss_report, gauss_ratio = audit_cell(
-        "gaussian", GaussianDistribution(np.zeros(2), np.eye(2)))
-    cell_a = bool(gauss_report.pushforward_pass
-                  and not gauss_report.structure["is_identity_ae"])
-    rows.append({"cell": "gaussian_rotation",
-                 "pushforward_pass": bool(gauss_report.pushforward_pass),
-                 "identity_sup_dev": gauss_report.identity_sup_dev,
-                 "max_ks_ratio": gauss_ratio, "fit_dev": -1.0,
-                 "passed": cell_a})
-
+    gauss = GaussianDistribution(np.zeros(2), np.eye(2))
     laplace = ProductDistribution([Laplace1D(), Laplace1D()])
-    lap_report, lap_ratio = audit_cell("laplace", laplace)
-    cell_b = bool(not lap_report.pushforward_pass
-                  and lap_ratio >= params["ks_ratio_min"])
-    rows.append({"cell": "laplace_rotation",
-                 "pushforward_pass": bool(lap_report.pushforward_pass),
-                 "identity_sup_dev": lap_report.identity_sup_dev,
-                 "max_ks_ratio": lap_ratio, "fit_dev": -1.0,
-                 "passed": cell_b})
-
+    gen_a = LinearGenerator(np.eye(2))
+    # f_a composed after undoing R
+    gen_b = LinearGenerator(_rotation(-params["angle_deg"]))
     # two labs fit the same documented model on disjoint data halves
-    prior = GaussianDistribution(np.zeros(2), np.eye(2))
-    model = AffineMap(params["loading"], [0.0, 0.0])
-    rng = stream(seed, 17)
-    x = model.forward(prior.sample(rng, 2 * n))
-    fit_1 = fit_gaussian_kr(x[:n], prior)
-    fit_2 = fit_gaussian_kr(x[n:], prior)
-    transform = generator_transform(fit_1, fit_2)
-    sup, _ = identity_deviation(transform,
-                                _box_grid(interdecile_box(prior), 21))
+    with _rejected("loading"):
+        model = AffineMap(params["loading"], [0.0, 0.0])
+    if n < 20:  # fit_gaussian_kr needs 10 rows per coordinate in each half
+        raise ValueError(f"n must be >= 20 for the moment fits, got {n}")
+    probes = _bulk_grid(21)
     fit_tol = 10.0 / math.sqrt(n)
-    cell_c = bool(sup < fit_tol)
-    rows.append({"cell": "fit_halves", "pushforward_pass": True,
-                 "identity_sup_dev": sup, "max_ks_ratio": -1.0,
-                 "fit_dev": sup, "passed": cell_c})
 
-    passed = cell_a and cell_b and cell_c
-    summary = {"gaussian_ratio": gauss_ratio, "laplace_ratio": lap_ratio,
-               "fit_dev": sup, "fit_tol": fit_tol}
-    return passed, summary, rows
+    def run(seed):
+        def audit_cell(sid, prior):
+            report = indeterminacy_audit(ModelParams(gen_a, prior),
+                                         ModelParams(gen_b, prior),
+                                         n, stream(seed, sid),
+                                         alpha=params["alpha"])
+            ratio = float(max(np.max(report.forward_check.statistics)
+                              / report.forward_check.critical_value,
+                              np.max(report.inverse_check.statistics)
+                              / report.inverse_check.critical_value))
+            return report, ratio
+
+        gauss_report, gauss_ratio = audit_cell(0, gauss)
+        cell_a = bool(gauss_report.pushforward_pass
+                      and not gauss_report.structure["is_identity_ae"])
+        lap_report, lap_ratio = audit_cell(1, laplace)
+        cell_b = bool(not lap_report.pushforward_pass
+                      and lap_ratio >= params["ks_ratio_min"])
+
+        x = model.forward(gauss.sample(stream(seed, 17), 2 * n))
+        fit_1, fit_2 = (fit_gaussian_kr(h, gauss) for h in (x[:n], x[n:]))
+        sup, _ = identity_deviation(generator_transform(fit_1, fit_2), probes)
+        cell_c = bool(sup < fit_tol)
+
+        rows = [
+            {"cell": "gaussian_rotation",
+             "pushforward_pass": bool(gauss_report.pushforward_pass),
+             "identity_sup_dev": gauss_report.identity_sup_dev,
+             "max_ks_ratio": gauss_ratio, "fit_dev": -1.0, "passed": cell_a},
+            {"cell": "laplace_rotation",
+             "pushforward_pass": bool(lap_report.pushforward_pass),
+             "identity_sup_dev": lap_report.identity_sup_dev,
+             "max_ks_ratio": lap_ratio, "fit_dev": -1.0, "passed": cell_b},
+            {"cell": "fit_halves", "pushforward_pass": True,
+             "identity_sup_dev": sup, "max_ks_ratio": -1.0,
+             "fit_dev": sup, "passed": cell_c},
+        ]
+        passed = cell_a and cell_b and cell_c
+        summary = {"gaussian_ratio": gauss_ratio, "laplace_ratio": lap_ratio,
+                   "fit_dev": sup, "fit_tol": fit_tol}
+        return passed, summary, rows
+    return run
 
 
 # ---------------------------------------------------------------------------
 # task experiments
 # ---------------------------------------------------------------------------
 
-def _embedding_model():
+def _task_shift(params):
     gen = LinearGenerator(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
-    prior = GaussianDistribution(np.zeros(2), np.eye(2))
-    return ModelParams(gen, prior, name="embedding")
-
-
-def _run_task_shift(params, seed, jobs):
-    theta = _embedding_model()
-    task = latent_shift_task(params["delta"], params["k"])
+    theta = ModelParams(gen, GaussianDistribution(np.zeros(2), np.eye(2)),
+                        name="embedding")
+    task = latent_shift_task(params["delta"], params["k"], gen.latent_dim)
     obs = np.asarray(params["obs"], dtype=float)
     rot = Automorphism.from_matrix([[0.0, -1.0], [1.0, 0.0]])
-    rng = stream(seed)
-
-    rot_report = task_identifiability_check(task, theta, [rot], obs,
-                                            tol=1e-6, rng=rng)
-    id_report = task_identifiability_check(
-        task, theta, [Automorphism.identity(2)], obs, tol=1e-6, rng=rng)
-
     # translations commute with the shift; certification would reject them
     # (no probability prior is translation invariant), so compare raw outputs
-    translation = Automorphism.from_matrix(np.eye(2), [0.7, -0.4])
-    base = task.evaluate(theta, obs, task.select(theta, obs))
-    twisted = act_on_params(translation, theta)
-    moved = task.evaluate(twisted, obs, task.select(twisted, obs))
-    trans_dist = float(task.output_metric(base, moved))
-
+    twisted = act_on_params(
+        Automorphism.from_matrix(np.eye(2), [0.7, -0.4]), theta)
     target = math.sqrt(2.0)
-    rows = [
-        {"cell": "rotation", "distance": rot_report.max_distance,
-         "identifiable": bool(rot_report.identifiable),
-         "passed": bool(abs(rot_report.max_distance - target) < params["tol"]
-                        and not rot_report.identifiable)},
-        {"cell": "identity_only", "distance": id_report.max_distance,
-         "identifiable": bool(id_report.identifiable),
-         "passed": bool(id_report.max_distance == 0.0
-                        and id_report.identifiable)},
-        {"cell": "translation_raw", "distance": trans_dist,
-         "identifiable": bool(trans_dist < 1e-12),
-         "passed": bool(trans_dist < 1e-12)},
-    ]
-    passed = all(r["passed"] for r in rows)
-    return passed, {"rotation_distance": rot_report.max_distance,
-                    "expected": target}, rows
+
+    def run(seed):
+        rng = stream(seed)
+        rot_report = task_identifiability_check(task, theta, [rot], obs,
+                                                tol=1e-6, rng=rng)
+        id_report = task_identifiability_check(
+            task, theta, [Automorphism.identity(2)], obs, tol=1e-6, rng=rng)
+        base = task.evaluate(theta, obs, task.select(theta, obs))
+        moved = task.evaluate(twisted, obs, task.select(twisted, obs))
+        trans_dist = float(task.output_metric(base, moved))
+        rows = [
+            {"cell": "rotation", "distance": rot_report.max_distance,
+             "identifiable": bool(rot_report.identifiable),
+             "passed": bool(abs(rot_report.max_distance - target)
+                            < params["tol"]
+                            and not rot_report.identifiable)},
+            {"cell": "identity_only", "distance": id_report.max_distance,
+             "identifiable": bool(id_report.identifiable),
+             "passed": bool(id_report.max_distance == 0.0
+                            and id_report.identifiable)},
+            {"cell": "translation_raw", "distance": trans_dist,
+             "identifiable": bool(trans_dist < 1e-12),
+             "passed": bool(trans_dist < 1e-12)},
+        ]
+        passed = all(r["passed"] for r in rows)
+        return passed, {"rotation_distance": rot_report.max_distance,
+                        "expected": target}, rows
+    return run
 
 
-def _run_task_indep(params, seed, jobs):
+def _task_indep(params):
     n = params["n"]
     prior = ProductDistribution([Laplace1D(), Laplace1D()])
-    gen = AffineMap(params["loading"], [0.0, 0.0])
+    with _rejected("loading"):
+        gen = AffineMap(params["loading"], [0.0, 0.0])
     theta = ModelParams(gen, prior, name="tmi-laplace")
-    rng = stream(seed)
-    z = prior.sample(rng, n)
-    obs = gen.forward(z)
-
-    task = independence_test_task(tuple(params["pair"]), n)
+    task = independence_test_task(tuple(params["pair"]), n, gen.dim)
     flip = Automorphism.from_matrix(-np.eye(2))
-    report = task_identifiability_check(task, theta, [flip], obs,
-                                        tol=1e-15, rng=rng)
 
-    null_stat = spearman_abs(obs[:, 0], z[:, 1])
-    perfect_stat = spearman_abs(z[:, 0], z[:, 0])
-    rows = [
-        {"cell": "flip_invariance", "value": report.max_distance,
-         "passed": bool(report.max_distance == 0.0)},
-        {"cell": "independent_pair", "value": null_stat,
-         "passed": bool(null_stat < params["null_bound"])},
-        {"cell": "perfect_dependence", "value": perfect_stat,
-         "passed": bool(perfect_stat == 1.0)},
-    ]
-    passed = all(r["passed"] for r in rows)
-    return passed, {"flip_distance": report.max_distance,
-                    "null_stat": null_stat}, rows
+    def run(seed):
+        rng = stream(seed)
+        z = prior.sample(rng, n)
+        obs = gen.forward(z)
+        report = task_identifiability_check(task, theta, [flip], obs,
+                                            tol=1e-15, rng=rng)
+        null_stat = spearman_abs(obs[:, 0], z[:, 1])
+        perfect_stat = spearman_abs(z[:, 0], z[:, 0])
+        rows = [
+            {"cell": "flip_invariance", "value": report.max_distance,
+             "passed": bool(report.max_distance == 0.0)},
+            {"cell": "independent_pair", "value": null_stat,
+             "passed": bool(null_stat < params["null_bound"])},
+            {"cell": "perfect_dependence", "value": perfect_stat,
+             "passed": bool(perfect_stat == 1.0)},
+        ]
+        passed = all(r["passed"] for r in rows)
+        return passed, {"flip_distance": report.max_distance,
+                        "null_stat": null_stat}, rows
+    return run
 
 
-def _run_multiview(params, seed, jobs):
+def _multiview(params):
     prior = GaussianDistribution(np.zeros(2), np.eye(2))
     n = params["n"]
     tol = params["tol"]
     R = _rotation(params["angle_deg"])
-
     tmi_view = AffineMap([[1.0, 0.0], [0.4, 1.0]], [0.0, 0.0])
-    free_view = LinearGenerator(_rotation(params["angle_deg"])
-                                @ np.array([[1.3, 0.2], [0.1, 0.8]]))
-
+    free_view = LinearGenerator(R @ np.array([[1.3, 0.2], [0.1, 0.8]]))
     model_a = MultiViewModel({"tmi": tmi_view, "free": free_view})
-    model_same = MultiViewModel({"tmi": tmi_view, "free": free_view})
-    pinned = verify_multiview(model_a, model_same, prior, n,
-                              stream(seed, 0), tol=tol)
-
     lin_a = MultiViewModel({"tmi": LinearGenerator([[1.0, 0.0], [0.4, 1.0]]),
                             "free": free_view})
     lin_b = MultiViewModel(
         {"tmi": LinearGenerator(lin_a.generators["tmi"].loading @ R.T),
          "free": LinearGenerator(free_view.loading @ R.T)})
-    rotated = verify_multiview(lin_a, lin_b, prior, n, stream(seed, 1), tol=tol)
 
-    rows = [
-        {"config": "tmi_plus_free", "identified":
-            bool(pinned.structure["is_identity_ae"]),
-         "best_view_dev": pinned.identity_sup_dev,
-         "max_disagreement": pinned.details["max_disagreement"],
-         "passed": bool(pinned.structure["is_identity_ae"]
-                        and pinned.details["max_disagreement"] < tol)},
-        {"config": "consistent_rotation", "identified":
-            bool(rotated.structure["is_identity_ae"]),
-         "best_view_dev": rotated.identity_sup_dev,
-         "max_disagreement": rotated.details["max_disagreement"],
-         "passed": bool(not rotated.structure["is_identity_ae"])},
-    ]
-    passed = all(r["passed"] for r in rows)
-    return passed, {"pinned": asdict(pinned),
-                    "rotated": asdict(rotated)}, rows
+    def run(seed):
+        pinned = verify_multiview(model_a, model_a, prior, n,
+                                  stream(seed, 0), tol=tol)
+        rotated = verify_multiview(lin_a, lin_b, prior, n, stream(seed, 1),
+                                   tol=tol)
+        rows = [
+            {"config": "tmi_plus_free", "identified":
+                bool(pinned.structure["is_identity_ae"]),
+             "best_view_dev": pinned.identity_sup_dev,
+             "max_disagreement": pinned.details["max_disagreement"],
+             "passed": bool(pinned.structure["is_identity_ae"]
+                            and pinned.details["max_disagreement"] < tol)},
+            {"config": "consistent_rotation", "identified":
+                bool(rotated.structure["is_identity_ae"]),
+             "best_view_dev": rotated.identity_sup_dev,
+             "max_disagreement": rotated.details["max_disagreement"],
+             "passed": bool(not rotated.structure["is_identity_ae"])},
+        ]
+        passed = all(r["passed"] for r in rows)
+        return passed, {"pinned": asdict(pinned),
+                        "rotated": asdict(rotated)}, rows
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -481,19 +504,18 @@ def _run_multiview(params, seed, jobs):
 
 @dataclass
 class ExperimentDef:
-    runner: object
+    #: ``setup(params)`` returns ``run(seed) -> (passed, summary, rows)``
+    setup: object
     anchor: str
     defaults: dict
     columns: list
     #: the shape of each list default, as ``_fits`` reads it
     shapes: dict = field(default_factory=dict)
-    #: the constructor each param is built by, so its checks run up front
-    builds: dict = field(default_factory=dict)
 
 
 EXPERIMENTS = {
     "kr-identity": ExperimentDef(
-        _run_kr_identity,
+        _kr_identity,
         "self-transport of a fully supported law is the identity map",
         {"dims": [1, 2, 3],
          "families": ["gaussian", "laplace_product", "gaussian_mixture"],
@@ -501,37 +523,35 @@ EXPERIMENTS = {
         ["family", "dim", "sup_dev", "rms_dev", "passed"],
         {"dims": ("k",), "families": ("f",)}),
     "kr-gaussian": ExperimentDef(
-        _run_kr_gaussian,
+        _kr_gaussian,
         "conditional-CDF recursion between Gaussians matches the closed-form "
         "Cholesky map",
         {"n_pairs": 10, "max_dim": 4, "n_probes": 1000, "tol": 1e-5},
         ["pair", "dim", "sup_diff", "passed"]),
     "ica-comon": ExperimentDef(
-        _run_ica_comon,
+        _ica_comon,
         "transport between product laws acts on each coordinate separately",
         {"n_probes": 200, "tol": 1e-4},
         ["max_offdiag", "max_upper", "jacobian_component_wise", "passed"]),
     "fa-rotation": ExperimentDef(
-        _run_fa_rotation,
+        _fa_rotation,
         "two matched environments admit a genuinely different reflected "
         "loading with identical observation moments",
         {"mu1": [0.0, 0.0], "mu2": [1.0, 0.0],
          "loading": [[1.0, 0.0], [0.5, 1.0], [-0.25, 0.7]],
          "tol_constraint": 1e-12, "min_distance": 0.5},
         ["constraint_dev", "loading_distance", "counterexample_valid"],
-        {"mu1": (2,), "mu2": (2,), "loading": ("x", 2)},
-        {"loading": LinearGenerator}),
+        {"mu1": (2,), "mu2": (2,), "loading": ("x", 2)}),
     "fa-three-env": ExperimentDef(
-        _run_fa_three_env,
+        _fa_three_env,
         "environment mean contrasts spanning the latent space pin the "
         "loading uniquely",
         {"env_means": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
          "loading": [[1.0, 0.0], [0.5, 1.0], [-0.25, 0.7]], "tol": 1e-8},
         ["n_envs", "contrast_rank", "unique", "deviation"],
-        {"env_means": ("e", "d"), "loading": ("x", "d")},
-        {"loading": LinearGenerator}),
+        {"env_means": ("e", "d"), "loading": ("x", "d")}),
     "expfam-kernel": ExperimentDef(
-        _run_expfam_kernel,
+        _expfam_kernel,
         "statistic differences under an equivalence transform fall in the "
         "kernel of the parameter contrasts",
         {"contrasts": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
@@ -539,7 +559,7 @@ EXPERIMENTS = {
         ["case", "residual", "fixed_coords_pass", "passed"],
         {"contrasts": ("c", 3)}),
     "strong-vae": ExperimentDef(
-        _run_strong_vae,
+        _strong_vae,
         "with spanning environment means, independent fits on disjoint data "
         "recover the same generator",
         {"n_seeds": 20, "n_per_env": 100000, "radius": 3.0,
@@ -547,7 +567,7 @@ EXPERIMENTS = {
          "grid": 21},
         ["seed", "sup_dev", "tol", "passed"], {"offset": (2,)}),
     "ivae-affine": ExperimentDef(
-        _run_ivae_affine,
+        _ivae_affine,
         "re-anchoring the prior means changes recovered latents only by an "
         "invertible affine map",
         {"n_per_env": 100000, "radius": 3.0, "angle_deg": 30.0,
@@ -557,30 +577,28 @@ EXPERIMENTS = {
          "passed"],
         {"offset": (2,), "gauge_matrix": (2, 2), "gauge_offset": (2,)}),
     "two-labs": ExperimentDef(
-        _run_two_labs,
+        _two_labs,
         "equivalent fits differ by a prior-preserving transform; "
         "inequivalent ones are caught distributionally",
         {"n": 100000, "angle_deg": 45.0, "alpha": 0.01, "ks_ratio_min": 3.0,
          "loading": [[1.0, 0.0], [0.6, 1.0]]},
         ["cell", "pushforward_pass", "identity_sup_dev", "max_ks_ratio",
-         "fit_dev", "passed"], {"loading": (2, 2)}, {"loading": AffineMap}),
+         "fit_dev", "passed"], {"loading": (2, 2)}),
     "task-shift": ExperimentDef(
-        _run_task_shift,
+        _task_shift,
         "a latent-shift task changes output under a certified rotation but "
         "not under the identity",
         {"delta": 1.0, "k": 0, "obs": [[1.0, 0.0, 0.0]], "tol": 1e-9},
         ["cell", "distance", "identifiable", "passed"], {"obs": ("n", 3)}),
     "task-indep": ExperimentDef(
-        _run_task_indep,
+        _task_indep,
         "a rank-correlation task is exactly blind to componentwise monotone "
         "relabelings",
         {"n": 1000, "pair": [0, 0], "loading": [[1.0, 0.0], [0.6, 1.0]],
          "null_bound": 0.08},
-        ["cell", "value", "passed"], {"pair": (2,), "loading": (2, 2)},
-        {"loading": AffineMap,
-         "n": lambda n: independence_test_task((0, 0), n)}),
+        ["cell", "value", "passed"], {"pair": (2,), "loading": (2, 2)}),
     "multiview": ExperimentDef(
-        _run_multiview,
+        _multiview,
         "one constrained view pins the shared latent for every view",
         {"n": 2000, "tol": 1e-6, "angle_deg": 30.0},
         ["config", "identified", "best_view_dev", "max_disagreement",
@@ -636,28 +654,20 @@ _RANGES = {key: (0.0, math.inf)
 _RANGES["alpha"] = (0.0, 1.0)
 
 
-def check_params(name: str, params: dict | None) -> None:
-    """Reject overrides that ``name``'s registered defaults do not admit.
+def check_params(name: str, params: dict | None):
+    """Check overrides against ``name``'s defaults, then run its setup.
 
-    Raises ``KeyError`` for an unregistered experiment and ``ValueError``
-    when ``params`` is not a mapping, names a key with no default, gives a
-    value whose type differs from its default's (an int where a float is
-    registered is accepted, a bool where an int is registered is not) or,
-    for a list, an entry whose type differs by the same rule from the
-    default's entries, gives a non-finite float, gives a value below 1 where
-    the default is a positive int, since every such param is a count or a
-    size, gives a value outside its open interval in ``_RANGES``, leaves a
-    list param, overridden or not, off its shape in ``ExperimentDef.shapes``
-    or its constructor in ``ExperimentDef.builds``, gives ``env_means``
-    fewer than two rows, a ``pair`` entry or a ``k`` that is no coordinate
-    of the 2-column data, or a ``radius`` or ``gauge_matrix`` whose
-    environment means fail the rank test of ``fit_env_affine_generator``.
-    """
+    The check: known keys; each value of its default's type (an int may
+    stand for a float, a bool not for an int), list entries alike; finite
+    floats; >= 1 where the default is a positive int; ``_RANGES``; the
+    ``shapes``.  Returns ``run(seed) -> ExperimentResult``; raises
+    ``KeyError`` for an unregistered name, else ``ValueError``."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment: {name!r}")
     if params is not None and not isinstance(params, dict):
         raise ValueError(f"{name}: params must be a mapping")
-    defaults = EXPERIMENTS[name].defaults
+    spec = EXPERIMENTS[name]
+    defaults = spec.defaults
     unknown = sorted(set(params or {}) - set(defaults))
     if unknown:
         raise ValueError(f"{name}: unknown params {unknown}")
@@ -684,47 +694,24 @@ def check_params(name: str, params: dict | None) -> None:
             raise ValueError(f"{name}: {key} must lie in ({lo:g}, {hi:g}), "
                              f"got {value}")
     sizes: dict = {}
-    for key, shape in EXPERIMENTS[name].shapes.items():
+    for key, shape in spec.shapes.items():
         value = (params or {}).get(key, defaults[key])
         want = tuple(sizes.get(axis, axis) for axis in shape)
         if not _fits(value, shape, sizes):
             raise ValueError(f"{name}: {key} must have shape {want}, "
                              f"got {value!r}")
-    effective = {**defaults, **(params or {})}
-    for key, build in EXPERIMENTS[name].builds.items():
-        try:
-            build(effective[key])
-        except (ValueError, IdlabError) as exc:
-            raise ValueError(f"{name}: {key} rejected: {exc}") from exc
-    if "env_means" in effective and len(effective["env_means"]) < 2:
-        raise ValueError(f"{name}: env_means needs at least 2 rows")
-    if not all(0 <= j < 2 for j in effective.get("pair", [])):
-        raise ValueError(f"{name}: pair entries must be 0 or 1")
-    if effective.get("k", 0) not in (0, 1):
-        raise ValueError(f"{name}: k must be 0 or 1, got {effective['k']}")
-    if "radius" in effective:
-        means = _equilateral_means(effective["radius"])
-        G = np.asarray(effective.get("gauge_matrix", np.eye(2)), dtype=float)
-        h = np.asarray(effective.get("gauge_offset", 0.0), dtype=float)
-        for key, mus in (("radius", means), ("gauge_matrix", means @ G.T + h)):
-            try:
-                _affine_design(mus)
-            except (ValueError, IdlabError) as exc:
-                raise ValueError(f"{name}: {key} rejected: {exc}") from exc
+    try:
+        run = spec.setup({**defaults, **(params or {})})
+    except (ValueError, IdlabError) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+    return lambda seed: ExperimentResult(name, *run(seed), spec.columns)
 
 
-def run_experiment(name: str, params: dict | None = None, seed: int = 7,
-                   jobs: int = 1) -> ExperimentResult:
+def run_experiment(name: str, params: dict | None = None,
+                   seed: int = 7) -> ExperimentResult:
     """Run one registered experiment and return its result bundle.
 
-    ``params`` overrides the registered defaults key by key; unknown
-    experiment or parameter names raise (see ``check_params``) before any
-    computation.
+    ``params`` overrides the registered defaults key by key; a config that
+    ``check_params`` rejects raises before any computation.
     """
-    check_params(name, params)
-    spec = EXPERIMENTS[name]
-    effective = dict(spec.defaults)
-    effective.update(params or {})
-    passed, summary, rows = spec.runner(effective, seed, max(1, jobs))
-    return ExperimentResult(name=name, passed=bool(passed), summary=summary,
-                            rows=rows, columns=spec.columns)
+    return check_params(name, params)(seed)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMeans, DimensionMismatch, SingularMatrix
+from .errors import (DegenerateMeans, DimensionMismatch, RankDeficient,
+                     SingularMatrix)
 from .measures import _add_offset
 from .transport import _offset
 
@@ -50,12 +51,14 @@ class LinearGenerator:
         if self.loading.size == 0:
             raise DimensionMismatch(
                 f"loading must have entries, got shape {self.loading.shape}")
+        if not np.all(np.isfinite(self.loading)):
+            raise SingularMatrix("loading has non-finite entries")
         self.offset = _offset(offset, dx)
         # one thresholded SVD gives the rank and the left inverse on the range
         u, s, vt = np.linalg.svd(self.loading, full_matrices=False)
         keep = s > _RANK_REL_TOL * s[0]
         if np.count_nonzero(keep) < dz:
-            raise ValueError("loading must have full column rank")
+            raise RankDeficient("loading must have full column rank")
         self._pinv = (vt[keep].T / s[keep]) @ u[:, keep].T
 
     @property

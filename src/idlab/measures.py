@@ -343,6 +343,8 @@ class GaussianDistribution(Distribution):
         self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
         self.cov = np.atleast_2d(np.asarray(cov, dtype=float))
         d = self.mean.shape[0]
+        if d == 0:
+            raise DimensionMismatch("need at least one coordinate")
         if self.cov.shape != (d, d):
             raise DimensionMismatch("covariance must be square and match mean")
         try:

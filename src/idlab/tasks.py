@@ -81,18 +81,24 @@ def _invert_obs(theta, obs):
     return theta.generator.inverse(obs)
 
 
-def latent_shift_task(delta: float, k: int) -> TaskSpec:
+def _coordinate(name: str, value: int, dim: int) -> int:
+    if not 0 <= value < dim:  # e.g. "k must be 0 or 1, got 5"
+        raise ValueError(f"{name} must be "
+                         f"{' or '.join(map(str, range(dim)))}, got {value}")
+    return value
+
+
+def latent_shift_task(delta: float, k: int, dim: int) -> TaskSpec:
     """Generate from latents shifted by ``delta`` along coordinate ``k``.
 
-    Selection recovers latents from the observations through the model's
-    generator; evaluation re-generates after the shift.  Outputs are point
-    sets compared by the largest per-point distance.
+    ``k`` is one of ``dim`` latent coordinates.  Selection recovers latents
+    through the model's generator; evaluation re-generates after the shift.
+    Outputs are point sets compared by the largest per-point distance.
     """
+    _coordinate("k", k, dim)
 
     def evaluate(theta, obs, latents):
         shifted = np.array(latents, dtype=float)
-        if not 0 <= k < shifted.shape[1]:
-            raise DimensionMismatch(f"shift coordinate {k} out of range")
         shifted[:, k] += delta
         return theta.generator.forward(shifted)
 
@@ -132,18 +138,19 @@ def spearman_abs(x, y) -> float:
     return abs(float(cx @ cy) / den)
 
 
-def independence_test_task(pair, n: int) -> TaskSpec:
+def independence_test_task(pair, n: int, dim: int) -> TaskSpec:
     """Rank-correlation dependence statistic between an observation column
-    and a latent column.
+    and a latent column, both of ``dim`` coordinates.
 
     ``pair`` is (observation coordinate, latent coordinate).  The statistic
     is the absolute Spearman correlation, so the task output is exactly
     invariant under strictly monotone componentwise relabelings of the
     latents.  Requires at least 30 rows to evaluate.
     """
-    j, k = int(pair[0]), int(pair[1])
+    j, k = (_coordinate("pair entries", int(c), dim) for c in pair)
     if n < 30:
-        raise ValueError("independence statistic needs n >= 30")
+        raise ValueError(f"n must be >= 30 for the independence statistic, "
+                         f"got {n}")
 
     def evaluate(theta, obs, latents):
         X = np.asarray(obs, dtype=float)

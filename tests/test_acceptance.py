@@ -181,7 +181,7 @@ def test_criterion_09_task_outputs_move_or_stay_exactly():
     # quarter turn moves the shift task output by exactly sqrt(2)
     gauss_prior = GaussianDistribution([0.0, 0.0], np.eye(2))
     theta = ModelParams(LinearGenerator(embed), gauss_prior)
-    shift_task = latent_shift_task(1.0, 0)
+    shift_task = latent_shift_task(1.0, 0, 2)
     rep_rot = task_identifiability_check(
         shift_task, theta, [Automorphism.from_matrix(rot90)], obs, tol=1e-9, rng=stream(7, 100)
     )
@@ -190,7 +190,7 @@ def test_criterion_09_task_outputs_move_or_stay_exactly():
     # a componentwise monotone transform cannot move a rank statistic
     lap_prior = ProductDistribution([Laplace1D(0.0, 1.0), Laplace1D(0.0, 1.0)])
     theta_rank = ModelParams(LinearGenerator(np.array([[1.0, 0.0], [0.6, 1.0]])), lap_prior)
-    rank_task = independence_test_task((0, 1), 400)
+    rank_task = independence_test_task((0, 1), 400, 2)
     rank_obs = theta_rank.generator.forward(lap_prior.sample(stream(7, 101), 400))
     rep_flip = task_identifiability_check(
         rank_task, theta_rank, [Automorphism.from_matrix(-np.eye(2))], rank_obs, tol=1e-12,

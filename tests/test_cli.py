@@ -12,6 +12,8 @@ from idlab.cli import CONFIG_SCHEMA, main
 from idlab.errors import RankDeficient
 from idlab.experiments import check_params
 
+from goldens import collect
+
 REGISTRY_ORDER = [
     "kr-identity",
     "kr-gaussian",
@@ -26,6 +28,12 @@ REGISTRY_ORDER = [
     "task-indep",
     "multiview",
 ]
+
+
+#: ``"all"`` with its largest counts cut down, so a run takes ~0.1 s;
+#: two-labs' Laplace cell then misses its KS ratio and fails its claim
+SMALL_ALL = {"two-labs": {"n": 5000}, "ivae-affine": {"n_per_env": 5000},
+             "strong-vae": {"n_seeds": 4, "min_passes": 4}}
 
 
 def write_config(path, **kwargs):
@@ -157,7 +165,7 @@ class TestUsageErrors:
         ("task-indep", {"loading": [[1.0, 0.5], [0.6, 1.0]]}, "task-indep: loading rejected: matrix must be lower triangular"),
         ("fa-three-env", {"loading": [[1.0, 2.0], [2.0, 4.0]]}, "fa-three-env: loading rejected"),
         ("all", {"task-shift": {"k": 5}}, "task-shift: k must be 0 or 1, got 5"),
-        ("all", {"task-indep": {"n": 10}}, "task-indep: n rejected: independence statistic needs n >= 30"),
+        ("all", {"task-indep": {"n": 10}}, "task-indep: n must be >= 30 for the independence statistic, got 10"),
         # means that fail fit_env_affine_generator's rank test
         ("all", {"strong-vae": {"radius": 0.0}},
          "strong-vae: radius rejected: environment means do not pin an affine generator"),
@@ -168,6 +176,14 @@ class TestUsageErrors:
         ("all", {"multiview": {"angle_deg": float("nan")}}, "non-finite number NaN"),
         ("all", {"two-labs": {"angle_deg": float("inf")}}, "non-finite number Infinity"),
         ("all", {"task-shift": {"delta": float("nan")}}, "non-finite number NaN"),
+        # each setup builds what its run needs, so the builders' own rules
+        # reject these before any experiment runs
+        ("all", {"fa-rotation": {"mu1": [1.0, 0.0], "mu2": [1.0, 0.0]}},
+         "fa-rotation: environment means must be distinct"),
+        ("kr-identity", {"families": ["cauchy"]}, "kr-identity: unknown prior family: 'cauchy'"),
+        # found by test_a_config_fails_at_the_boundary_or_numerically
+        ("all", {"two-labs": {"n": 1}}, "two-labs: n must be >= 20 for the moment fits, got 1"),
+        ("kr-identity", {"dims": [0]}, "kr-identity: need at least one coordinate"),
     ])
     def test_bad_override_value_writes_nothing(self, tmp_path, capsys, experiment, params, message):
         cfg = write_config(tmp_path / "cfg.json", experiment=experiment, params=params)
@@ -208,27 +224,26 @@ def test_numerical_failure_exits_3_and_writes_nothing(tmp_path, capsys, monkeypa
     assert "environment means do not pin an affine generator" in capsys.readouterr().err
 
 
-def test_numerical_failure_under_all_writes_nothing(tmp_path, capsys):
-    # equal means fail inside fa-rotation, after three experiments have run;
-    # results are written only once every experiment has returned
-    params = {"fa-rotation": {"mu1": [1.0, 0.0], "mu2": [1.0, 0.0]}}
-    cfg = write_config(tmp_path / "cfg.json", experiment="all", params=params)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+def test_numerical_failure_under_all_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the fit fails in strong-vae and in ivae-affine, the seventh and eighth
+    # experiments; results are written only once every experiment has
+    # returned, and the first failure in registry order is the one reported
+    def failing_fit(means, envset):
+        raise RankDeficient("environment means do not pin an affine generator")
+
+    monkeypatch.setattr(experiments, "fit_env_affine_generator", failing_fit)
+    cfg = write_config(tmp_path / "cfg.json", experiment="all", params=SMALL_ALL)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "2"]) == 3
     assert not (tmp_path / "out").exists()
-    assert "fa-rotation: environment means must be distinct" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "strong-vae: environment means do not pin an affine generator" in err
+    assert "ivae-affine" not in err
 
 
 @pytest.mark.parametrize("name", ["strong-vae", "ivae-affine"])
 def test_negative_radius_is_accepted(name):
     # a negative radius turns the equilateral means half a turn; they still pin
     check_params(name, {"radius": -3.0})
-
-
-def test_other_error_inside_an_experiment_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.json", experiment="kr-identity", params={"families": ["cauchy"]})
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert not (tmp_path / "out" / "kr-identity").exists()
-    assert "unknown prior family" in capsys.readouterr().err
 
 
 def test_claim_failure_still_writes_reports(tmp_path, capsys):
@@ -273,13 +288,30 @@ def test_schema_matches_module_constant(capsys):
 
 
 def test_jobs_flag_keeps_results_bytes(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", experiment="strong-vae", params={"n_seeds": 4, "min_passes": 4})
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "parallel"), "--jobs", "4"]) == 0
-    ra = json.loads((tmp_path / "serial" / "strong-vae" / "results.json").read_text())
-    rb = json.loads((tmp_path / "parallel" / "strong-vae" / "results.json").read_text())
-    ra.pop("timestamp"), rb.pop("timestamp")
-    assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
+    # experiments run concurrently at --jobs 2; every file keeps its bytes
+    cfg = write_config(tmp_path / "cfg.json", experiment="all", params=SMALL_ALL)
+    codes = [main(["run", "--config", cfg, "--out", str(tmp_path / out), "--jobs", jobs])
+             for out, jobs in (("serial", "1"), ("parallel", "2"))]
+    assert codes[0] == codes[1] in (0, 1)
+    serial, parallel = collect(tmp_path / "serial"), collect(tmp_path / "parallel")
+    assert len(serial) == 13 and serial == parallel
+    tables = sorted((tmp_path / "serial").glob("*/tables/*.csv"))
+    assert len(tables) == 12
+    for table in tables:
+        assert (tmp_path / "parallel" / table.relative_to(tmp_path / "serial")).read_bytes() == table.read_bytes()
+
+
+def test_each_setup_runs_once_per_run(tmp_path, monkeypatch):
+    # validation builds each experiment once and the run reuses what it built
+    calls = []
+    for name, spec in experiments.EXPERIMENTS.items():
+        def counted(params, setup=spec.setup, name=name):
+            calls.append(name)
+            return setup(params)
+        monkeypatch.setattr(spec, "setup", counted)
+    cfg = write_config(tmp_path / "cfg.json", experiment="all", params=SMALL_ALL)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "2"]) in (0, 1)
+    assert calls == REGISTRY_ORDER
 
 
 def test_console_entry_point(tmp_path):

@@ -30,7 +30,8 @@ from idlab import (
     verify_multiview,
 )
 from idlab.errors import RankDeficient, SingularCovariance
-from idlab.experiments import EXPERIMENTS, _exact_block_means, _strong_vae_setup
+from idlab import experiments
+from idlab.experiments import _exact_block_means, check_params
 
 from conftest import probe_grid
 
@@ -93,19 +94,26 @@ class TestEnvironmentData:
             assert_array_equal(block, self.gen.forward(prior.sample(rng, 50)))
 
 
-def test_generation_and_split_peak_memory():
-    # ivae-affine's defaults: the block means add nothing to the stacked blocks
-    params = EXPERIMENTS["ivae-affine"].defaults
-    envset, generator = _strong_vae_setup(params)
-    tracemalloc.start()
-    try:
-        data = generate_environment_data(envset, generator, params["n_per_env"], stream(46, 0))
-        means = data.block_means
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert data.x.shape == (3, 100_000, 2) and means.shape == (3, 2)
-    assert peak <= 2.5 * data.x.nbytes
+def test_generation_and_split_peak_memory(monkeypatch):
+    # ivae-affine at its defaults, generating from the environment set and
+    # generator its setup built: the block means add nothing to the blocks
+    seen = {}
+
+    def traced(envset, generator, n_per_env, rng):
+        tracemalloc.start()
+        try:
+            data = generate_environment_data(envset, generator, n_per_env, rng)
+            seen["means"] = data.block_means
+            _, seen["peak"] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        seen["x"] = data.x
+        return data
+
+    monkeypatch.setattr(experiments, "generate_environment_data", traced)
+    assert check_params("ivae-affine", {})(46).passed
+    assert seen["x"].shape == (3, 100_000, 2) and seen["means"].shape == (3, 2)
+    assert seen["peak"] <= 2.5 * seen["x"].nbytes
 
 
 def test_exact_law_block_means_match_generated_rows():
@@ -147,6 +155,12 @@ class TestFitGaussianKr:
         fitted = fit_gaussian_kr(None, prior, mean=truth.offset, cov=cov)
         assert_allclose(fitted.matrix, truth.matrix, atol=1e-12)
         assert_allclose(fitted.offset, truth.offset, atol=1e-12)
+
+    def test_rejects_non_finite_moments(self):
+        # samples that overflow give an infinite or NaN covariance
+        prior = GaussianDistribution([0.0, 0.0], np.eye(2))
+        with pytest.raises(SingularCovariance, match="not finite"):
+            fit_gaussian_kr(None, prior, mean=[0.0, 0.0], cov=[[np.inf, 0.0], [0.0, 1.0]])
 
     def test_rejects_tiny_samples(self):
         prior = GaussianDistribution([0.0, 0.0], np.eye(2))

@@ -1,10 +1,14 @@
 """Experiment registry contract."""
 
+import math
 from dataclasses import asdict
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from idlab import EXPERIMENTS, ExperimentResult, experiment_info, run_experiment
+from idlab import EXPERIMENTS, ExperimentResult, IdlabError, experiment_info, run_experiment
 from idlab.cli import _to_json
 from idlab.experiments import check_params
 
@@ -63,7 +67,85 @@ def test_same_seed_same_rows():
     assert _to_json(asdict(a)) == _to_json(asdict(b))
 
 
-def test_jobs_do_not_change_results():
-    serial = run_experiment("strong-vae", {"n_seeds": 3, "min_passes": 3}, seed=9, jobs=1)
-    threaded = run_experiment("strong-vae", {"n_seeds": 3, "min_passes": 3}, seed=9, jobs=3)
-    assert _to_json(asdict(serial)) == _to_json(asdict(threaded))
+# ---------------------------------------------------------------------------
+# the boundary under fuzzing: a config is rejected by check_params, or its
+# run returns a result or fails numerically
+# ---------------------------------------------------------------------------
+
+#: the largest value drawn for each count or size, so a run takes milliseconds
+CAPS = {"n": 300, "n_per_env": 300, "n_probes": 100, "n_pairs": 3,
+        "max_dim": 3, "n_seeds": 3, "grid": 5, "dims": 3}
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf]),
+    st.floats(-10.0, 10.0))
+INTS = st.one_of(st.sampled_from([0, -1, 2 ** 63, -(2 ** 63)]), st.integers(-3, 5))
+FAMILIES = st.sampled_from(["gaussian", "laplace_product", "gaussian_mixture", "cauchy"])
+
+
+def _leaf_strategy(key, default):
+    while isinstance(default, list):
+        default = default[0]
+    if key in CAPS:  # one draw in five is 0 or negative
+        return st.tuples(st.integers(0, 4), st.integers(1, CAPS[key])).map(
+            lambda t: -(t[1] % 3) if t[0] == 4 else t[1])
+    if isinstance(default, str):
+        return FAMILIES
+    return INTS if type(default) is int else FLOATS
+
+
+@st.composite
+def _nested(draw, lengths, leaf):
+    if not lengths:
+        return draw(leaf)
+    return [draw(_nested(lengths[1:], leaf)) for _ in range(lengths[0])]
+
+
+@st.composite
+def _list_value(draw, shape, sizes, leaf):
+    """A list of ``shape``, or of one axis too long, too short or too many."""
+    lengths = [sizes[axis] if isinstance(axis, str) else axis for axis in shape]
+    kind = draw(st.sampled_from(["right", "right", "length", "depth"]))
+    if kind == "length":
+        i = draw(st.integers(0, len(lengths) - 1))
+        lengths[i] = max(0, lengths[i] + draw(st.sampled_from([-1, 1])))
+    elif kind == "depth":
+        lengths = lengths[:-1] if len(lengths) > 1 and draw(st.booleans()) else lengths + [1]
+    return draw(_nested(lengths, leaf))
+
+
+@st.composite
+def overrides(draw, name):
+    """Overrides for ``name``: every count capped, any other key left at its
+    default or drawn from 0, negative, huge and non-finite numbers and lists
+    of the right or the wrong shape."""
+    spec = EXPERIMENTS[name]
+    sizes = {axis: draw(st.integers(1, 3)) for shape in spec.shapes.values()
+             for axis in shape if isinstance(axis, str)}
+    params = {}
+    for key, default in spec.defaults.items():
+        if key not in CAPS and draw(st.integers(0, 2)):
+            continue  # two keys in three keep their default
+        leaf = _leaf_strategy(key, default)
+        params[key] = (draw(_list_value(spec.shapes[key], sizes, leaf))
+                       if isinstance(default, list) else draw(leaf))
+    return params
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+@seed(20261019)
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_a_config_fails_at_the_boundary_or_numerically(name, data):
+    params = data.draw(overrides(name), label="params")
+    # huge entries overflow inside numpy, which warns; what a config may
+    # raise is the contract here, so numpy's float warnings are silenced
+    with np.errstate(all="ignore"):
+        try:
+            run = check_params(name, params)
+        except ValueError:
+            return
+        try:
+            result = run(3)
+        except IdlabError:
+            return
+    assert isinstance(result, ExperimentResult)

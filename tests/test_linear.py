@@ -13,7 +13,8 @@ from idlab import (
     rotation_counterexample,
     solve_multi_env_linear,
 )
-from idlab.errors import DegenerateMeans, DimensionMismatch, RangeMismatch
+from idlab.errors import (DegenerateMeans, DimensionMismatch, RangeMismatch, RankDeficient,
+                          SingularMatrix)
 
 EMBED = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
@@ -48,6 +49,16 @@ def test_offset_of_wrong_length_is_a_dimension_mismatch(make):
 @pytest.mark.parametrize("loading", [np.zeros((3, 0)), np.zeros((0, 2)), []], ids=["no_columns", "no_rows", "empty_list"])
 def test_empty_loading_is_a_dimension_mismatch(loading):
     with pytest.raises(DimensionMismatch, match="loading"):
+        LinearGenerator(loading)
+
+
+@pytest.mark.parametrize("loading, error", [
+    ([[1.0, 0.0], [2.0, 0.0]], RankDeficient),
+    ([[1.0, 0.0], [float("nan"), 1.0]], SingularMatrix),
+], ids=["rank_deficient", "non_finite"])
+def test_unusable_loading_is_a_numerical_error(loading, error):
+    # a fit can produce such a loading mid-run, so it is an IdlabError
+    with pytest.raises(error, match="loading"):
         LinearGenerator(loading)
 
 

@@ -98,7 +98,7 @@ class TestLatentShiftTask:
     def setup_method(self):
         self.prior = GaussianDistribution([0.0, 0.0], np.eye(2))
         self.theta = ModelParams(LinearGenerator(EMBED), self.prior)
-        self.task = latent_shift_task(1.0, 0)
+        self.task = latent_shift_task(1.0, 0, 2)
         self.obs = np.array([[1.0, 0.0, 0.0]])
 
     def test_base_output(self):
@@ -115,17 +115,16 @@ class TestLatentShiftTask:
         assert self.task.output_metric(base, out) == SQRT2
 
     def test_shift_coordinate_out_of_range(self):
-        task = latent_shift_task(1.0, 5)
-        z = task.select(self.theta, self.obs)
-        with pytest.raises(DimensionMismatch):
-            task.evaluate(self.theta, self.obs, z)
+        # the factory checks the coordinate against the latent dimension
+        with pytest.raises(ValueError, match="k must be 0 or 1, got 5"):
+            latent_shift_task(1.0, 5, 2)
 
 
 class TestTaskIdentifiabilityCheck:
     def setup_method(self):
         self.prior = GaussianDistribution([0.0, 0.0], np.eye(2))
         self.theta = ModelParams(LinearGenerator(EMBED), self.prior)
-        self.task = latent_shift_task(1.0, 0)
+        self.task = latent_shift_task(1.0, 0, 2)
         self.obs = np.array([[1.0, 0.0, 0.0]])
 
     def test_identity_only_class_is_identifiable(self):
@@ -173,10 +172,14 @@ class TestIndependenceTask:
 
     def test_requires_minimum_rows(self):
         with pytest.raises(ValueError):
-            independence_test_task((0, 1), 10)
+            independence_test_task((0, 1), 10, 2)
+
+    def test_pair_must_index_the_coordinates(self):
+        with pytest.raises(ValueError, match="pair entries must be 0 or 1, got 2"):
+            independence_test_task((0, 2), 400, 2)
 
     def test_componentwise_flip_leaves_statistic_unchanged(self):
-        task = independence_test_task((0, 1), 400)
+        task = independence_test_task((0, 1), 400, 2)
         obs = self.theta.generator.forward(self.prior.sample(stream(63, 0), 400))
         flip = Automorphism.from_matrix(-np.eye(2))
         rep = task_identifiability_check(
@@ -187,12 +190,12 @@ class TestIndependenceTask:
         assert rep.max_distance == 0.0
 
     def test_statistic_detects_dependence(self):
-        task = independence_test_task((0, 1), 400)
+        task = independence_test_task((0, 1), 400, 2)
         z = self.prior.sample(stream(63, 2), 400)
         obs = self.theta.generator.forward(z)
         base = task.evaluate(self.theta, obs, task.select(self.theta, obs))
         # observation coordinate 0 equals latent coordinate 0: dependence is strong
-        dependent = independence_test_task((0, 0), 400)
+        dependent = independence_test_task((0, 0), 400, 2)
         strong = dependent.evaluate(self.theta, obs, dependent.select(self.theta, obs))
         assert strong > 0.8
         assert base < 0.2
