@@ -5,14 +5,16 @@ JSON config and writes machine-readable artifacts, ``list`` prints the
 registry, ``schema`` prints the config schema with per-experiment defaults
 and CSV columns.  Exit codes: 0 all pass-conditions hold, 1 a claim check
 failed (artifacts still written), 2 usage or configuration error, 3 a
-numerical failure (an ``IdlabError``) inside an experiment's run; ``run``
-writes nothing on 2 or 3, as it runs every experiment before writing any.
+numerical failure (an ``IdlabError``, such as a non-finite result) inside an
+experiment's run; ``run`` writes nothing on 2 or 3, as it runs every
+experiment before writing any.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -107,6 +109,15 @@ def _load_config(path: str):
         raise ValueError(f"config is not valid JSON: {exc}") from exc
 
 
+@functools.cache
+def _config_validator():
+    """A validator for ``CONFIG_SCHEMA``, built once; ``jsonschema.validate``
+    would check the schema itself again on every call.  jsonschema is
+    imported here, as its import is slow and only ``run`` needs it."""
+    from jsonschema import Draft202012Validator
+    return Draft202012Validator(CONFIG_SCHEMA)
+
+
 def _validate_config(config) -> dict:
     """Check a config; map each experiment to run to its overrides and to
     the ``run(seed)`` its setup returned.
@@ -114,11 +125,10 @@ def _validate_config(config) -> dict:
     Every experiment's setup runs here, so a bad entry rejects the run
     before any experiment starts.
     """
-    import jsonschema
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ValueError(f"config rejected: {exc.message}") from exc
+    from jsonschema.exceptions import best_match
+    error = best_match(_config_validator().iter_errors(config))
+    if error is not None:
+        raise ValueError(f"config rejected: {error.message}")
     name = config["experiment"]
     params = config.get("params", {})
     if name == "all":

@@ -17,7 +17,6 @@ import numpy as np
 
 from .envs import (EnvironmentSet, ModelParams, affine_relation_fit,
                    fit_env_affine_generator, fit_gaussian_kr,
-                   generate_environment_data,
                    validate_strong_vae_config, verify_multiview,
                    MultiViewModel, _affine_design)
 from .errors import IdlabError
@@ -257,6 +256,20 @@ def _exact_block_means(envset, generator, n_per_env, rng):
                              / math.sqrt(n_per_env))
 
 
+def _exact_moments(model: AffineMap, n, rng):
+    """Mean and ddof-1 covariance of ``n`` rows x = M z + b, z ~ N(0, I),
+    from their exact law: the mean is M xi / sqrt(n) + b with xi ~ N(0, I),
+    and the covariance B B^T / (n - 1) with B = M A, where A is Bartlett's
+    lower triangle: A_ii = sqrt(chi2(n - 1 - i)), N(0, 1) below."""
+    d = model.dim
+    mean = model.matrix @ rng.standard_normal(d) / math.sqrt(n) + model.offset
+    A = np.zeros((d, d))
+    A[np.tril_indices(d, -1)] = rng.standard_normal(d * (d - 1) // 2)
+    A[np.diag_indices(d)] = np.sqrt(rng.chisquare(n - 1 - np.arange(d)))
+    B = model.matrix @ A
+    return mean, B @ B.T / (n - 1)
+
+
 def _fit_pair_deviation(envset, generator, n_per_env, rng, probes):
     """Sup identity deviation on ``probes`` between two independent fits."""
     fit_a, fit_b = (fit_env_affine_generator(_exact_block_means(
@@ -301,15 +314,16 @@ def _ivae_affine(params):
                                 params["offset"])
     n = params["n_per_env"]
     probes = _bulk_grid(21)
+    # the relation between two affine fits is exact, so any rows show it;
+    # these are the probes around each environment mean, where the data lie
+    x = generator.forward((means[:, None, :] + probes).reshape(-1, 2))
 
     def run(seed):
         rng = stream(seed)
         frozen_dev, fit_a, _ = _fit_pair_deviation(envset, generator, n, rng,
                                                    probes)
-        data = generate_environment_data(envset, generator, n, rng)
-        fit_b = fit_env_affine_generator(data.block_means, envset_b)
-
-        x = data.x.reshape(-1, data.x.shape[-1])
+        fit_b = fit_env_affine_generator(
+            _exact_block_means(envset, generator, n, rng), envset_b)
         relation = affine_relation_fit(fit_a.inverse(x), fit_b.inverse(x))
 
         passed = bool(relation.residual < params["resid_factor"] * frozen_dev
@@ -334,7 +348,7 @@ def _two_labs(params):
     # two labs fit the same documented model on disjoint data halves
     with _rejected("loading"):
         model = AffineMap(params["loading"], [0.0, 0.0])
-    if n < 20:  # fit_gaussian_kr needs 10 rows per coordinate in each half
+    if n < 20:  # a moment fit asks for 10 rows per coordinate in a half
         raise ValueError(f"n must be >= 20 for the moment fits, got {n}")
     probes = _bulk_grid(21)
     fit_tol = 10.0 / math.sqrt(n)
@@ -358,8 +372,10 @@ def _two_labs(params):
         cell_b = bool(not lap_report.pushforward_pass
                       and lap_ratio >= params["ks_ratio_min"])
 
-        x = model.forward(gauss.sample(stream(seed, 17), 2 * n))
-        fit_1, fit_2 = (fit_gaussian_kr(h, gauss) for h in (x[:n], x[n:]))
+        rng = stream(seed, 17)
+        halves = [_exact_moments(model, n, rng) for _ in range(2)]
+        fit_1, fit_2 = (fit_gaussian_kr(None, gauss, mean=mean, cov=cov)
+                        for mean, cov in halves)
         sup, _ = identity_deviation(generator_transform(fit_1, fit_2), probes)
         cell_c = bool(sup < fit_tol)
 
@@ -654,13 +670,31 @@ _RANGES = {key: (0.0, math.inf)
 _RANGES["alpha"] = (0.0, 1.0)
 
 
+def _non_finite(value, where: str):
+    """Where the first non-finite float in a result value sits, or None."""
+    if isinstance(value, dict):
+        items = ((f"{where}.{k}", v) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(value))
+    elif isinstance(value, (float, np.floating, np.ndarray)):
+        return None if np.all(np.isfinite(value)) else where
+    else:
+        return None
+    for item_where, item in items:
+        found = _non_finite(item, item_where)
+        if found is not None:
+            return found
+    return None
+
+
 def check_params(name: str, params: dict | None):
     """Check overrides against ``name``'s defaults, then run its setup.
 
     The check: known keys; each value of its default's type (an int may
     stand for a float, a bool not for an int), list entries alike; finite
     floats; >= 1 where the default is a positive int; ``_RANGES``; the
-    ``shapes``.  Returns ``run(seed) -> ExperimentResult``; raises
+    ``shapes``.  Returns ``run(seed) -> ExperimentResult``, which raises
+    ``IdlabError`` if the summary or rows hold a non-finite float; raises
     ``KeyError`` for an unregistered name, else ``ValueError``."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment: {name!r}")
@@ -704,7 +738,14 @@ def check_params(name: str, params: dict | None):
         run = spec.setup({**defaults, **(params or {})})
     except (ValueError, IdlabError) as exc:
         raise ValueError(f"{name}: {exc}") from exc
-    return lambda seed: ExperimentResult(name, *run(seed), spec.columns)
+
+    def checked(seed):
+        passed, summary, rows = run(seed)
+        where = _non_finite(summary, "summary") or _non_finite(rows, "rows")
+        if where:
+            raise IdlabError(f"{where} is not finite")
+        return ExperimentResult(name, passed, summary, rows, spec.columns)
+    return checked
 
 
 def run_experiment(name: str, params: dict | None = None,

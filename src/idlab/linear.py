@@ -93,9 +93,10 @@ def rotation_counterexample(mu1, mu2, generator: LinearGenerator):
     if generator.latent_dim != 2 or mu1.shape != (2,) or mu2.shape != (2,):
         raise DimensionMismatch("the construction lives in latent dimension 2")
     v = mu2 - mu1
-    norm2 = float(v @ v)
-    if np.sqrt(norm2) < 1e-12:
+    if np.hypot(*v) < 1e-12:
         raise DegenerateMeans("environment means must be distinct")
+    v = v / np.abs(v).max()  # R does not depend on v's scale; v @ v is finite
+    norm2 = float(v @ v)
     x = np.array([-v[1], v[0]])  # v rotated by 90 degrees, same length
     B = np.column_stack([v, x])
     R = (B @ np.diag([1.0, -1.0]) @ B.T) / norm2

@@ -224,6 +224,21 @@ def test_numerical_failure_exits_3_and_writes_nothing(tmp_path, capsys, monkeypa
     assert "environment means do not pin an affine generator" in capsys.readouterr().err
 
 
+# the shift's residual overflows inside numpy, which warns; the exit code
+# and the empty output are what is checked here
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_result_exits_3_and_writes_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", experiment="expfam-kernel", params={"shift": 1e300})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
+    assert "expfam-kernel: summary.shift_residual is not finite" in capsys.readouterr().err
+
+
+def test_config_schema_is_a_valid_schema():
+    # the runner's cached validator does not check the schema itself
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
 def test_numerical_failure_under_all_writes_nothing(tmp_path, capsys, monkeypatch):
     # the fit fails in strong-vae and in ivae-affine, the seventh and eighth
     # experiments; results are written only once every experiment has

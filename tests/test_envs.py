@@ -30,8 +30,8 @@ from idlab import (
     verify_multiview,
 )
 from idlab.errors import RankDeficient, SingularCovariance
-from idlab import experiments
-from idlab.experiments import _exact_block_means, check_params
+from idlab.experiments import (EXPERIMENTS, _equilateral_means, _exact_block_means,
+                               _exact_moments, _rotation)
 
 from conftest import probe_grid
 
@@ -94,26 +94,21 @@ class TestEnvironmentData:
             assert_array_equal(block, self.gen.forward(prior.sample(rng, 50)))
 
 
-def test_generation_and_split_peak_memory(monkeypatch):
-    # ivae-affine at its defaults, generating from the environment set and
-    # generator its setup built: the block means add nothing to the blocks
-    seen = {}
-
-    def traced(envset, generator, n_per_env, rng):
-        tracemalloc.start()
-        try:
-            data = generate_environment_data(envset, generator, n_per_env, rng)
-            seen["means"] = data.block_means
-            _, seen["peak"] = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        seen["x"] = data.x
-        return data
-
-    monkeypatch.setattr(experiments, "generate_environment_data", traced)
-    assert check_params("ivae-affine", {})(46).passed
-    assert seen["x"].shape == (3, 100_000, 2) and seen["means"].shape == (3, 2)
-    assert seen["peak"] <= 2.5 * seen["x"].nbytes
+def test_generation_and_split_peak_memory():
+    # ivae-affine's environments at its default sizes: the block means add
+    # nothing to the blocks
+    defaults = EXPERIMENTS["ivae-affine"].defaults
+    envset = EnvironmentSet.gaussian_mean_envs(_equilateral_means(defaults["radius"]))
+    generator = LinearGenerator(_rotation(defaults["angle_deg"]), defaults["offset"])
+    tracemalloc.start()
+    try:
+        data = generate_environment_data(envset, generator, defaults["n_per_env"], stream(46))
+        means = data.block_means
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.x.shape == (3, 100_000, 2) and means.shape == (3, 2)
+    assert peak <= 2.5 * data.x.nbytes
 
 
 def test_exact_law_block_means_match_generated_rows():
@@ -136,6 +131,41 @@ def test_exact_law_block_means_match_generated_rows():
         assert np.all(np.abs(draws.mean(axis=0) - gen.forward(MEANS)) < 4 * se_mean)
         for e in range(3):
             assert np.all(np.abs(np.cov(draws[:, e], rowvar=False) - cov) < 5 * se_cov)
+
+
+def test_exact_law_moments_match_generated_rows():
+    # two-labs' half fits read a mean and a ddof-1 covariance drawn from their
+    # exact law; over many seeds those five entries have the first two
+    # moments of the moments of generated rows: mean ~ N(b, S / n) and
+    # (n - 1) cov ~ Wishart(S, n - 1), independent, where S = M M^T
+    n, seeds = 40, 4000
+    model = AffineMap([[1.0, 0.0], [0.6, 1.3]], [0.3, -0.2])
+    prior = GaussianDistribution(np.zeros(2), np.eye(2))
+
+    def entries(mean, cov):
+        return np.array([mean[0], mean[1], cov[0, 0], cov[0, 1], cov[1, 1]])
+
+    generated = []
+    for s in range(seeds):
+        x = model.forward(prior.sample(stream(s, 0), n))
+        generated.append(entries(x.mean(axis=0), np.cov(x, rowvar=False)))
+    exact = [entries(*_exact_moments(model, n, stream(s, 1))) for s in range(seeds)]
+
+    S = model.matrix @ model.matrix.T
+    want_mean = entries(model.offset, S)
+    want_cov = np.zeros((5, 5))
+    want_cov[:2, :2] = S / n
+    pairs = [(0, 0), (0, 1), (1, 1)]
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, m) in enumerate(pairs):
+            want_cov[2 + a, 2 + b] = (S[i, k] * S[j, m] + S[i, m] * S[j, k]) / (n - 1)
+    # standard errors of a mean and of a covariance entry over the seeds
+    var = np.diag(want_cov)
+    se_mean = np.sqrt(var / seeds)
+    se_cov = np.sqrt((np.outer(var, var) + want_cov ** 2) / seeds)
+    for draws in (np.array(generated), np.array(exact)):
+        assert np.all(np.abs(draws.mean(axis=0) - want_mean) < 4 * se_mean)
+        assert np.all(np.abs(np.cov(draws, rowvar=False) - want_cov) < 5 * se_cov)
 
 
 class TestFitGaussianKr:

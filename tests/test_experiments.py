@@ -1,6 +1,7 @@
 """Experiment registry contract."""
 
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -65,6 +66,23 @@ def test_same_seed_same_rows():
     a = run_experiment("task-shift", seed=5)
     b = run_experiment("task-shift", seed=5)
     assert _to_json(asdict(a)) == _to_json(asdict(b))
+
+
+def test_huge_fa_rotation_means_build_a_finite_counterexample():
+    result = check_params("fa-rotation", {"mu2": [0.0, 1e300]})(7)
+    assert result.passed and result.summary["rotation"] == [[-1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("summary, rows, where", [
+    ({"m": np.array([[1.0, np.nan]])}, [{"v": 1.0}], "summary.m"),
+    ({"m": {"r": (0.0, float("-inf"))}}, [{"v": 1.0}], "summary.m.r[1]"),
+    ({"m": 1.0}, [{"v": 1.0}, {"v": np.float64("inf")}], "rows[1].v"),
+])
+def test_run_rejects_a_non_finite_result(monkeypatch, summary, rows, where):
+    monkeypatch.setattr(EXPERIMENTS["fa-rotation"], "setup",
+                        lambda params: lambda seed: (True, summary, rows))
+    with pytest.raises(IdlabError, match=rf"^{re.escape(where)} is not finite$"):
+        check_params("fa-rotation", {})(7)
 
 
 # ---------------------------------------------------------------------------
