@@ -26,7 +26,7 @@ from .indeterminacy import (act_on_params, fixed_coordinate_check,
 from .linear import (LinearGenerator, comon_structure_check,
                      rotation_counterexample, solve_multi_env_linear)
 from .measures import (GaussianDistribution, GaussianMixture1D, Laplace1D,
-                       Logistic1D, ProductDistribution, interdecile_box)
+                       Logistic1D, ProductDistribution, interdecile_grid)
 from .rng import stream
 from .tasks import (independence_test_task, latent_shift_task, spearman_abs,
                     task_identifiability_check)
@@ -53,11 +53,8 @@ def _rotation(angle_deg: float) -> np.ndarray:
                      [math.sin(t), math.cos(t)]])
 
 
-def _bulk_grid(per_axis: int) -> np.ndarray:
-    """``per_axis`` squared points on the standard normal's interdecile box."""
-    box = interdecile_box(GaussianDistribution(np.zeros(2), np.eye(2)))
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+#: latent probes are grids on this law's interdecile box
+_STANDARD_NORMAL = GaussianDistribution(np.zeros(2), np.eye(2))
 
 
 def _equilateral_means(radius: float) -> np.ndarray:
@@ -285,7 +282,7 @@ def _strong_vae(params):
     config = validate_strong_vae_config(envset)
     n = params["n_per_env"]
     tol = 5.0 / math.sqrt(n)
-    probes = _bulk_grid(params["grid"])
+    probes = interdecile_grid(_STANDARD_NORMAL, params["grid"])
 
     def run(seed):
         rows = []
@@ -313,7 +310,7 @@ def _ivae_affine(params):
     generator = LinearGenerator(_rotation(params["angle_deg"]),
                                 params["offset"])
     n = params["n_per_env"]
-    probes = _bulk_grid(21)
+    probes = interdecile_grid(_STANDARD_NORMAL, 21)
     # the relation between two affine fits is exact, so any rows show it;
     # these are the probes around each environment mean, where the data lie
     x = generator.forward((means[:, None, :] + probes).reshape(-1, 2))
@@ -350,7 +347,7 @@ def _two_labs(params):
         model = AffineMap(params["loading"], [0.0, 0.0])
     if n < 20:  # a moment fit asks for 10 rows per coordinate in a half
         raise ValueError(f"n must be >= 20 for the moment fits, got {n}")
-    probes = _bulk_grid(21)
+    probes = interdecile_grid(_STANDARD_NORMAL, 21)
     fit_tol = 10.0 / math.sqrt(n)
 
     def run(seed):
@@ -417,11 +414,10 @@ def _task_shift(params):
     target = math.sqrt(2.0)
 
     def run(seed):
-        rng = stream(seed)
         rot_report = task_identifiability_check(task, theta, [rot], obs,
-                                                tol=1e-6, rng=rng)
+                                                tol=1e-6)
         id_report = task_identifiability_check(
-            task, theta, [Automorphism.identity(2)], obs, tol=1e-6, rng=rng)
+            task, theta, [Automorphism.identity(2)], obs, tol=1e-6)
         base = task.evaluate(theta, obs, task.select(theta, obs))
         moved = task.evaluate(twisted, obs, task.select(twisted, obs))
         trans_dist = float(task.output_metric(base, moved))
@@ -455,11 +451,10 @@ def _task_indep(params):
     flip = Automorphism.from_matrix(-np.eye(2))
 
     def run(seed):
-        rng = stream(seed)
-        z = prior.sample(rng, n)
+        z = prior.sample(stream(seed), n)
         obs = gen.forward(z)
         report = task_identifiability_check(task, theta, [flip], obs,
-                                            tol=1e-15, rng=rng)
+                                            tol=1e-15)
         null_stat = spearman_abs(obs[:, 0], z[:, 1])
         perfect_stat = spearman_abs(z[:, 0], z[:, 0])
         rows = [
@@ -669,6 +664,9 @@ _RANGES = {key: (0.0, math.inf)
                        "resid_factor", "ks_ratio_min", "null_bound")}
 _RANGES["alpha"] = (0.0, 1.0)
 
+#: floating-point exceptions a setup or a run raises; underflow passes
+_RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
+
 
 def _non_finite(value, where: str):
     """Where the first non-finite float in a result value sits, or None."""
@@ -693,9 +691,11 @@ def check_params(name: str, params: dict | None):
     The check: known keys; each value of its default's type (an int may
     stand for a float, a bool not for an int), list entries alike; finite
     floats; >= 1 where the default is a positive int; ``_RANGES``; the
-    ``shapes``.  Returns ``run(seed) -> ExperimentResult``, which raises
-    ``IdlabError`` if the summary or rows hold a non-finite float; raises
-    ``KeyError`` for an unregistered name, else ``ValueError``."""
+    ``shapes``; a setup that overflows, divides by zero or operates
+    invalidly.  Returns ``run(seed) -> ExperimentResult``, which raises
+    ``IdlabError`` on such an exception or a non-finite float in the
+    summary or rows; raises ``KeyError`` for an unregistered name, else
+    ``ValueError``."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment: {name!r}")
     if params is not None and not isinstance(params, dict):
@@ -735,12 +735,17 @@ def check_params(name: str, params: dict | None):
             raise ValueError(f"{name}: {key} must have shape {want}, "
                              f"got {value!r}")
     try:
-        run = spec.setup({**defaults, **(params or {})})
-    except (ValueError, IdlabError) as exc:
+        with np.errstate(**_RAISE):
+            run = spec.setup({**defaults, **(params or {})})
+    except (ValueError, IdlabError, FloatingPointError) as exc:
         raise ValueError(f"{name}: {exc}") from exc
 
     def checked(seed):
-        passed, summary, rows = run(seed)
+        try:  # errstate is context-local: set here, in the caller's thread
+            with np.errstate(**_RAISE):
+                passed, summary, rows = run(seed)
+        except FloatingPointError as exc:
+            raise IdlabError(str(exc)) from exc
         where = _non_finite(summary, "summary") or _non_finite(rows, "rows")
         if where:
             raise IdlabError(f"{where} is not finite")

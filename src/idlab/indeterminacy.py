@@ -48,12 +48,10 @@ _STRUCTURE_TOL = 1e-4
 class TransportedDistribution(Distribution):
     """Image of a base law under an invertible map, sampled by pushing.
 
-    Conditional CDFs are not exposed (``has_conditionals`` is false), which
-    routes goodness-of-fit checks through the inverse direction.  Densities
-    are available exactly when the map's ``log_det_jacobian`` is.
+    Conditional CDFs are not exposed, so a pushforward check cannot take it
+    as its target.  Densities are available exactly when the map's
+    ``log_det_jacobian`` is.
     """
-
-    has_conditionals = False
 
     def __init__(self, base: Distribution, transform):
         self.base = base

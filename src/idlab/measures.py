@@ -41,6 +41,7 @@ __all__ = [
     "ExpFamily",
     "sample",
     "interdecile_box",
+    "interdecile_grid",
     "univariate_from_spec",
     "distribution_from_spec",
 ]
@@ -285,9 +286,6 @@ class Distribution(abc.ABC):
     in every method: a single ``(dim,)`` point is rejected with
     ``DimensionMismatch``, not broadcast.
     """
-
-    #: whether conditional CDFs are available (transported laws may lack them)
-    has_conditionals: bool = True
 
     @property
     @abc.abstractmethod
@@ -566,6 +564,14 @@ def interdecile_box(dist: Distribution) -> np.ndarray:
         hi = [dist.marginal_ppf(m, 0.9) for m in range(dist.dim)]
         return np.column_stack([lo, hi]).astype(float)
     raise TypeError("interdecile box needs analytic marginal quantiles")
+
+
+def interdecile_grid(dist: Distribution, per_axis: int) -> np.ndarray:
+    """``per_axis ** dim`` rows evenly spanning ``interdecile_box(dist)``,
+    the last coordinate varying fastest."""
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in interdecile_box(dist)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"),
+                    axis=-1).reshape(-1, dist.dim)
 
 
 # ---------------------------------------------------------------------------

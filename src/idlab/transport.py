@@ -374,7 +374,6 @@ class PushforwardReport:
     alpha: float
     per_coordinate_level: float
     n: int
-    direction: str
     passed: bool
 
 
@@ -383,34 +382,24 @@ def pushforward_check(mapping, source: Distribution, target: Distribution,
                       alpha: float = 0.01) -> PushforwardReport:
     """Test whether ``mapping`` pushes ``source`` onto ``target``.
 
-    Mapped samples are reduced by the target's conditional-CDF transform to
-    coordinatewise uniforms.  The report holds each coordinate's one-sample
-    KS statistic and the critical value at level ``alpha`` with Bonferroni
-    correction across coordinates, not p-values: `_ks_critical`, defined
-    for any n >= 1 and never looser than the exact KS quantile by more than
-    2e-8 relative.  If the target cannot evaluate conditionals (transported
-    laws), the equivalent inverse statement - ``mapping^{-1}`` pushes
-    ``target`` onto ``source`` - is tested instead against the source's
-    conditionals.
+    ``n`` source draws are mapped forward and reduced by the target's
+    conditional-CDF transform to coordinatewise uniforms, so the target
+    must evaluate conditionals.  The report holds each coordinate's
+    one-sample KS statistic and the critical value at level ``alpha`` with
+    Bonferroni correction across coordinates, not p-values: `_ks_critical`,
+    defined for any n >= 1 and never looser than the exact KS quantile by
+    more than 2e-8 relative.
     """
     if source.dim != target.dim:
         raise DimensionMismatch("source and target dimension differ")
-    if getattr(target, "has_conditionals", True):
-        z = source.sample(rng, n)
-        data, ref, direction = mapping.forward(z), target, "forward"
-    elif getattr(source, "has_conditionals", True):
-        w = target.sample(rng, n)
-        data, ref, direction = mapping.inverse(w), source, "inverse"
-    else:
-        raise ValueError("neither endpoint can evaluate conditional CDFs")
-    U = rosenblatt(ref, data)
-    d = ref.dim
+    U = rosenblatt(target, mapping.forward(source.sample(rng, n)))
+    d = target.dim
     level = alpha / d
     stats = np.array([_ks_uniform_stat(U[:, m]) for m in range(d)])
     critical = _ks_critical(level, n)
     return PushforwardReport(
         statistics=stats, critical_value=critical,
-        alpha=alpha, per_coordinate_level=level, n=n, direction=direction,
+        alpha=alpha, per_coordinate_level=level, n=n,
         passed=bool(np.all(stats < critical)))
 
 

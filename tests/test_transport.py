@@ -459,7 +459,7 @@ def test_points_are_rows_only(name):
         assert getattr(obj, method)(np.zeros((1, 2))).shape[0] == 1
         with pytest.raises(DimensionMismatch):
             getattr(obj, method)(np.zeros(2))
-    if getattr(obj, "has_conditionals", False):
+    if name in ("GaussianDistribution", "ProductDistribution", "ExpFamily"):
         assert obj.conditional_quantile(1, np.zeros((1, 1)), np.array([0.3])).shape == (1,)
         for prefix, p in [(np.zeros((1, 1)), 0.3), (np.zeros(1), np.array([0.3])), (np.zeros((1, 1)), np.full(2, 0.3))]:
             with pytest.raises(DimensionMismatch):
