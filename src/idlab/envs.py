@@ -15,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (DimensionMismatch, RankDeficient, SingularCovariance)
 from .linear import LinearGenerator, _svd_rank, spanning_check
 from .measures import (Distribution, ExpFamily, GaussianDistribution,
                        ProductDistribution, _rows)
-from .transport import AffineMap, TriangularMap
+from .transport import AffineMap, TriangularMap, kr_transport
 
 __all__ = [
     "ModelParams",
@@ -229,11 +228,10 @@ def fit_gaussian_kr(samples, target_prior: GaussianDistribution, *,
     if not np.all(np.isfinite(cov)):
         raise SingularCovariance("sample covariance is not finite")
     try:
-        L_fit = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
+        fitted = GaussianDistribution(mean, cov)
+    except ValueError as exc:
         raise SingularCovariance("sample covariance is not positive definite") from exc
-    L = L_fit @ solve_triangular(target_prior.cholesky, np.eye(d), lower=True)
-    return AffineMap(L, mean - L @ target_prior.mean)
+    return kr_transport(target_prior, fitted)
 
 
 class MarginalQuantileMap(TriangularMap):

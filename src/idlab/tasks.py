@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, UncertifiedTransform
-from .indeterminacy import act_on_params
+from .indeterminacy import TransportedDistribution, act_on_params
 from .measures import interdecile_grid
 
 __all__ = [
@@ -168,23 +168,34 @@ def independence_test_task(pair, n: int, dim: int) -> TaskSpec:
 # the identifiability check
 # ---------------------------------------------------------------------------
 
+def _prior_grid(prior):
+    """7^d probes of ``prior``: its `interdecile_grid`, or for a transported
+    law its base's probes pushed through the map."""
+    if isinstance(prior, TransportedDistribution):
+        return prior.transform.forward(_prior_grid(prior.base))
+    try:
+        return interdecile_grid(prior, 7)
+    except TypeError as exc:
+        raise UncertifiedTransform(f"no grid to certify on: {exc}") from exc
+
+
 def task_identifiability_check(task: TaskSpec, theta, transforms, obs,
                                tol: float) -> TaskReport:
     """Does the task's output survive every certified latent transform?
 
     A transform A is in the model's class only if A#P = P for the prior P,
     which by change of variables is log p(A^-1 z) - log|det A| = log p(z).
-    That is checked, drawing nothing, on the 7^d `interdecile_grid` of P
-    within 1e-9 (1 + max|log p|); a failure, or a transform without a
-    log-det, raises ``UncertifiedTransform``.  The grid decides a Gaussian P
-    under an affine A, as both sides are quadratics, fixed by three points
-    per axis; a product of identical symmetric marginals keeps the identity
-    under signed permutations by symmetry; other pairs are checked on the
-    grid only.  The largest distance between the task's outputs on the
-    original and on each twisted model decides the verdict.
+    That is checked, drawing nothing, on the `_prior_grid` of P within
+    1e-9 (1 + max|log p|); a failure, a transform without a log-det, or a P
+    without a grid raises ``UncertifiedTransform``.  The grid decides a
+    Gaussian P under an affine A, as both sides are quadratics, fixed by
+    three points per axis; a product of identical symmetric marginals keeps
+    the identity under signed permutations by symmetry; other pairs are
+    checked on the grid only.  The largest distance between the task's
+    outputs on the original and on each twisted model decides the verdict.
     """
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    grid = interdecile_grid(theta.prior, 7)
+    grid = _prior_grid(theta.prior)
     log_p = theta.prior.log_density(grid)
     bound = 1e-9 * (1.0 + float(np.abs(log_p).max()))
     base_out = task.evaluate(theta, obs, task.select(theta, obs))

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, NonFiniteDerivative
-from .measures import Distribution, GaussianDistribution, _add_offset, _rows
+from .measures import (Distribution, GaussianDistribution, _add_offset, _rows,
+                       _solve_lower)
 
 __all__ = [
     "TriangularMap",
@@ -138,10 +138,10 @@ class AffineMap(TriangularMap):
 
     def inverse(self, X):
         X2 = _add_offset(np.array(_rows(X, self.dim)), -self.offset)
-        return solve_triangular(self.matrix, X2.T, lower=True).T
+        return _solve_lower(self.matrix, X2.T).T
 
     def inverted(self):
-        inv = solve_triangular(self.matrix, np.eye(self.dim), lower=True)
+        inv = _solve_lower(self.matrix, np.eye(self.dim))
         return AffineMap(inv, -inv @ self.offset)
 
     def log_det_jacobian(self, Z):
@@ -315,8 +315,7 @@ def kr_transport(source: Distribution, target: Distribution,
         raise ValueError(f"unknown method: {method!r}")
     if (method == "auto" and isinstance(source, GaussianDistribution)
             and isinstance(target, GaussianDistribution)):
-        L = target.cholesky @ solve_triangular(
-            source.cholesky, np.eye(source.dim), lower=True)
+        L = target.cholesky @ _solve_lower(source.cholesky, np.eye(source.dim))
         return AffineMap(L, target.mean - L @ source.mean)
     return CdfChainMap(source, target)
 

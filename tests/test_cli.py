@@ -340,18 +340,63 @@ def test_console_entry_point(tmp_path):
     assert [r["name"] for r in json.loads(proc.stdout)] == REGISTRY_ORDER
 
 
-def test_import_leaves_scipy_stats_and_integrate_unloaded(tmp_path):
-    # the library computes its KS critical values, midranks and
-    # exponential-family tables with numpy and scipy.special, so neither a
-    # full suite run nor an ExpFamily draw loads the larger subpackages
+def test_import_leaves_scipy_stats_integrate_and_linalg_unloaded(tmp_path):
+    # the library computes its KS critical values, midranks, triangular
+    # solves and exponential-family tables with numpy and scipy.special, so
+    # neither a full suite run nor an ExpFamily draw loads the larger
+    # subpackages
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"experiment": "all", "seed": 7}))
     code = "\n".join([
         "import sys, idlab, idlab.cli",
         f"assert idlab.cli.main(['run', '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0",
         "idlab.ExpFamily.gaussian_mean_family([2.9, -0.78]).sample(idlab.stream(1, 0), 100)",
-        "print(sorted({'scipy.stats', 'scipy.integrate'} & set(sys.modules)))",
+        "print(sorted({'scipy.stats', 'scipy.integrate', 'scipy.linalg'} & set(sys.modules)))",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+#: runs ``"all"`` in a fresh process with the CLI's pool replaced by one that
+#: runs each experiment on the calling thread, so every thread but the main
+#: one is a BLAS worker, then prints the CPU seconds of the main thread and
+#: of all the others
+_THREAD_CPU_PROBE = """
+import sys, time
+from concurrent.futures import Future
+import idlab.cli
+
+class InlinePool:
+    def __init__(self, max_workers):
+        pass
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+idlab.cli.ThreadPoolExecutor = InlinePool
+process, thread = time.process_time(), time.thread_time()
+code = idlab.cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2], "--jobs", "1"])
+thread = time.thread_time() - thread
+print(code, thread, time.process_time() - process - thread)
+"""
+
+
+def test_suite_run_leaves_blas_threads_idle(tmp_path):
+    # a triangular solve handed to a BLAS pool wakes a worker that spins for
+    # ~0.1 s, more CPU than the whole run spends on its own thread; the
+    # library's solves stay in numpy, so the other threads stay near idle
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "all", "seed": 7}))
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREAD_CPU_PROBE, str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    code, main_s, others_s = proc.stdout.strip().splitlines()[-1].split()
+    assert code == "0"
+    assert float(others_s) < 0.25 * float(main_s), (main_s, others_s)

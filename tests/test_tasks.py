@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 from idlab import (
     Automorphism,
+    Distribution,
     GaussianDistribution,
     Laplace1D,
     LinearGenerator,
@@ -123,6 +124,23 @@ class TestLatentShiftTask:
             latent_shift_task(1.0, 5, 2)
 
 
+class _OpaqueNormal(Distribution):
+    """A 2-D standard normal density with no marginal quantiles to grid on."""
+
+    dim = 2
+
+    def log_density(self, z):
+        return GaussianDistribution(np.zeros(2), np.eye(2)).log_density(z)
+
+    def conditional_cdf(self, m, prefix, values):
+        raise NotImplementedError
+
+    conditional_quantile = conditional_cdf
+
+    def sample(self, rng, n):
+        raise NotImplementedError
+
+
 class TestTaskIdentifiabilityCheck:
     def setup_method(self):
         self.prior = GaussianDistribution([0.0, 0.0], np.eye(2))
@@ -156,6 +174,26 @@ class TestTaskIdentifiabilityCheck:
             task_identifiability_check(
                 self.task, self.theta, [shift], self.obs, tol=1e-9
             )
+
+    def test_twisted_model_is_walked_again(self):
+        # a twisted model's prior is a TransportedDistribution; its probes are
+        # the base grid pushed through the quarter turn
+        twisted = act_on_params(Automorphism.from_matrix(ROT90), self.theta)
+        rep = task_identifiability_check(
+            self.task, twisted, [Automorphism.identity(2), Automorphism.from_matrix(ROT90)],
+            self.obs, tol=1e-9)
+        assert rep.distances[0] == 0.0
+        assert rep.max_distance == pytest.approx(SQRT2, abs=1e-9)
+        shift = Automorphism.from_matrix(np.eye(2), np.array([2.0, 0.0]))
+        with pytest.raises(UncertifiedTransform, match="does not preserve"):
+            task_identifiability_check(self.task, twisted, [shift], self.obs, tol=1e-9)
+
+    def test_prior_without_a_grid_is_refused(self):
+        theta = ModelParams(LinearGenerator(EMBED), _OpaqueNormal())
+        for model in (theta, act_on_params(Automorphism.from_matrix(ROT90), theta)):
+            with pytest.raises(UncertifiedTransform, match="no grid"):
+                task_identifiability_check(
+                    self.task, model, [Automorphism.identity(2)], self.obs, tol=1e-9)
 
     def test_report_serialises(self):
         rep = task_identifiability_check(

@@ -35,6 +35,7 @@ from idlab import (
 )
 from idlab.errors import DimensionMismatch, NonFiniteDerivative
 from idlab.indeterminacy import TransportedDistribution
+from idlab.measures import _solve_lower
 from idlab.transport import _ks_critical
 
 from conftest import gaussian_laws, gaussian_mixtures, probe_grid, product_laws
@@ -365,17 +366,48 @@ def test_affine_kernels_match_broadcast_add(case):
     X0 = X.copy()
     assert np.array_equal(gen.inverse(X), (X - b) @ gen._pinv.T)
     assert np.array_equal(X, X0)
-    expected = scipy.linalg.solve_triangular(amap.matrix, (Z - b[:d]).T, lower=True).T
+    expected = _solve_lower(amap.matrix, (Z - b[:d]).T).T
     assert np.array_equal(amap.inverse(Z), expected)
     assert np.array_equal(Z, Z0)
 
     L = gauss.cholesky
-    c = Z - b[:d]
-    w = np.linalg.solve(L.T, np.linalg.solve(L, c.T))
-    quad = np.sum(c.T * w, axis=0)
+    quad = np.sum(_solve_lower(L, (Z - b[:d]).T) ** 2, axis=0)
     expected = -0.5 * (quad + 2.0 * np.sum(np.log(np.diag(L))) + d * np.log(2.0 * np.pi))
     assert np.array_equal(gauss.log_density(Z), expected)
     assert np.array_equal(Z, Z0)
+
+
+def _spd_cholesky(rng, d):
+    A = rng.normal(size=(d, d))
+    return np.linalg.cholesky(A @ A.T + 0.5 * np.eye(d))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("cols", [1, 2, 1000])
+def test_solve_lower_matches_scipy(d, cols):
+    rng = stream(d, cols)
+    for _ in range(20):
+        L = _spd_cholesky(rng, d)
+        B = rng.normal(size=(d, cols))
+        B0 = B.copy()
+        want = scipy.linalg.solve_triangular(L, B, lower=True)
+        got = _solve_lower(L, B)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(B, B0)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_gaussian_log_density_matches_two_solves(d):
+    rng = stream(d, 9)
+    for _ in range(20):
+        L = _spd_cholesky(rng, d)
+        gauss = GaussianDistribution(rng.normal(size=d), L @ L.T)
+        Z = rng.normal(scale=3.0, size=(200, d))
+        c = Z - gauss.mean
+        C = gauss.cholesky
+        quad = np.sum(c.T * np.linalg.solve(C.T, np.linalg.solve(C, c.T)), axis=0)
+        want = -0.5 * (quad + 2.0 * np.sum(np.log(np.diag(C))) + d * np.log(2.0 * np.pi))
+        assert np.abs(gauss.log_density(Z) - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestComponentWiseCheck:
