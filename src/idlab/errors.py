@@ -25,7 +25,8 @@ class IdlabError(Exception):
 
 
 class BracketFailure(IdlabError):
-    """A tilted marginal's CDF table carries no mass; it cannot be inverted."""
+    """A quantile cannot be found: a tilted marginal's CDF table carries no
+    mass, or a mixture quantile is still open after its Newton step cap."""
 
 
 class DimensionMismatch(IdlabError):

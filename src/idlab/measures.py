@@ -5,9 +5,9 @@ The module provides a small zoo of fully supported distributions behind one
 counter-based streams, and conditional CDFs with their inverses.  Gaussian
 laws and products of normal, Laplace, logistic or exponential marginals give
 their conditional quantiles in closed form.  The Gaussian mixture marginal is
-the one law whose quantile is found iteratively: Newton steps inside the
-exact bracket spanned by its component quantiles.  So every distribution
-supports Rosenblatt-style resampling and triangular transport.
+the one law whose quantile is found iteratively: Newton steps on its exact
+CDF, started and bracketed by a cached table of that CDF.  So every
+distribution supports Rosenblatt-style resampling and triangular transport.
 
 `ExpFamily` is the conditionally factorial exponential family of the iVAE
 prior: a product of 1-D tilted laws that share one scalar carrier, statistic
@@ -52,6 +52,21 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # inversion; beyond it double precision cannot tell the CDF apart from 0 or 1.
 _P_FLOOR = 1e-300
 _P_CEIL = 1.0 - 1e-16
+
+# Knots of a tabulated CDF: a 1-D law's table costs 64 KB.
+_TABLE_POINTS = 4097
+
+
+def _invert_table(grid, cdf, p):
+    """Invert a nondecreasing CDF table, piecewise linearly, at ``p``.
+
+    Every ``p`` must lie in ``(cdf[0], cdf[-1]]``.  It is solved linearly
+    on the first segment ``k`` whose right end reaches it; returns the
+    points and ``k``.
+    """
+    k = np.searchsorted(cdf, p, side="left")
+    c0, x0 = cdf[k - 1], grid[k - 1]
+    return x0 + (p - c0) / (cdf[k] - c0) * (grid[k] - x0), k
 
 
 # ---------------------------------------------------------------------------
@@ -195,40 +210,64 @@ class GaussianMixture1D(Univariate):
             raise ValueError("weights and scales must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
+        self._table = None
+
+    def _args(self, x):
+        """Component arguments ``(x - loc_k) / scale_k``, shape ``x.shape +
+        (K,)``, built one column per component: the broadcast's bits, without
+        its inner loop over K-wide rows."""
+        u = np.empty(x.shape + self.locs.shape)
+        for k, (loc, scale) in enumerate(zip(self.locs, self.scales)):
+            np.divide(x - loc, scale, out=u[..., k])
+        return u
 
     def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        u = (x[..., None] - self.locs) / self.scales
+        u = self._args(np.asarray(x, dtype=float))
         comp = -0.5 * u * u - np.log(self.scales) - 0.5 * _LOG_2PI
         return special.logsumexp(comp, axis=-1, b=self.weights)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        u = (x[..., None] - self.locs) / self.scales
-        return special.ndtr(u) @ self.weights
+        return special.ndtr(self._args(np.asarray(x, dtype=float))) @ self.weights
+
+    def _cdf_table(self):
+        """The CDF on ``_TABLE_POINTS`` knots spanning the extreme component
+        quantiles at ``_P_FLOOR`` and ``_P_CEIL``, made monotone, built once.
+
+        Its ends are set to 0 and 1, which the CDF at those knots differs
+        from by rounding (or weights summing below one), so every clipped
+        probability falls on a segment.
+        """
+        if self._table is None:
+            ends = self.locs + self.scales * special.ndtri([[_P_FLOOR], [_P_CEIL]])
+            grid = np.linspace(ends[0].min(), ends[1].max(), _TABLE_POINTS)
+            cdf = np.maximum.accumulate(self.cdf(grid))
+            cdf[0], cdf[-1] = 0.0, 1.0
+            self._table = (grid, cdf)
+        return self._table
 
     def ppf(self, p):
-        """Quantile by Newton steps on the CDF inside an exact bracket.
+        """Quantile by Newton steps on the CDF, started from the CDF table.
 
-        At the smallest component p-quantile every component CDF is at most
-        ``p``, and at the largest every one is at least ``p``, so the mixture
-        quantile lies between the two and the bracket never needs to grow.
+        The mixture quantile lies between the extreme component quantiles,
+        which the table spans, so ``p`` falls on one table segment: its
+        linear solve is the start and its two knots the starting bracket.
         Each evaluated point tightens the bracket, and a Newton step that
         would not land strictly inside it is replaced by bisection.  A row
         stops once its Newton correction or its bracket is below 1e-14
         relative; the bracket test ends the two-point cycles that CDF
-        rounding causes in the tails.
+        rounding causes in the tails.  A row still open after 100 steps
+        raises ``BracketFailure``.
         """
         p = np.asarray(p, dtype=float)
         q = np.clip(np.atleast_1d(p).ravel(), _P_FLOOR, _P_CEIL)
-        comp = self.locs + self.scales * special.ndtri(q)[:, None]
-        lo, hi = comp.min(axis=1), comp.max(axis=1)
-        x = comp @ self.weights
+        grid, table = self._cdf_table()
+        x, k = _invert_table(grid, table, q)
+        lo, hi = grid[k - 1], grid[k]
         dens_w = self.weights / (self.scales * math.sqrt(2.0 * math.pi))
         live = np.arange(q.size)
         for _ in range(100):
             xs = x[live]
-            u = (xs[:, None] - self.locs) / self.scales
+            u = self._args(xs)
             f = special.ndtr(u) @ self.weights - q[live]
             lo_l = np.where(f < 0, xs, lo[live])
             hi_l = np.where(f > 0, xs, hi[live])
@@ -244,6 +283,10 @@ class GaussianMixture1D(Univariate):
             live = live[~(close | (hi_l - lo_l <= tol))]
             if not live.size:
                 break
+        else:
+            raise BracketFailure(
+                f"mixture quantile did not converge for {live.size} of "
+                f"{q.size} probabilities in 100 Newton steps")
         return x.reshape(p.shape) if p.ndim else float(x[0])
 
     def sample(self, rng, n):
@@ -463,10 +506,9 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
 class _TiltedMarginal(Univariate):
     """Scalar tilted law  q(x) exp(eta T(x) - A(eta))  on a truncated interval.
 
-    Its CDF is a piecewise-linear table on ``_GRID`` points, built lazily.
+    Its CDF is a piecewise-linear table on ``_TABLE_POINTS`` knots, built
+    lazily.
     """
-
-    _GRID = 4097
 
     def __init__(self, log_base, suff_stat, log_partition, eta, bounds):
         self.log_base = log_base
@@ -483,7 +525,7 @@ class _TiltedMarginal(Univariate):
     def _cdf_table(self):
         """The grid and its normalized CDF, built once."""
         if self._table is None:
-            grid = np.linspace(*self.support, self._GRID)
+            grid = np.linspace(*self.support, _TABLE_POINTS)
             cdf = np.concatenate([[0.0], _cumulative_simpson(
                 np.exp(self.log_pdf(grid)), grid[1] - grid[0])])
             cdf = np.maximum.accumulate(cdf)
@@ -499,14 +541,12 @@ class _TiltedMarginal(Univariate):
     def ppf(self, p):
         """Exact inverse of the tabulated ``cdf``.
 
-        ``p`` is clipped to ``[_P_FLOOR, _P_CEIL]``, so it lies on the first
-        grid segment whose right end reaches it and is solved linearly there.
+        ``p`` is clipped to ``[_P_FLOOR, _P_CEIL]``, strictly inside the
+        table's ``[0, 1]``, so ``_invert_table`` solves it on a segment.
         """
         grid, cdf = self._cdf_table()
         p = np.clip(np.asarray(p, dtype=float), _P_FLOOR, _P_CEIL)
-        k = np.searchsorted(cdf, p, side="left")
-        c0, x0 = cdf[k - 1], grid[k - 1]
-        return x0 + (p - c0) / (cdf[k] - c0) * (grid[k] - x0)
+        return _invert_table(grid, cdf, p)[0]
 
     def sample(self, rng, n):
         return self.ppf(rng.random(n))

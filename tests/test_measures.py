@@ -24,6 +24,8 @@ from idlab import (
     interdecile_box,
     stream,
 )
+import idlab.measures
+from idlab.errors import BracketFailure
 from idlab.measures import _cumulative_simpson
 
 from conftest import bisect_quantile, gaussian_laws, gaussian_mean_families, gaussian_mixtures, product_laws
@@ -128,6 +130,81 @@ def test_mixture_quantile_when_weights_sum_below_one():
         v = mix.ppf(p)
         comp = locs + scales * scipy.special.ndtri(min(p, 1.0 - 1e-16))
         assert np.isfinite(v) and comp.min() <= v <= comp.max()
+
+
+# kr-identity's first marginal, and the most separated mixture the transport
+# benchmark draws (locs and scales at the ends of their ranges)
+TRANSPORT_MIXTURES = [([0.4, 0.6], [-1.5, 1.2], [0.7, 1.1]),
+                      ([0.5, 0.5], [-2.0, 2.0], [0.5, 0.5])]
+
+
+class _CountingSpecial:
+    """``scipy.special`` that counts the points ``ndtr`` is evaluated at,
+    or makes every one of them NaN."""
+
+    def __init__(self, nan=False):
+        self.points, self.nan = 0, nan
+
+    def ndtr(self, u):
+        self.points += np.size(u)
+        out = scipy.special.ndtr(u)
+        return out * np.nan if self.nan else out
+
+    def __getattr__(self, name):
+        return getattr(scipy.special, name)
+
+
+def test_mixture_quantile_converges_in_the_far_tails():
+    # p = 1e-295 needs a start within reach of Newton's quadratic phase: from
+    # the component-average start the steps creep ~0.03 apart
+    mix = GaussianMixture1D(*TRANSPORT_MIXTURES[0])
+    for k in range(1, 301):
+        p = 10.0 ** -k
+        assert abs(mix.cdf(mix.ppf(p)) - p) <= 1e-9 * p, k
+    for k in range(1, 17):
+        p = 1.0 - 10.0 ** -k
+        assert abs(mix.cdf(mix.ppf(p)) - p) <= 1e-15, k
+
+
+@pytest.mark.parametrize("params", TRANSPORT_MIXTURES)
+def test_mixture_quantile_cdf_evaluations_per_row(params, monkeypatch):
+    # a count of mixture-CDF points, table build included, independent of
+    # the machine; the component-quantile bracket took 5.5 and 7.2
+    counter = _CountingSpecial()
+    monkeypatch.setattr(idlab.measures, "special", counter)
+    p = stream(29, 0).random(10_000)
+    x = GaussianMixture1D(*params).ppf(p)
+    monkeypatch.undo()
+    assert_allclose(GaussianMixture1D(*params).cdf(x), p, rtol=0, atol=1e-12)
+    assert counter.points / len(params[0]) / p.size <= 4.0
+
+
+def test_mixture_quantile_open_at_the_cap_raises(monkeypatch):
+    mix = GaussianMixture1D(*TRANSPORT_MIXTURES[0])
+    mix.ppf(0.5)  # the table, built on the true CDF
+    monkeypatch.setattr(idlab.measures, "special", _CountingSpecial(nan=True))
+    with pytest.raises(BracketFailure, match="did not converge"):
+        mix.ppf(np.array([0.2, 0.7]))
+
+
+def test_mixture_cdf_equals_broadcast_bits():
+    mix = GaussianMixture1D([0.2, 0.5, 0.3], [-1.7, 0.4, 2.2], [0.6, 1.3, 0.9])
+    x = stream(31, 0).normal(scale=3.0, size=100_000)
+    for pts in (x[0], x, x.reshape(250, 400)):
+        want = scipy.special.ndtr((pts[..., None] - mix.locs) / mix.scales) @ mix.weights
+        got = mix.cdf(pts)
+        assert type(got) is type(want) and got.tobytes() == want.tobytes()
+    assert isinstance(mix.cdf(x[0]), np.float64)
+
+
+def test_tilted_quantile_equals_segment_formula_bits():
+    marg = ExpFamily.gaussian_mean_family([1.3]).marginals[0]
+    grid, cdf = marg._cdf_table()
+    p = np.clip(stream(37, 0).random(10_000), 1e-300, 1.0 - 1e-16)
+    k = np.searchsorted(cdf, p, side="left")
+    c0, x0 = cdf[k - 1], grid[k - 1]
+    want = x0 + (p - c0) / (cdf[k] - c0) * (grid[k] - x0)
+    assert marg.ppf(p).tobytes() == want.tobytes()
 
 
 class TestGaussianDistribution:
