@@ -25,7 +25,7 @@ from .linear import (ComonReport, LinearGenerator, SpanReport,
                      rotation_counterexample, solve_multi_env_linear,
                      spanning_check)
 from .envs import (AffineRelation, EnvironmentData, EnvironmentSet,
-                   MarginalQuantileMap, ModelParams, MultiViewModel,
+                   MarginalQuantileMap, ModelParams,
                    ValidationReport, affine_relation_fit,
                    fit_env_affine_generator, fit_gaussian_kr,
                    fit_marginal_quantile_transport,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import os
 import sys
@@ -38,7 +37,9 @@ CONFIG_SCHEMA = {
             "type": "string",
             "description": "registered experiment name, or 'all'",
         },
-        "seed": {"type": "integer", "minimum": 0, "default": 7},
+        # the Philox key is two uint64 words: the seed and a stream id
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1,
+                 "default": 7},
         "params": {
             "type": "object",
             "description": ("experiment-specific overrides; for 'all', a "
@@ -109,26 +110,47 @@ def _load_config(path: str):
         raise ValueError(f"config is not valid JSON: {exc}") from exc
 
 
-@functools.cache
-def _config_validator():
-    """A validator for ``CONFIG_SCHEMA``, built once; ``jsonschema.validate``
-    would check the schema itself again on every call.  jsonschema is
-    imported here, as its import is slow and only ``run`` needs it."""
-    from jsonschema import Draft202012Validator
-    return Draft202012Validator(CONFIG_SCHEMA)
+#: Python type of each JSON Schema type that ``CONFIG_SCHEMA`` uses
+_TYPES = {"string": str, "integer": int, "object": dict}
+
+
+def _schema_error(value, rule: dict, where: str = "config"):
+    """Why ``value`` breaks ``rule``, a node of ``CONFIG_SCHEMA``, or None.
+    Types match exactly, as in ``check_params``: an integer is an int, not a
+    bool or an integral float."""
+    want = _TYPES[rule["type"]]
+    if type(value) is not want:
+        return f"{where} must be of type {want.__name__}, got {value!r}"
+    if "minimum" in rule and value < rule["minimum"]:
+        return f"{where} must be >= {rule['minimum']}, got {value}"
+    if "maximum" in rule and value > rule["maximum"]:
+        return f"{where} must be <= {rule['maximum']}, got {value}"
+    if want is not dict:
+        return None
+    missing = [key for key in rule.get("required", ()) if key not in value]
+    if missing:
+        return f"{where} lacks the key {missing[0]!r}"
+    properties = rule.get("properties", {})
+    unknown = sorted(set(value) - set(properties))
+    if unknown and rule.get("additionalProperties") is False:
+        return f"{where} has unknown keys {unknown}"
+    for key, sub in properties.items():
+        error = _schema_error(value[key], sub, key) if key in value else None
+        if error:
+            return error
+    return None
 
 
 def _validate_config(config) -> dict:
-    """Check a config; map each experiment to run to its overrides and to
-    the ``run(seed)`` its setup returned.
+    """Check a config, flags merged in; map each experiment to run to its
+    overrides and to the ``run(seed)`` its setup returned.
 
     Every experiment's setup runs here, so a bad entry rejects the run
     before any experiment starts.
     """
-    from jsonschema.exceptions import best_match
-    error = best_match(_config_validator().iter_errors(config))
-    if error is not None:
-        raise ValueError(f"config rejected: {error.message}")
+    error = _schema_error(config, CONFIG_SCHEMA)
+    if error:
+        raise ValueError(f"config rejected: {error}")
     name = config["experiment"]
     params = config.get("params", {})
     if name == "all":
@@ -157,21 +179,19 @@ def _write_experiment_artifacts(out_dir, result, echo):
 
 
 def _cmd_run(args) -> int:
+    flags = {"seed": args.seed, "jobs": args.jobs, "out_dir": args.out}
     try:
         config = _load_config(args.config)
+        if type(config) is dict:  # any other value fails the check
+            config.update((k, v) for k, v in flags.items() if v is not None)
         plan = _validate_config(config)
     except ValueError as exc:
         return _fail(str(exc))
 
     name = config["experiment"]
-    seed = args.seed if args.seed is not None else config.get("seed", 7)
-    jobs = args.jobs if args.jobs is not None else config.get("jobs", 1)
-    out_dir = args.out or config.get("out_dir", "results")
-    # flags bypass the schema's minimums
-    if seed < 0:
-        return _fail(f"seed must be >= 0, got {seed}")
-    if jobs < 1:
-        return _fail(f"jobs must be >= 1, got {jobs}")
+    seed = config.get("seed", 7)
+    jobs = config.get("jobs", 1)
+    out_dir = config.get("out_dir", "results")
 
     # each experiment draws only from its own streams, so the pool's size
     # and order cannot change a result

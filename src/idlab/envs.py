@@ -26,7 +26,6 @@ __all__ = [
     "ModelParams",
     "EnvironmentSet",
     "EnvironmentData",
-    "MultiViewModel",
     "ValidationReport",
     "AffineRelation",
     "MarginalQuantileMap",
@@ -49,7 +48,6 @@ class ModelParams:
 
     generator: object
     prior: Distribution
-    name: str = ""
 
 
 class EnvironmentSet:
@@ -328,34 +326,27 @@ def _affine_design(mus) -> np.ndarray:
     return design
 
 
-@dataclass
-class MultiViewModel:
-    """One generator per view, all driven by a single shared latent."""
-
-    generators: dict
-
-
-def verify_multiview(model_a: MultiViewModel, model_b: MultiViewModel,
-                     prior: Distribution, n: int, rng: np.random.Generator,
-                     tol: float = 1e-6):
+def verify_multiview(views_a: dict, views_b: dict, prior: Distribution,
+                     n: int, rng: np.random.Generator, tol: float = 1e-6):
     """Compare the per-view latent transforms of two multi-view models.
 
-    Each view contributes the transform linking the two models' generators
-    for that view; observationally equivalent models force every view onto
-    the same transform, and one view whose transform is the identity pins
-    the shared latent.  The report's headline deviations belong to the best
-    view; per-view deviations and the max pairwise disagreement ride along
-    in the details.
+    A model is a ``{view: generator}`` dict, every view driven by a single
+    shared latent.  Each view contributes the transform linking the two
+    models' generators for that view; observationally equivalent models
+    force every view onto the same transform, and one view whose transform
+    is the identity pins the shared latent.  The report's headline
+    deviations belong to the best view; per-view deviations and the max
+    pairwise disagreement ride along in the details.
     """
     from .indeterminacy import (IndeterminacyReport, generator_transform,
                                 identity_deviation)
-    if set(model_a.generators) != set(model_b.generators):
+    if set(views_a) != set(views_b):
         raise DimensionMismatch("models must share their view labels")
     z = prior.sample(rng, n)
     values, sups, rmss = {}, {}, {}
-    for label in sorted(model_a.generators):
-        transform = generator_transform(model_a.generators[label],
-                                        model_b.generators[label], probes=z)
+    for label in sorted(views_a):
+        transform = generator_transform(views_a[label], views_b[label],
+                                        probes=z)
         values[label] = transform.forward(z)
         sups[label], rmss[label] = identity_deviation(transform, z)
     labels = sorted(values)

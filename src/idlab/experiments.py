@@ -18,7 +18,7 @@ import numpy as np
 from .envs import (EnvironmentSet, ModelParams, affine_relation_fit,
                    fit_env_affine_generator, fit_gaussian_kr,
                    validate_strong_vae_config, verify_multiview,
-                   MultiViewModel, _affine_design)
+                   _affine_design)
 from .errors import IdlabError
 from .indeterminacy import (act_on_params, fixed_coordinate_check,
                             generator_transform, identity_deviation,
@@ -402,8 +402,7 @@ def _two_labs(params):
 
 def _task_shift(params):
     gen = LinearGenerator(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
-    theta = ModelParams(gen, GaussianDistribution(np.zeros(2), np.eye(2)),
-                        name="embedding")
+    theta = ModelParams(gen, GaussianDistribution(np.zeros(2), np.eye(2)))
     task = latent_shift_task(params["delta"], params["k"], gen.latent_dim)
     obs = np.asarray(params["obs"], dtype=float)
     rot = Automorphism.from_matrix([[0.0, -1.0], [1.0, 0.0]])
@@ -446,7 +445,7 @@ def _task_indep(params):
     prior = ProductDistribution([Laplace1D(), Laplace1D()])
     with _rejected("loading"):
         gen = AffineMap(params["loading"], [0.0, 0.0])
-    theta = ModelParams(gen, prior, name="tmi-laplace")
+    theta = ModelParams(gen, prior)
     task = independence_test_task(tuple(params["pair"]), n, gen.dim)
     flip = Automorphism.from_matrix(-np.eye(2))
 
@@ -478,12 +477,11 @@ def _multiview(params):
     R = _rotation(params["angle_deg"])
     tmi_view = AffineMap([[1.0, 0.0], [0.4, 1.0]], [0.0, 0.0])
     free_view = LinearGenerator(R @ np.array([[1.3, 0.2], [0.1, 0.8]]))
-    model_a = MultiViewModel({"tmi": tmi_view, "free": free_view})
-    lin_a = MultiViewModel({"tmi": LinearGenerator([[1.0, 0.0], [0.4, 1.0]]),
-                            "free": free_view})
-    lin_b = MultiViewModel(
-        {"tmi": LinearGenerator(lin_a.generators["tmi"].loading @ R.T),
-         "free": LinearGenerator(free_view.loading @ R.T)})
+    model_a = {"tmi": tmi_view, "free": free_view}
+    lin_a = {"tmi": LinearGenerator([[1.0, 0.0], [0.4, 1.0]]),
+             "free": free_view}
+    lin_b = {"tmi": LinearGenerator(lin_a["tmi"].loading @ R.T),
+             "free": LinearGenerator(free_view.loading @ R.T)}
 
     def run(seed):
         pinned = verify_multiview(model_a, model_a, prior, n,
@@ -685,7 +683,7 @@ def _non_finite(value, where: str):
     return None
 
 
-def check_params(name: str, params: dict | None):
+def check_params(name: str, params: dict):
     """Check overrides against ``name``'s defaults, then run its setup.
 
     The check: known keys; each value of its default's type (an int may
@@ -698,14 +696,14 @@ def check_params(name: str, params: dict | None):
     ``ValueError``."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment: {name!r}")
-    if params is not None and not isinstance(params, dict):
+    if not isinstance(params, dict):
         raise ValueError(f"{name}: params must be a mapping")
     spec = EXPERIMENTS[name]
     defaults = spec.defaults
-    unknown = sorted(set(params or {}) - set(defaults))
+    unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"{name}: unknown params {unknown}")
-    for key, value in (params or {}).items():
+    for key, value in params.items():
         default = defaults[key]
         accepted = _ACCEPTED_TYPES.get(type(default), (type(default),))
         if type(value) not in accepted:
@@ -729,14 +727,14 @@ def check_params(name: str, params: dict | None):
                              f"got {value}")
     sizes: dict = {}
     for key, shape in spec.shapes.items():
-        value = (params or {}).get(key, defaults[key])
+        value = params.get(key, defaults[key])
         want = tuple(sizes.get(axis, axis) for axis in shape)
         if not _fits(value, shape, sizes):
             raise ValueError(f"{name}: {key} must have shape {want}, "
                              f"got {value!r}")
     try:
         with np.errstate(**_RAISE):
-            run = spec.setup({**defaults, **(params or {})})
+            run = spec.setup({**defaults, **params})
     except (ValueError, IdlabError, FloatingPointError) as exc:
         raise ValueError(f"{name}: {exc}") from exc
 
@@ -760,4 +758,4 @@ def run_experiment(name: str, params: dict | None = None,
     ``params`` overrides the registered defaults key by key; a config that
     ``check_params`` rejects raises before any computation.
     """
-    return check_params(name, params)(seed)
+    return check_params(name, {} if params is None else params)(seed)

@@ -303,7 +303,6 @@ def act_on_params(transform, params):
     ``TransportedDistribution``, whatever the transform.
     """
     from .envs import ModelParams
-    name = f"{params.name}-equiv" if getattr(params, "name", "") else "equiv"
     return ModelParams(
         generator=_TransformedGenerator(params.generator, transform),
-        prior=TransportedDistribution(params.prior, transform), name=name)
+        prior=TransportedDistribution(params.prior, transform))

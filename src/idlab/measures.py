@@ -96,14 +96,18 @@ class Univariate(abc.ABC):
         ...
 
 
-class Normal1D(Univariate):
-    kind = "normal"
+class _LocScale(Univariate):
+    """A law of ``loc + scale * u``, ``u`` drawn from a standard law."""
 
     def __init__(self, loc: float = 0.0, scale: float = 1.0):
         if scale <= 0:
             raise ValueError("scale must be positive")
         self.loc = float(loc)
         self.scale = float(scale)
+
+
+class Normal1D(_LocScale):
+    kind = "normal"
 
     def log_pdf(self, x):
         u = (np.asarray(x, dtype=float) - self.loc) / self.scale
@@ -119,14 +123,8 @@ class Normal1D(Univariate):
         return self.loc + self.scale * rng.standard_normal(n)
 
 
-class Laplace1D(Univariate):
+class Laplace1D(_LocScale):
     kind = "laplace"
-
-    def __init__(self, loc: float = 0.0, scale: float = 1.0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.loc = float(loc)
-        self.scale = float(scale)
 
     def log_pdf(self, x):
         u = np.abs(np.asarray(x, dtype=float) - self.loc) / self.scale
@@ -146,14 +144,8 @@ class Laplace1D(Univariate):
         return rng.laplace(self.loc, self.scale, n)
 
 
-class Logistic1D(Univariate):
+class Logistic1D(_LocScale):
     kind = "logistic"
-
-    def __init__(self, loc: float = 0.0, scale: float = 1.0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.loc = float(loc)
-        self.scale = float(scale)
 
     def log_pdf(self, x):
         u = (np.asarray(x, dtype=float) - self.loc) / self.scale
@@ -629,9 +621,8 @@ def interdecile_grid(dist: Distribution, per_axis: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _UNIVARIATE_KINDS = {
-    "normal": lambda s: Normal1D(s.get("loc", 0.0), s.get("scale", 1.0)),
-    "laplace": lambda s: Laplace1D(s.get("loc", 0.0), s.get("scale", 1.0)),
-    "logistic": lambda s: Logistic1D(s.get("loc", 0.0), s.get("scale", 1.0)),
+    **{cls.kind: lambda s, cls=cls: cls(s.get("loc", 0.0), s.get("scale", 1.0))
+       for cls in (Normal1D, Laplace1D, Logistic1D)},
     "exponential": lambda s: Exponential1D(s.get("rate", 1.0)),
     "gaussian_mixture": lambda s: GaussianMixture1D(
         s["weights"], s["locs"], s["scales"]),

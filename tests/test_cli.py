@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from idlab import experiment_names, experiments
-from idlab.cli import CONFIG_SCHEMA, main
+from idlab.cli import CONFIG_SCHEMA, _schema_error, main
 from idlab.errors import RankDeficient
 from idlab.experiments import check_params
 
@@ -123,7 +123,7 @@ class TestUsageErrors:
         assert not (tmp_path / "out").exists()
         assert "not-a-thing" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", [{"n_probs": 2}, 5])
+    @pytest.mark.parametrize("bad", [{"n_probs": 2}, 5, None])
     def test_all_with_one_bad_entry_writes_nothing(self, tmp_path, bad):
         # the bad entry belongs to the last experiment, so nothing may run
         # ahead of the check
@@ -194,12 +194,94 @@ class TestUsageErrors:
     @pytest.mark.parametrize("flags, message", [
         (["--jobs", "0"], "jobs must be >= 1"),
         (["--seed", "-1"], "seed must be >= 0"),
+        # the Philox key holds the seed in one uint64 word
+        (["--seed", str(2**64)], "seed must be <= 18446744073709551615"),
     ])
     def test_bad_seed_or_jobs_writes_nothing(self, tmp_path, capsys, flags, message):
         cfg = write_config(tmp_path / "cfg.json", experiment="kr-gaussian", params={"n_pairs": 2})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 2
         assert not (tmp_path / "out").exists()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", 2**64, "seed must be <= 18446744073709551615"),
+        ("seed", 7.0, "seed must be of type int, got 7.0"),
+        ("jobs", 2.0, "jobs must be of type int, got 2.0"),
+    ])
+    def test_bad_config_seed_or_jobs_writes_nothing(self, tmp_path, capsys, key, value, message):
+        cfg = write_config(tmp_path / "cfg.json", experiment="kr-gaussian", params={"n_pairs": 2},
+                           **{key: value})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_largest_seed_runs(tmp_path, source):
+    seed = 2**64 - 1
+    cfg = write_config(tmp_path / "cfg.json", experiment="kr-gaussian", params={"n_pairs": 1},
+                       **({"seed": seed} if source == "config" else {}))
+    flags = ["--seed", str(seed)] if source == "flag" else []
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 0
+    echoed = json.loads((tmp_path / "out" / "kr-gaussian" / "config.echo.json").read_text())
+    assert echoed["seed"] == seed
+
+
+#: configs that the runner's check must accept exactly when jsonschema does
+SCHEMA_CASES = [
+    {"experiment": "kr-gaussian"},
+    {"experiment": "all", "seed": 3, "params": {"multiview": {}}, "out_dir": "r", "jobs": 2},
+    {"seed": 7},
+    {"experiment": "all", "bogus": 1},
+    {"experiment": 5},
+    {"experiment": "all", "seed": "7"},
+    {"experiment": "all", "params": "none"},
+    {"experiment": "all", "out_dir": 5},
+    {"experiment": "all", "jobs": "2"},
+    {"experiment": "all", "seed": True},
+    {"experiment": "all", "jobs": True},
+    {"experiment": "all", "seed": -1},
+    {"experiment": "all", "seed": 0},
+    {"experiment": "all", "seed": 2**64 - 1},
+    {"experiment": "all", "seed": 2**64},
+    {"experiment": "all", "jobs": 0},
+    {"experiment": "all", "jobs": 1},
+    ["experiment", "all"],
+    "all",
+    None,
+    {"experiment": "all", "params": [{"n": 1}]},
+    {"experiment": "all", "seed": 1.5},
+    {},
+]
+
+
+@pytest.mark.parametrize("config", SCHEMA_CASES, ids=json.dumps)
+def test_schema_check_agrees_with_jsonschema(config):
+    accepted = jsonschema.Draft202012Validator(CONFIG_SCHEMA).is_valid(config)
+    assert (_schema_error(config, CONFIG_SCHEMA) is None) == accepted
+
+
+@pytest.mark.parametrize("key", ["seed", "jobs"])
+def test_schema_check_rejects_integral_floats(key):
+    # the one difference from JSON Schema, which counts 2.0 as an integer;
+    # check_params rejects a float for an int default alike
+    config = {"experiment": "all", key: 2.0}
+    assert jsonschema.Draft202012Validator(CONFIG_SCHEMA).is_valid(config)
+    assert _schema_error(config, CONFIG_SCHEMA) == f"{key} must be of type int, got 2.0"
+
+
+def test_run_needs_no_jsonschema(tmp_path):
+    # jsonschema is a test dependency: a run must not import it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "kr-gaussian", "params": {"n_pairs": 1}}))
+    code = "\n".join([
+        "import sys",
+        "sys.modules['jsonschema'] = None",
+        "import idlab.cli",
+        f"sys.exit(idlab.cli.main(['run', '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}]))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("key, value", [
@@ -235,7 +317,8 @@ def test_non_finite_result_exits_3_and_writes_nothing(tmp_path, capsys):
 
 
 def test_config_schema_is_a_valid_schema():
-    # the runner's cached validator does not check the schema itself
+    # the runner reads CONFIG_SCHEMA with its own check, which never checks
+    # the schema itself; `idlab schema` prints it for other validators
     jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
 
 

@@ -17,7 +17,6 @@ from idlab import (
     GaussianDistribution,
     Laplace1D,
     LinearGenerator,
-    MultiViewModel,
     ProductDistribution,
     affine_relation_fit,
     fit_env_affine_generator,
@@ -277,9 +276,8 @@ class TestVerifyMultiview:
         self.free = LinearGenerator(np.array([[1.3, 0.2], [0.1, 0.8]]))
 
     def test_identical_views_are_identified(self):
-        a = MultiViewModel({"tmi": self.tmi, "free": self.free})
-        b = MultiViewModel({"tmi": self.tmi, "free": self.free})
-        rep = verify_multiview(a, b, self.prior, 4000, stream(45, 0))
+        a = {"tmi": self.tmi, "free": self.free}
+        rep = verify_multiview(a, a, self.prior, 4000, stream(45, 0))
         assert rep.structure["is_identity_ae"]
         assert rep.identity_sup_dev < 1e-6
         assert rep.details["max_disagreement"] < 1e-6
@@ -287,11 +285,11 @@ class TestVerifyMultiview:
     def test_consistent_rotation_evades_identification(self):
         c, s = np.cos(np.pi / 5), np.sin(np.pi / 5)
         R = np.array([[c, -s], [s, c]])
-        a = MultiViewModel({"tmi": self.tmi, "free": self.free})
+        a = {"tmi": self.tmi, "free": self.free}
         # both views absorb the same rotation, so no view can rule it out
         rot_tmi = LinearGenerator(self.tmi.matrix @ R.T)
         rot_free = LinearGenerator(self.free.loading @ R.T)
-        b = MultiViewModel({"tmi": rot_tmi, "free": rot_free})
+        b = {"tmi": rot_tmi, "free": rot_free}
         rep = verify_multiview(a, b, self.prior, 4000, stream(45, 1))
         assert not rep.structure["is_identity_ae"]
         assert rep.identity_sup_dev > 0.1
