@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (DegenerateMeans, DimensionMismatch, RankDeficient,
                      SingularMatrix)
-from .measures import _add_offset
+from .measures import _add_offset, _matmul_rows
 from .transport import _offset
 
 __all__ = [
@@ -40,6 +40,15 @@ def _svd_rank(M: np.ndarray) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > _RANK_REL_TOL * s[0]))
+
+
+def _points(A, width: int) -> np.ndarray:
+    """One ``(width,)`` point or ``(n, width)`` rows as a float array."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim not in (1, 2) or A.shape[-1] != width:
+        raise DimensionMismatch(
+            f"expected ({width},) or (n, {width}) points, got shape {A.shape}")
+    return A
 
 
 class LinearGenerator:
@@ -71,13 +80,14 @@ class LinearGenerator:
 
     def forward(self, Z):
         """``offset + F z`` per row; the offset goes on by column."""
-        return _add_offset(np.asarray(Z, dtype=float) @ self.loading.T,
-                           self.offset)
+        return _add_offset(
+            _matmul_rows(_points(Z, self.latent_dim), self.loading.T),
+            self.offset)
 
     def inverse(self, X):
         """Left inverse, exact on offset + range(loading), by column."""
-        centred = _add_offset(np.array(X, dtype=float), -self.offset)
-        return centred @ self._pinv.T
+        centred = _add_offset(np.array(_points(X, self.obs_dim)), -self.offset)
+        return _matmul_rows(centred, self._pinv.T)
 
 
 def rotation_counterexample(mu1, mu2, generator: LinearGenerator):

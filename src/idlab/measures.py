@@ -311,10 +311,44 @@ def _add_offset(out, v):
     return out
 
 
+#: OpenBLAS gives each thread of a gemm at least 2**18 multiply-adds, so a
+#: product of at most this many stays on the calling thread; a larger one
+#: wakes a worker, which spins ~0.13 s of CPU after a sub-millisecond
+#: (10**4, 8) @ (8, 8) product
+_BLOCK_WORK = 1 << 18
+
+
+def _matmul_rows(X, MT):
+    """``X @ MT`` for ``(n, k)`` rows, with no BLAS worker woken.
+
+    A product of more than ``_BLOCK_WORK`` multiply-adds is taken in row
+    blocks of at most that many each.  The blocks differ in size by at most
+    one row, which keeps the bits of ``X @ MT`` on every shape the tests
+    cover; a short trailing block runs through another kernel and moves
+    some last bits.  One point (1-D ``X``) and a one-column ``MT`` stay one
+    ``@``: those are gemv calls, whose bits blocking moves, and a large gemv
+    still wakes a worker.
+    """
+    per_block = max(1, _BLOCK_WORK // max(1, MT.size))  # MT.size is k * m
+    if X.ndim == 1 or X.shape[0] <= per_block or MT.shape[1] == 1:
+        return X @ MT
+    n = X.shape[0]
+    blocks = -(-n // per_block)
+    out = np.empty((n, MT.shape[1]))
+    for b in range(blocks):
+        lo, hi = n * b // blocks, n * (b + 1) // blocks
+        np.matmul(X[lo:hi], MT, out=out[lo:hi])
+    return out
+
+
 def _solve_lower(L, B):
-    """``L^-1 B`` for lower-triangular ``L`` by forward substitution, which
-    wakes no BLAS thread.  Rows scale by the reciprocal of the diagonal, as
-    OpenBLAS's trsm does; dividing would move the last bit of some results."""
+    """``L^-1 B`` for lower-triangular ``L`` by forward substitution.
+
+    Unlike SciPy's solve it hands no small system to a BLAS pool, but each
+    row update ``L[i, :i] @ X[:i]`` is a gemv over the ``n`` columns of ``B``,
+    which wakes a BLAS worker once ``n`` is large (~0.13 s of spin at d = 8,
+    n = 10**5).  Rows scale by the reciprocal of the diagonal, as OpenBLAS's
+    trsm does; dividing would move the last bit of some results."""
     X = np.array(B, dtype=float)
     for i in range(X.shape[0]):
         X[i] -= L[i, :i] @ X[:i]
@@ -437,8 +471,8 @@ class GaussianDistribution(Distribution):
 
     def sample(self, rng, n):
         """``mean + L e`` per row; the mean goes on by column."""
-        return _add_offset(rng.standard_normal((n, self.dim)) @ self.cholesky.T,
-                           self.mean)
+        return _add_offset(_matmul_rows(rng.standard_normal((n, self.dim)),
+                                        self.cholesky.T), self.mean)
 
     def marginal_ppf(self, m, p):
         sd = math.sqrt(self.cov[m, m])

@@ -34,8 +34,8 @@ import numpy as np
 from scipy import special
 
 from .errors import DimensionMismatch, NonFiniteDerivative
-from .measures import (Distribution, GaussianDistribution, _add_offset, _rows,
-                       _solve_lower)
+from .measures import (Distribution, GaussianDistribution, _add_offset,
+                       _matmul_rows, _rows, _solve_lower)
 
 __all__ = [
     "TriangularMap",
@@ -134,7 +134,8 @@ class AffineMap(TriangularMap):
         # which is cheaper than broadcasting (see measures._add_offset)
         P = np.asarray(P, dtype=float)
         k = P.shape[1]
-        return _add_offset(P @ self.matrix[:k, :k].T, self.offset[:k])
+        return _add_offset(_matmul_rows(P, self.matrix[:k, :k].T),
+                           self.offset[:k])
 
     def inverse(self, X):
         X2 = _add_offset(np.array(_rows(X, self.dim)), -self.offset)
@@ -281,10 +282,10 @@ class Automorphism:
         Minv = np.linalg.inv(M)
 
         def fwd(Z):
-            return Z @ M.T + b
+            return _matmul_rows(Z, M.T) + b
 
         def inv(X):
-            return (X - b) @ Minv.T
+            return _matmul_rows(X - b, Minv.T)
 
         return cls(d, fwd, inv, float(np.linalg.slogdet(M)[1]))
 

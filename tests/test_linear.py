@@ -52,6 +52,25 @@ def test_empty_loading_is_a_dimension_mismatch(loading):
         LinearGenerator(loading)
 
 
+@pytest.mark.parametrize("method, shape", [
+    ("forward", (3, 3)), ("forward", (3,)), ("forward", (2, 3, 2)), ("forward", ()),
+    ("inverse", (3, 4)), ("inverse", (2,)), ("inverse", (2, 3, 3)),
+])
+def test_points_of_the_wrong_width_are_a_dimension_mismatch(method, shape):
+    gen = LinearGenerator(EMBED, np.array([0.5, -0.5, 1.0]))
+    with pytest.raises(DimensionMismatch, match="points"):
+        getattr(gen, method)(np.ones(shape))
+
+
+def test_one_point_and_rows_map_alike(rng):
+    gen = LinearGenerator(EMBED, np.array([0.5, -0.5, 1.0]))
+    z = rng.normal(size=(5, 2))
+    x = gen.forward(z)
+    assert gen.forward(z[0]).shape == (3,)
+    assert_allclose(gen.forward(z[0]), x[0], rtol=0, atol=1e-15)
+    assert_allclose(gen.inverse(x[0]), gen.inverse(x)[0], rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("loading, error", [
     ([[1.0, 0.0], [2.0, 0.0]], RankDeficient),
     ([[1.0, 0.0], [float("nan"), 1.0]], SingularMatrix),

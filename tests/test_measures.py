@@ -26,7 +26,7 @@ from idlab import (
 )
 import idlab.measures
 from idlab.errors import BracketFailure
-from idlab.measures import _cumulative_simpson
+from idlab.measures import _BLOCK_WORK, _cumulative_simpson, _matmul_rows
 
 from conftest import bisect_quantile, gaussian_laws, gaussian_mean_families, gaussian_mixtures, product_laws
 
@@ -381,3 +381,21 @@ def test_spec_roundtrip():
 def test_spec_rejects_unknown_kinds(spec, message):
     with pytest.raises(ValueError, match=message):
         distribution_from_spec(spec)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_matmul_rows_equals_matmul_bit_for_bit(d):
+    # square MT as in a map's matrix, wide and narrow as in a generator's
+    # loading and left inverse; n on each side of a block edge, where the
+    # blocks change count, and at the lab's row counts
+    rng = stream(25, d)
+    for m in sorted({d, d + 2, max(1, d // 2)}):
+        rows = _BLOCK_WORK // (d * m)
+        for n in [0, 1, 2 * rows, 2 * rows + 1, 2 * rows + 2, 10_000, 100_001]:
+            M = rng.normal(size=(m, d))
+            wide = rng.normal(size=(n, d + 3))
+            for X in (np.ascontiguousarray(wide[:, :d]), wide[:, :d]):
+                for MT in (M.T, np.ascontiguousarray(M.T)):
+                    got = _matmul_rows(X, MT)
+                    assert got.shape == (n, m)
+                    assert got.tobytes() == (X @ MT).tobytes(), (m, n, X.flags.c_contiguous)

@@ -1,5 +1,8 @@
 """Triangular transport maps: closed forms, recursions, closure laws."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -515,3 +518,35 @@ def test_interdecile_box_covers_bulk(gauss2, rng):
     inside = np.all((x >= box[:, 0]) & (x <= box[:, 1]), axis=1)
     # 80% per coordinate, a bit less jointly
     assert 0.55 < inside.mean() < 0.75
+
+
+_ROW_PRODUCT_PROBE = """
+import time
+import numpy as np
+from idlab import AffineMap, Automorphism, GaussianDistribution, stream
+
+rng = stream(25, 0)
+A = rng.normal(size=(8, 8)) + 3.0 * np.eye(8)
+gauss = GaussianDistribution(rng.normal(size=8), A @ A.T)
+amap = AffineMap(np.tril(A), rng.normal(size=8))
+auto = Automorphism.from_matrix(A, rng.normal(size=8))
+# OpenBLAS starts its workers when numpy loads, and they spin for a while
+time.sleep(0.3)
+process, thread = time.process_time(), time.thread_time()
+z = gauss.sample(rng, 10_000)
+auto.inverse(auto.forward(amap.forward(z)))
+time.sleep(0.3)
+thread = time.thread_time() - thread
+print(time.process_time() - process - thread)
+"""
+
+
+def test_row_products_leave_blas_threads_idle():
+    # a (10^4, 8) @ (8, 8) product handed to OpenBLAS whole wakes a worker
+    # that spins ~0.13 s of CPU after a sub-millisecond product; the maps
+    # take their row products in blocks that stay on the calling thread
+    proc = subprocess.run([sys.executable, "-c", _ROW_PRODUCT_PROBE],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    others_s = float(proc.stdout.strip().splitlines()[-1])
+    assert others_s < 0.025, others_s
