@@ -19,7 +19,8 @@ from .errors import DimensionMismatch, RangeMismatch
 from .linear import _RANK_REL_TOL, LinearGenerator
 from .measures import Distribution
 from .transport import (Automorphism, ComposedMap, PushforwardReport,
-                        TriangularMap, component_wise_check, pushforward_check)
+                        TriangularMap, _check_draws, _pushforward_report,
+                        component_wise_check, pushforward_check)
 
 __all__ = [
     "TransportedDistribution",
@@ -172,8 +173,14 @@ def generator_transform(gen_a, gen_b, probes=None):
 
 def identity_deviation(transform, probes):
     """(sup, rms) of ``transform(z) - z`` over the ``(n, d)`` probe rows."""
-    delta = transform.forward(probes) - probes
-    return float(np.abs(delta).max()), float(np.sqrt(np.mean(delta * delta)))
+    return _sup_rms(transform.forward(probes) - probes)
+
+
+def _sup_rms(delta):
+    """(sup, rms) of the entries of ``delta``, which it overwrites: the
+    square of ``|delta|`` is the square of ``delta`` bit for bit."""
+    sup = float(np.abs(delta, out=delta).max())
+    return sup, float(np.sqrt(np.mean(np.square(delta, out=delta))))
 
 
 def kernel_residual(suff_stat, transform, contrasts, probes) -> float:
@@ -249,22 +256,32 @@ def indeterminacy_audit(theta_a, theta_b, n: int, rng: np.random.Generator,
                         alpha: float = 0.01) -> IndeterminacyReport:
     """Full audit of the transform linking two models.
 
-    Builds the generator transform, tests it distributionally in both
-    directions (does it push prior-a onto prior-b, and its inverse the
+    Builds the generator transform and tests it distributionally in both
+    directions: does it push prior-a onto prior-b, and its inverse the
     other way, coordinatewise KS at level ``alpha`` with Bonferroni
-    correction), measures identity deviations on prior-a samples, and
-    classifies the transform's structure from finite-difference Jacobians.
+    correction.  The forward check's ``n`` prior-a rows also give the
+    identity deviations and the probes from which the transform's
+    structure is classified by finite-difference Jacobians; the inverse
+    check draws its own ``n`` prior-b rows after them, so a cell draws
+    ``2n`` rows.  ``n < 1`` is a ``ValueError``, raised before any draw.
     """
     transform = generator_transform(theta_a.generator, theta_b.generator)
-    fwd = pushforward_check(transform, theta_a.prior, theta_b.prior, n, rng,
-                            alpha=alpha)
-    inv = pushforward_check(transform.inverted(), theta_b.prior,
-                            theta_a.prior, n, rng, alpha=alpha)
+    if theta_a.prior.dim != theta_b.prior.dim:
+        raise DimensionMismatch("source and target dimension differ")
+    _check_draws(n)
 
+    # z goes before the forward check and y before the inverse one, so no
+    # more (n, d) arrays are alive at once than in either check alone
     z = theta_a.prior.sample(rng, n)
-    sup, rms = identity_deviation(transform, z)
+    y = transform.forward(z)
+    sup, rms = _sup_rms(y - z)
     is_identity = sup < _IDENTITY_TOL * (1.0 + float(np.abs(z).max()))
     flags = structure_flags(transform, z[:64], is_identity)
+    del z
+    fwd = _pushforward_report(theta_b.prior, y, alpha)
+    del y
+    inv = pushforward_check(transform.inverted(), theta_b.prior,
+                            theta_a.prior, n, rng, alpha=alpha)
 
     return IndeterminacyReport(
         identity_sup_dev=sup, identity_rms_dev=rms,

@@ -69,6 +69,31 @@ def _invert_table(grid, cdf, p):
     return x0 + (p - c0) / (cdf[k] - c0) * (grid[k] - x0), k
 
 
+def _log_sum_exp(a, b):
+    """``scipy.special.logsumexp(a, axis=-1, b=b)`` for real ``a`` and
+    positive weights ``b``, to its bits: SciPy 1.17's steps, op for op.
+
+    The largest term of each row is split off (``m`` sums the weights of
+    its ties) and the rest are summed shifted by it, as
+    ``log1p(s / m) + log(m) + a_max``.  Where that is not finite, as at
+    ``a_max = -inf``, it is replaced by the direct ``log(sum(b exp(a)))``.
+    Floating-point errors are ignored in both, as SciPy ignores them.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_max = np.max(a, axis=-1, keepdims=True)
+        mask = a == a_max
+        m = np.sum(b * mask, axis=-1, keepdims=True)
+        s = np.sum(b * np.exp(np.where(mask, -np.inf, a) - a_max),
+                   axis=-1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max)[..., 0]
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        with np.errstate(all="ignore"):
+            out[bad] = np.log(np.sum(b * np.exp(a[bad]), axis=-1))
+    return out[()]
+
+
 # ---------------------------------------------------------------------------
 # univariate building blocks
 # ---------------------------------------------------------------------------
@@ -132,7 +157,12 @@ class Laplace1D(_LocScale):
 
     def cdf(self, x):
         u = (np.asarray(x, dtype=float) - self.loc) / self.scale
-        return np.where(u < 0, 0.5 * np.exp(u), 1.0 - 0.5 * np.exp(-np.abs(u)))
+        lower = u < 0
+        # one exponential serves both tails, since -|u| is u where u < 0; u
+        # goes before the upper tail is formed
+        h = 0.5 * np.exp(-np.abs(u))
+        del u
+        return np.where(lower, h, 1.0 - h)
 
     def ppf(self, p):
         p = np.asarray(p, dtype=float)
@@ -216,7 +246,7 @@ class GaussianMixture1D(Univariate):
     def log_pdf(self, x):
         u = self._args(np.asarray(x, dtype=float))
         comp = -0.5 * u * u - np.log(self.scales) - 0.5 * _LOG_2PI
-        return special.logsumexp(comp, axis=-1, b=self.weights)
+        return _log_sum_exp(comp, self.weights)
 
     def cdf(self, x):
         return special.ndtr(self._args(np.asarray(x, dtype=float))) @ self.weights
@@ -461,7 +491,10 @@ class GaussianDistribution(Distribution):
     def conditional_cdf(self, m, prefix, values):
         prefix2, v2 = self._prep_conditional(m, prefix, values)
         mu, sd = self._cond_moments(m, prefix2)
-        return special.ndtr((v2 - mu) / sd)
+        # mu is a fresh array: the standardized values and their CDF overwrite it
+        u = np.subtract(v2, mu, out=mu)
+        u /= sd
+        return special.ndtr(u, out=u)
 
     def conditional_quantile(self, m, prefix, p):
         """Closed form ``mu + sd * ndtri(p)``."""

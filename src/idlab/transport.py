@@ -282,7 +282,7 @@ class Automorphism:
         Minv = np.linalg.inv(M)
 
         def fwd(Z):
-            return _matmul_rows(Z, M.T) + b
+            return _add_offset(_matmul_rows(Z, M.T), b)
 
         def inv(X):
             return _matmul_rows(X - b, Minv.T)
@@ -336,18 +336,29 @@ def rosenblatt(dist: Distribution, X) -> np.ndarray:
     Under ``X ~ dist`` every output column is i.i.d. uniform on (0, 1).
     """
     X2 = _rows(X, dist.dim)
-    U = np.empty_like(X2)
+    U = np.empty(X2.shape, order="F")  # columns contiguous for the KS sorts
     for m in range(dist.dim):
         U[:, m] = dist.conditional_cdf(m, X2[:, :m], X2[:, m])
     return U
 
 
-def _ks_uniform_stat(u: np.ndarray) -> float:
-    """Two-sided one-sample KS statistic against U(0, 1)."""
-    n = u.shape[0]
-    s = np.sort(u)
+def _ks_uniform_stats(U: np.ndarray) -> np.ndarray:
+    """Two-sided one-sample KS statistic against U(0, 1) of each column.
+
+    Sorts the columns of ``U`` in place and reads every one against a
+    single ``(1..n)/n`` grid and its ``1/n`` shift, formed in one buffer.
+    """
+    n = U.shape[0]
     grid = np.arange(1, n + 1) / n
-    return float(max(np.max(grid - s), np.max(s - (grid - 1.0 / n))))
+    buf = np.empty(n)
+    stats = np.empty(U.shape[1])
+    for m in range(U.shape[1]):
+        s = U[:, m]
+        s.sort()
+        above = np.subtract(grid, s, out=buf).max()
+        below = np.subtract(grid, 1.0 / n, out=buf)
+        stats[m] = max(above, np.subtract(s, below, out=buf).max())
+    return stats
 
 
 def _ks_critical(level: float, n: int) -> float:
@@ -388,14 +399,30 @@ def pushforward_check(mapping, source: Distribution, target: Distribution,
     one-sample KS statistic and the critical value at level ``alpha`` with
     Bonferroni correction across coordinates, not p-values: `_ks_critical`,
     defined for any n >= 1 and never looser than the exact KS quantile by
-    more than 2e-8 relative.
+    more than 2e-8 relative.  ``n < 1`` is a ``ValueError``, raised before
+    anything is drawn.
     """
     if source.dim != target.dim:
         raise DimensionMismatch("source and target dimension differ")
-    U = rosenblatt(target, mapping.forward(source.sample(rng, n)))
-    d = target.dim
+    _check_draws(n)
+    return _pushforward_report(
+        target, mapping.forward(source.sample(rng, n)), alpha)
+
+
+def _check_draws(n: int) -> None:
+    """Reject a draw count below one before anything is drawn."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
+def _pushforward_report(target: Distribution, Y,
+                        alpha: float) -> PushforwardReport:
+    """KS report of the pushed rows ``Y`` against ``target``; the
+    Rosenblatt uniforms are sorted in place, so no copy of them is made."""
+    U = rosenblatt(target, Y)
+    n, d = U.shape
     level = alpha / d
-    stats = np.array([_ks_uniform_stat(U[:, m]) for m in range(d)])
+    stats = _ks_uniform_stats(U)
     critical = _ks_critical(level, n)
     return PushforwardReport(
         statistics=stats, critical_value=critical,

@@ -62,6 +62,16 @@ def laplace_product():
     return ProductDistribution([Laplace1D(0.0, 1.0), Laplace1D(0.3, 1.3)])
 
 
+def rng_state(rng):
+    """The bit generator's state with its arrays as lists, so that two
+    states compare with ``==``."""
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+    return plain(rng.bit_generator.state)
+
+
 def bisect_quantile(cdf, p):
     """Reference inverse of a vectorised monotone ``cdf`` by plain bisection.
 

@@ -1,6 +1,7 @@
 """Equivalence transforms between model parameterisations and their audits."""
 
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -23,6 +24,7 @@ from idlab import (
     identity_deviation,
     indeterminacy_audit,
     kernel_residual,
+    pushforward_check,
     spanning_check,
     stream,
 )
@@ -30,10 +32,16 @@ from idlab.cli import _to_json
 from idlab.errors import RangeMismatch
 from idlab.indeterminacy import TransportedDistribution, structure_flags
 
-from conftest import probe_grid
+from conftest import probe_grid, rng_state
 
 EMBED = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
+ROT30 = np.array([[np.sqrt(3) / 2, 0.5], [-0.5, np.sqrt(3) / 2]])
+#: the two-labs priors: a rotation keeps the round one and moves the other
+TWO_LABS_PRIORS = {
+    "gaussian": GaussianDistribution([0.0, 0.0], np.eye(2)),
+    "laplace": ProductDistribution([Laplace1D(), Laplace1D()]),
+}
 
 
 class TestGeneratorTransform:
@@ -284,6 +292,64 @@ class TestIndeterminacyAudit:
         assert doc["pushforward_pass"] is True and doc["n"] == 1000
         assert doc["forward_check"]["statistics"] == rep.forward_check.statistics.tolist()
         assert doc["structure"] == {k: bool(v) for k, v in rep.structure.items()}
+
+
+def _two_labs_pair(prior):
+    return (ModelParams(LinearGenerator(np.eye(2)), prior),
+            ModelParams(LinearGenerator(ROT30), prior))
+
+
+@pytest.mark.parametrize("name", sorted(TWO_LABS_PRIORS))
+class TestAuditDraws:
+    def test_checks_and_deviation_read_the_forward_draw(self, name):
+        # the audit's two KS checks are two pushforward checks made in turn
+        # on its stream, and its identity deviation is read off the forward
+        # check's prior-a rows
+        prior = TWO_LABS_PRIORS[name]
+        theta_a, theta_b = _two_labs_pair(prior)
+        transform = generator_transform(theta_a.generator, theta_b.generator)
+        n = 5000
+        rep = indeterminacy_audit(theta_a, theta_b, n, stream(57, 0))
+        rng = stream(57, 0)
+        want = [pushforward_check(transform, prior, prior, n, rng),
+                pushforward_check(transform.inverted(), prior, prior, n, rng)]
+        for got, ref in zip([rep.forward_check, rep.inverse_check], want):
+            assert got.statistics.tobytes() == ref.statistics.tobytes()
+            assert (got.critical_value, got.passed) == (ref.critical_value, ref.passed)
+        z = prior.sample(stream(57, 0), n)
+        assert (rep.identity_sup_dev, rep.identity_rms_dev) == identity_deviation(transform, z)
+
+    def test_draws_two_samples_per_cell(self, name):
+        theta_a, theta_b = _two_labs_pair(TWO_LABS_PRIORS[name])
+        n = 3000
+        rng, ref = stream(57, 1), stream(57, 1)
+        indeterminacy_audit(theta_a, theta_b, n, rng)
+        theta_a.prior.sample(ref, n)
+        theta_b.prior.sample(ref, n)
+        assert rng_state(rng) == rng_state(ref)
+
+    def test_peak_memory_no_higher_than_three_draws(self, name):
+        # tracemalloc peaks of this audit when it drew a third n-row sample
+        # for the identity deviation, measured with numpy 2.4.6
+        three_draw_peak = {"gaussian": 5_603_366, "laplace": 6_504_798}[name]
+        theta_a, theta_b = _two_labs_pair(TWO_LABS_PRIORS[name])
+        indeterminacy_audit(theta_a, theta_b, 100, stream(57, 2))
+        tracemalloc.start()
+        try:
+            indeterminacy_audit(theta_a, theta_b, 100_000, stream(57, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= three_draw_peak
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_fewer_than_one_draw(self, name, n):
+        theta_a, theta_b = _two_labs_pair(TWO_LABS_PRIORS[name])
+        rng = stream(57, 3)
+        state = rng_state(rng)
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            indeterminacy_audit(theta_a, theta_b, n, rng)
+        assert rng_state(rng) == state
 
 
 def test_transported_distribution_requires_invertible_transform(rng):

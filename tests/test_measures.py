@@ -26,7 +26,8 @@ from idlab import (
 )
 import idlab.measures
 from idlab.errors import BracketFailure
-from idlab.measures import _BLOCK_WORK, _cumulative_simpson, _matmul_rows
+from idlab.experiments import _RAISE
+from idlab.measures import _BLOCK_WORK, _cumulative_simpson, _log_sum_exp, _matmul_rows
 
 from conftest import bisect_quantile, gaussian_laws, gaussian_mean_families, gaussian_mixtures, product_laws
 
@@ -68,6 +69,67 @@ def test_cdf_matches_scipy(law):
 def test_laplace_quantile_closed_form():
     # F(log 2) = 1 - exp(-log 2)/2 = 3/4 for the standard law
     assert Laplace1D(0.0, 1.0).ppf(np.array([0.75]))[0] == pytest.approx(np.log(2.0), abs=1e-12)
+
+
+def test_laplace_cdf_one_exponential_equals_two():
+    # -|u| is u itself where u < 0, so one exponential gives both tails'
+    # bits, signed zeros, infinities and NaN included
+    mags = np.concatenate([[0.0, 1e-300, 0.5, 709.0, 710.0, 745.0, 1e5, 1e300, np.inf],
+                           np.logspace(-12, 300, 2000)])
+    x = np.concatenate([mags, -mags, [np.nan]])
+    for law in (Laplace1D(), Laplace1D(0.3, 1.3)):
+        u = (x - law.loc) / law.scale
+        with np.errstate(all="ignore"):
+            want = np.where(u < 0, 0.5 * np.exp(u), 1.0 - 0.5 * np.exp(-np.abs(u)))
+            got = law.cdf(x)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_laplace_cdf_far_tail_raises_nothing():
+    # the upper tail used to form exp(u) too, which overflows at u = 710
+    # although the CDF there is 1
+    with np.errstate(**_RAISE):
+        assert Laplace1D().cdf(np.array([710.0, 1e300, -1e300])).tolist() == [1.0, 1.0, 0.0]
+
+
+def _log_sum_exp_cases(n, k, seed):
+    """``(n, k)`` rows with ties, infinities and NaN, and positive weights."""
+    rng = stream(seed, k)
+    a = rng.normal(size=(n, k)) * rng.choice([1.0, 30.0, 1e3], size=(n, 1))
+    a[::3] = np.round(a[::3])
+    a[1::7, 0] = a[1::7, -1]
+    special = np.array([np.inf, -np.inf, np.nan])
+    hit = rng.random((n, k)) < 0.01
+    a[hit] = special[rng.integers(0, 3, size=hit.sum())]
+    a[2::101] = -np.inf
+    a[3::103] = np.inf
+    w = rng.random(k) + 0.05
+    return a, w / w.sum()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_log_sum_exp_equals_scipy_bits(k):
+    a, w = _log_sum_exp_cases(100_000, k, 26)
+    want = scipy.special.logsumexp(a, axis=-1, b=w)
+    assert np.isnan(want).any() and np.isneginf(want).any() and np.isposinf(want).any()
+    assert _log_sum_exp(a, w).tobytes() == want.tobytes()
+    with np.errstate(**_RAISE):
+        assert _log_sum_exp(a, w).tobytes() == want.tobytes()
+    for row in (a[0], a[2], a[3]):
+        got = _log_sum_exp(row, w)
+        assert type(got) is np.float64
+        assert np.array_equal(got, scipy.special.logsumexp(row, axis=-1, b=w), equal_nan=True)
+
+
+def test_mixture_log_pdf_equals_scipy_logsumexp_bits():
+    mix = GaussianMixture1D([0.2, 0.5, 0.3], [-2.0, 0.0, 2.0], [0.5, 1.0, 0.5])
+    x = np.concatenate([stream(26, 0).normal(size=100_000) * 4,
+                        [0.0, -2.0, 2.0, np.inf, -np.inf, np.nan, 1e150]])
+    u = mix._args(x)
+    comp = -0.5 * u * u - np.log(mix.scales) - 0.5 * np.log(2.0 * np.pi)
+    want = scipy.special.logsumexp(comp, axis=-1, b=mix.weights)
+    with np.errstate(**_RAISE):
+        assert mix.log_pdf(x).tobytes() == want.tobytes()
 
 
 def test_mixture_cdf_is_weighted_sum():
@@ -228,6 +290,13 @@ class TestGaussianDistribution:
         for j in range(2):
             u = gauss2.conditional_cdf(j, x[:, :j], x[:, j])
             assert scipy.stats.kstest(u, "uniform").pvalue > 1e-4
+
+    def test_conditional_cdf_equals_formula_bits(self, gauss2):
+        x = gauss2.sample(stream(5, 3), 1000)
+        for j in range(2):
+            mu, sd = gauss2._cond_moments(j, x[:, :j])
+            want = scipy.special.ndtr((x[:, j] - mu) / sd)
+            assert gauss2.conditional_cdf(j, x[:, :j], x[:, j]).tobytes() == want.tobytes()
 
     def test_rejects_non_psd(self):
         with pytest.raises(Exception):

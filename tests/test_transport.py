@@ -39,9 +39,9 @@ from idlab import (
 from idlab.errors import DimensionMismatch, NonFiniteDerivative
 from idlab.indeterminacy import TransportedDistribution
 from idlab.measures import _solve_lower
-from idlab.transport import _ks_critical
+from idlab.transport import _ks_critical, _ks_uniform_stats
 
-from conftest import gaussian_laws, gaussian_mixtures, probe_grid, product_laws
+from conftest import gaussian_laws, gaussian_mixtures, probe_grid, product_laws, rng_state
 
 
 class TestAffineMap:
@@ -317,6 +317,14 @@ class TestPushforwardCheck:
         assert_allclose(rep.critical_value, 0.07697452804163014, rtol=1e-12, atol=0)
         assert rep.passed is passed
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_fewer_than_one_draw(self, gauss2, n):
+        rng = stream(31, 3)
+        state = rng_state(rng)
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            pushforward_check(kr_transport(gauss2, gauss2), gauss2, gauss2, n, rng)
+        assert rng_state(rng) == state
+
     @pytest.mark.parametrize("level", [0.01, 0.0125, 0.005, 0.01 / 3, 0.0025, 1e-6, 5e-7, 1e-6 / 3, 2.5e-7])
     def test_critical_value_against_kstwo(self, level):
         small = np.arange(1, 141)
@@ -327,6 +335,28 @@ class TestPushforwardCheck:
         got = np.array([_ks_critical(level, n) for n in large])
         assert np.all(got <= exact)
         assert_allclose(got, exact, rtol=1.5e-3, atol=0)
+
+
+def _ks_column_stat(u):
+    """The two-sided KS statistic of one column, as a sort and two grids."""
+    n = u.shape[0]
+    s = np.sort(u)
+    grid = np.arange(1, n + 1) / n
+    return float(max(np.max(grid - s), np.max(s - (grid - 1.0 / n))))
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+@pytest.mark.parametrize("n", [1, 2, 1000, 100_000])
+def test_ks_uniform_stats_equal_per_column_formula(n, d):
+    # the in-place sorts against one shared grid give each column's
+    # statistic bit for bit, in either memory order; every other column is
+    # rounded to a 1/64 lattice, so it has ties from n = 65 on
+    U = stream(26, n).random((n, d))
+    U[:, ::2] = np.round(U[:, ::2] * 64) / 64
+    want = np.array([_ks_column_stat(U[:, m]) for m in range(d)])
+    for order in "CF":
+        got = _ks_uniform_stats(np.array(U, order=order))
+        assert got.tobytes() == want.tobytes(), order
 
 
 @st.composite
