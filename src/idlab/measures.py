@@ -53,20 +53,30 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _P_FLOOR = 1e-300
 _P_CEIL = 1.0 - 1e-16
 
-# Knots of a tabulated CDF: a 1-D law's table costs 64 KB.
+# Knots of an exponential-family marginal's CDF table, which is the law
+# itself: 64 KB of grid and CDF per marginal.
 _TABLE_POINTS = 4097
+
+# Knots of a Gaussian mixture's CDF table, which only starts the Newton
+# steps: grid, CDF and density take 48 KB.  Its bucket index splits [0, 1]
+# into _BUCKETS equal parts; a probability's segment is found by at most
+# _BUCKET_STEPS advances within its bucket, or searched for in a wider one.
+_MIXTURE_POINTS = 2049
+_BUCKETS = 1024
+_BUCKET_STEPS = 4
 
 
 def _invert_table(grid, cdf, p):
     """Invert a nondecreasing CDF table, piecewise linearly, at ``p``.
 
-    Every ``p`` must lie in ``(cdf[0], cdf[-1]]``.  It is solved linearly
-    on the first segment ``k`` whose right end reaches it; returns the
-    points and ``k``.
+    Every ``p`` must lie in ``(cdf[0], cdf[-1]]`` or be NaN.  It is solved
+    linearly on the first segment ``k`` whose right end reaches it.  A NaN
+    sorts past every knot; it is held on the last segment, where it gives
+    NaN.
     """
-    k = np.searchsorted(cdf, p, side="left")
+    k = np.minimum(np.searchsorted(cdf, p, side="left"), cdf.size - 1)
     c0, x0 = cdf[k - 1], grid[k - 1]
-    return x0 + (p - c0) / (cdf[k] - c0) * (grid[k] - x0), k
+    return x0 + (p - c0) / (cdf[k] - c0) * (grid[k] - x0)
 
 
 def _log_sum_exp(a, b):
@@ -232,6 +242,7 @@ class GaussianMixture1D(Univariate):
             raise ValueError("weights and scales must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
+        self._dens_w = self.weights / (self.scales * math.sqrt(2.0 * math.pi))
         self._table = None
 
     def _args(self, x):
@@ -252,40 +263,99 @@ class GaussianMixture1D(Univariate):
         return special.ndtr(self._args(np.asarray(x, dtype=float))) @ self.weights
 
     def _cdf_table(self):
-        """The CDF on ``_TABLE_POINTS`` knots spanning the extreme component
-        quantiles at ``_P_FLOOR`` and ``_P_CEIL``, made monotone, built once.
+        """The CDF and density on ``_MIXTURE_POINTS`` knots spanning the
+        extreme component quantiles at ``_P_FLOOR`` and ``_P_CEIL``, built
+        once, with a bucket index into the CDF.
 
-        Its ends are set to 0 and 1, which the CDF at those knots differs
-        from by rounding (or weights summing below one), so every clipped
-        probability falls on a segment.
+        The CDF is made monotone and its ends are set to 0 and 1, which the
+        CDF at those knots differs from by rounding (or weights summing below
+        one), so every clipped probability falls on a segment.  Bucket ``j``
+        holds the probabilities in ``[j, j + 1) / _BUCKETS``: ``first[j]`` is
+        ``searchsorted(cdf, j / _BUCKETS)``, and ``wide[j]`` marks a bucket
+        spanning more than ``_BUCKET_STEPS`` knots.
         """
         if self._table is None:
             ends = self.locs + self.scales * special.ndtri([[_P_FLOOR], [_P_CEIL]])
-            grid = np.linspace(ends[0].min(), ends[1].max(), _TABLE_POINTS)
-            cdf = np.maximum.accumulate(self.cdf(grid))
+            grid = np.linspace(ends[0].min(), ends[1].max(), _MIXTURE_POINTS)
+            u = self._args(grid)
+            cdf = np.maximum.accumulate(special.ndtr(u) @ self.weights)
             cdf[0], cdf[-1] = 0.0, 1.0
-            self._table = (grid, cdf)
+            dens = np.exp(-0.5 * u * u) @ self._dens_w
+            first = np.searchsorted(cdf, np.arange(_BUCKETS + 1) / _BUCKETS)
+            self._table = (grid, cdf, dens, first,
+                           np.diff(first) > _BUCKET_STEPS)
         return self._table
+
+    def _segment(self, q):
+        """``searchsorted(cdf, q, side="left")`` on the table, for ``q`` in
+        ``(0, 1)``: the first knot whose CDF reaches ``q``.
+
+        ``q * _BUCKETS`` only shifts the exponent, so its floor ``j`` is the
+        exact bucket, and the knot lies in ``[first[j], first[j + 1]]``.
+        ``_BUCKET_STEPS`` advances from ``first[j]`` reach it unless the
+        bucket is wide (the far tails), where it is searched for.
+        """
+        _, cdf, _, first, wide = self._cdf_table()
+        j = (q * _BUCKETS).astype(np.intp)
+        k = first[j]
+        for _ in range(_BUCKET_STEPS):
+            k += cdf[k] < q
+        far = wide[j]
+        if far.any():
+            k[far] = np.searchsorted(cdf, q[far], side="left")
+        return k
 
     def ppf(self, p):
         """Quantile by Newton steps on the CDF, started from the CDF table.
 
         The mixture quantile lies between the extreme component quantiles,
-        which the table spans, so ``p`` falls on one table segment: its
-        linear solve is the start and its two knots the starting bracket.
-        Each evaluated point tightens the bracket, and a Newton step that
-        would not land strictly inside it is replaced by bisection.  A row
-        stops once its Newton correction or its bracket is below 1e-14
-        relative; the bracket test ends the two-point cycles that CDF
-        rounding causes in the tails.  A row still open after 100 steps
-        raises ``BracketFailure``.
+        which the table spans, so ``p`` falls on one table segment, whose two
+        knots are the starting bracket.  The start is the cubic Hermite
+        inverse on that segment, with end slopes one over the tabulated
+        density.  Each evaluated point tightens the bracket, and a Newton
+        step that would not land strictly inside it is replaced by
+        bisection.  A row stops once its Newton correction or its bracket is
+        below 1e-14 relative (the bracket test ends the two-point cycles that
+        CDF rounding causes in the tails), or once the error left after its
+        Newton step, predicted from the CDF's curvature as
+        ``|F''| / (2 F') * step**2``, is below 2% of that.  Most rows stop
+        after one CDF evaluation.  A row still open after 100 steps raises
+        ``BracketFailure``; a NaN probability gives NaN.
         """
         p = np.asarray(p, dtype=float)
         q = np.clip(np.atleast_1d(p).ravel(), _P_FLOOR, _P_CEIL)
-        grid, table = self._cdf_table()
-        x, k = _invert_table(grid, table, q)
+        ok = ~np.isnan(q)
+        if ok.all():  # no copies of a batch without NaN
+            x = self._solve(q)
+        else:
+            x = np.full(q.size, np.nan)
+            x[ok] = self._solve(q[ok])
+        return x.reshape(p.shape) if p.ndim else float(x[0])
+
+    def _start(self, q):
+        """The cubic Hermite inverse of the table at ``q``, and the knots of
+        ``q``'s segment.
+
+        On the segment, ``t = (q - c0) / dc`` is the linear start; the end
+        slopes of ``x(t)`` are ``dc / (f h)`` at knot densities ``f``.  The
+        cubic's offset is clipped to the segment, and replaced by ``t`` where
+        it is not finite (a density that underflowed to 0).
+        """
+        grid, cdf, dens, _, _ = self._cdf_table()
+        k = self._segment(q)
         lo, hi = grid[k - 1], grid[k]
-        dens_w = self.weights / (self.scales * math.sqrt(2.0 * math.pi))
+        c0, dc, h = cdf[k - 1], cdf[k] - cdf[k - 1], hi - lo
+        t = (q - c0) / dc
+        with np.errstate(all="ignore"):
+            m0, m1 = dc / (dens[k - 1] * h), dc / (dens[k] * h)
+            s = t * t * (3.0 - 2.0 * t) + t * (1.0 - t) * ((1.0 - t) * m0 - t * m1)
+            x = lo + np.where(np.isfinite(s), np.clip(s, 0.0, 1.0), t) * h
+        return x, lo, hi
+
+    def _solve(self, q):
+        """The quantiles of ``ppf`` at clipped, non-NaN probabilities."""
+        x, lo, hi = self._start(q)
+        curv_w = self._dens_w / self.scales
         live = np.arange(q.size)
         for _ in range(100):
             xs = x[live]
@@ -293,23 +363,30 @@ class GaussianMixture1D(Univariate):
             f = special.ndtr(u) @ self.weights - q[live]
             lo_l = np.where(f < 0, xs, lo[live])
             hi_l = np.where(f > 0, xs, hi[live])
+            e = np.exp(-0.5 * u * u)
+            slope = e @ self._dens_w
             with np.errstate(all="ignore"):
-                step = f / (np.exp(-0.5 * u * u) @ dens_w)
+                step = f / slope
+                # Newton's error after the step, |F''| / (2 F') * step**2
+                left = np.abs(np.multiply(u, e, out=e) @ curv_w / slope)
+                left *= 0.5 * step * step
+            del u, e, f, slope  # before the update's temporaries
             newton = xs - step
             tol = 1e-14 * (1.0 + np.abs(xs))
             close = np.abs(step) <= tol
-            inside = close | ((newton > lo_l) & (newton < hi_l))
-            x[live] = np.where(inside, np.clip(newton, lo_l, hi_l),
+            strict = (newton > lo_l) & (newton < hi_l)
+            x[live] = np.where(close | strict, np.clip(newton, lo_l, hi_l),
                                0.5 * (lo_l + hi_l))
             lo[live], hi[live] = lo_l, hi_l
-            live = live[~(close | (hi_l - lo_l <= tol))]
+            done = close | (strict & (left <= 0.02 * tol)) | (hi_l - lo_l <= tol)
+            live = live[~done]
             if not live.size:
                 break
         else:
             raise BracketFailure(
                 f"mixture quantile did not converge for {live.size} of "
                 f"{q.size} probabilities in 100 Newton steps")
-        return x.reshape(p.shape) if p.ndim else float(x[0])
+        return x
 
     def sample(self, rng, n):
         idx = rng.choice(self.weights.size, size=n, p=self.weights)
@@ -601,11 +678,12 @@ class _TiltedMarginal(Univariate):
         """Exact inverse of the tabulated ``cdf``.
 
         ``p`` is clipped to ``[_P_FLOOR, _P_CEIL]``, strictly inside the
-        table's ``[0, 1]``, so ``_invert_table`` solves it on a segment.
+        table's ``[0, 1]``, so ``_invert_table`` solves it on a segment; a
+        NaN probability gives NaN.
         """
         grid, cdf = self._cdf_table()
         p = np.clip(np.asarray(p, dtype=float), _P_FLOOR, _P_CEIL)
-        return _invert_table(grid, cdf, p)[0]
+        return _invert_table(grid, cdf, p)
 
     def sample(self, rng, n):
         return self.ppf(rng.random(n))

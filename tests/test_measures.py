@@ -27,7 +27,7 @@ from idlab import (
 import idlab.measures
 from idlab.errors import BracketFailure
 from idlab.experiments import _RAISE
-from idlab.measures import _BLOCK_WORK, _cumulative_simpson, _log_sum_exp, _matmul_rows
+from idlab.measures import _BLOCK_WORK, _P_CEIL, _P_FLOOR, _cumulative_simpson, _log_sum_exp, _matmul_rows
 
 from conftest import bisect_quantile, gaussian_laws, gaussian_mean_families, gaussian_mixtures, product_laws
 
@@ -198,6 +198,41 @@ def test_mixture_quantile_when_weights_sum_below_one():
 # benchmark draws (locs and scales at the ends of their ranges)
 TRANSPORT_MIXTURES = [([0.4, 0.6], [-1.5, 1.2], [0.7, 1.1]),
                       ([0.5, 0.5], [-2.0, 2.0], [0.5, 0.5])]
+THREE_COMPONENTS = ([0.2, 0.5, 0.3], [-1.7, 0.4, 2.2], [0.6, 1.3, 0.9])
+
+
+@pytest.mark.parametrize("params", TRANSPORT_MIXTURES + [THREE_COMPONENTS])
+def test_mixture_segment_lookup_equals_searchsorted_bits(params):
+    mix = GaussianMixture1D(*params)
+    _, cdf, _, first, wide = mix._cdf_table()
+    assert wide.any() and not wide.all()  # both the advances and the search
+    tails = np.concatenate([10.0 ** -np.arange(1, 301), 1.0 - 10.0 ** -np.arange(1, 17)])
+    edges = np.arange(1, first.size - 1) / (first.size - 1)
+    q = np.concatenate([stream(43, 0).random(100_000), edges, np.nextafter(edges, 0.0),
+                        np.clip(cdf, _P_FLOOR, _P_CEIL), [_P_FLOOR, _P_CEIL], tails])
+    assert np.all((q > 0) & (q < 1))
+    got = mix._segment(q)
+    assert got.tobytes() == np.searchsorted(cdf, q, side="left").tobytes()
+
+
+@pytest.mark.parametrize("params", TRANSPORT_MIXTURES + [THREE_COMPONENTS])
+def test_mixture_quantile_matches_bisection(params):
+    mix = GaussianMixture1D(*params)
+    p = np.concatenate([10.0 ** -np.linspace(300, 3, 1000), np.linspace(1e-3, 0.999, 1000),
+                        0.999 * stream(47, 0).random(2000)])
+    x = mix.ppf(p)
+    assert np.all(np.abs(x - bisect_quantile(mix.cdf, p)) <= 1e-12 * (1.0 + np.abs(x)))
+
+
+@pytest.mark.parametrize("law", [GaussianMixture1D(*THREE_COMPONENTS),
+                                 ExpFamily.gaussian_mean_family([1.3]).marginals[0]])
+def test_quantile_of_nan_is_nan(law):
+    p = np.array([0.3, np.nan, 0.0, np.nan, 1.0])
+    with np.errstate(**_RAISE):
+        x = law.ppf(p)
+        assert np.isnan(law.ppf(np.nan))
+    assert np.array_equal(np.isnan(x), np.isnan(p))
+    assert x[[0, 2, 4]].tobytes() == law.ppf(p[[0, 2, 4]]).tobytes()
 
 
 class _CountingSpecial:
@@ -236,7 +271,7 @@ def test_mixture_quantile_cdf_evaluations_per_row(params, monkeypatch):
     x = GaussianMixture1D(*params).ppf(p)
     monkeypatch.undo()
     assert_allclose(GaussianMixture1D(*params).cdf(x), p, rtol=0, atol=1e-12)
-    assert counter.points / len(params[0]) / p.size <= 4.0
+    assert counter.points / len(params[0]) / p.size <= 1.5
 
 
 def test_mixture_quantile_open_at_the_cap_raises(monkeypatch):
