@@ -339,7 +339,9 @@ class GaussianMixture1D(Univariate):
         On the segment, ``t = (q - c0) / dc`` is the linear start; the end
         slopes of ``x(t)`` are ``dc / (f h)`` at knot densities ``f``.  The
         cubic's offset is clipped to the segment, and replaced by ``t`` where
-        it is not finite (a density that underflowed to 0).
+        it is not finite (a density that underflowed to 0).  Its temporaries
+        are freed on return, before the Newton loop allocates its own, so
+        they do not add to the quantile's memory peak.
         """
         grid, cdf, dens, _, _ = self._cdf_table()
         k = self._segment(q)
