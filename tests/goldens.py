@@ -4,7 +4,11 @@
 ``{"experiment": "all", "seed": 7}``: each experiment's ``results.json`` as
 ``<experiment>.json`` and the run summary as ``all.json``, each with its
 timestamp stripped, plus ``versions.json`` with the numpy and scipy versions
-they were made with.
+they were made with.  ``sweep.json`` pins seeds 0-199 of every experiment at
+its defaults: one sha256 per experiment per block of 20 seeds, over each
+seed's result as ``results.json`` holds it (no timestamp), with the text of
+a numerical failure (exit 3) standing in for its result, and the numpy and
+scipy versions.
 
     python tests/goldens.py regen
         rerun the suite from this checkout's ``src`` and rewrite the
@@ -13,6 +17,12 @@ they were made with.
     python tests/goldens.py check RESULTS GOLDEN
         compare one ``results.json`` with one golden within tolerance;
         exit 1 and print each mismatch if they differ
+    python tests/goldens.py sweep
+        rerun the seed sweep in process and rewrite ``sweep.json``; first
+        print each experiment and seed block whose digest moved
+    python tests/goldens.py check-sweep
+        rerun the seed sweep and exit 1, printing each experiment and seed
+        block whose digest differs from ``sweep.json``
 
 The tolerance check compares bools, ints, strings and nulls exactly and
 floats within ``1e-12 * max(1, |golden|)``.  Whole bytes are expected to
@@ -22,17 +32,22 @@ can differ in the last bit.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 VERSIONS = "versions.json"
+SWEEP = "sweep.json"
 SUITE_CONFIG = {"experiment": "all", "seed": 7}
 RTOL = 1e-12
+SWEEP_BLOCK = 20
+SWEEP_BLOCKS = 10
 
 _STAMP = re.compile(rb',\n *"timestamp": "[^"]*"')
 
@@ -63,7 +78,7 @@ def collect(out_dir) -> dict:
 def golden_files() -> dict:
     """Golden file name to bytes, as committed."""
     return {p.name: p.read_bytes() for p in sorted(GOLDEN_DIR.glob("*.json"))
-            if p.name != VERSIONS}
+            if p.name not in (VERSIONS, SWEEP)}
 
 
 def installed_versions() -> dict:
@@ -114,9 +129,14 @@ def changes(runs: dict, old: dict) -> list:
     return lines
 
 
+def _import_checkout():
+    """Put this checkout's ``src`` first on the import path."""
+    sys.path.insert(0, str(GOLDEN_DIR.parents[1] / "src"))
+
+
 def regen() -> None:
     """Run the suite from this checkout and rewrite every golden."""
-    sys.path.insert(0, str(GOLDEN_DIR.parents[1] / "src"))
+    _import_checkout()
     from idlab.cli import main as idlab_main
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -140,6 +160,80 @@ def regen() -> None:
     print(f"wrote {len(runs)} goldens to {GOLDEN_DIR}")
 
 
+def sweep_digests(blocks=range(SWEEP_BLOCKS)) -> dict:
+    """Experiment name to the sha256 of each of ``blocks``, in order.
+
+    Block ``b`` hashes seeds ``20 b .. 20 b + 19`` in turn: each seed's
+    result as ``idlab run`` writes it, timestamp aside, or the text ``idlab
+    run`` prints for a numerical failure in its place.  Every experiment
+    runs in process at its defaults, set up once.
+    """
+    from idlab.cli import _to_json
+    from idlab.errors import IdlabError
+    from idlab.experiments import EXPERIMENTS, check_params
+
+    digests = {}
+    for name in EXPERIMENTS:
+        run = check_params(name, {})
+        digests[name] = []
+        for block in blocks:
+            h = hashlib.sha256()
+            for seed in range(block * SWEEP_BLOCK, (block + 1) * SWEEP_BLOCK):
+                try:
+                    text = _to_json(asdict(run(seed)))
+                except IdlabError as exc:
+                    text = f"{name}: {exc}\n"
+                h.update(text.encode())
+            digests[name].append(h.hexdigest())
+    return digests
+
+
+def recorded_sweep() -> dict:
+    return json.loads((GOLDEN_DIR / SWEEP).read_text())
+
+
+def sweep_changes(digests: dict, old: dict, blocks=range(SWEEP_BLOCKS)) -> list:
+    """One line per experiment and seed block of ``blocks`` whose digest in
+    ``digests`` (one entry per block) differs from the recorded ``old``."""
+    lines = [f"{name}: removed" for name in sorted(set(old) - set(digests))]
+    for name, got in digests.items():
+        if name not in old:
+            lines.append(f"{name}: new")
+            continue
+        lines += [f"{name}: seeds {b * SWEEP_BLOCK}-{(b + 1) * SWEEP_BLOCK - 1}"
+                  f" moved" for b, g in zip(blocks, got) if g != old[name][b]]
+    return lines
+
+
+def sweep() -> None:
+    """Rerun the seed sweep from this checkout and rewrite ``sweep.json``."""
+    _import_checkout()
+    digests = sweep_digests()
+    if (GOLDEN_DIR / SWEEP).exists():
+        for line in sweep_changes(digests, recorded_sweep()["digests"]):
+            print(line)
+    (GOLDEN_DIR / SWEEP).write_text(json.dumps(
+        {"digests": digests, "seeds_per_block": SWEEP_BLOCK,
+         **installed_versions()}, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} x {SWEEP_BLOCKS} digests to "
+          f"{GOLDEN_DIR / SWEEP}")
+
+
+def check_sweep() -> int:
+    _import_checkout()
+    recorded = recorded_sweep()
+    found = sweep_changes(sweep_digests(), recorded["digests"])
+    for line in found:
+        print(line)
+    pinned = {k: recorded[k] for k in ("numpy", "scipy")}
+    if found and pinned != installed_versions():
+        print(f"the digests come from {pinned}, installed are "
+              f"{installed_versions()}")
+    print(f"seed sweep {'differs from' if found else 'matches'} "
+          f"{GOLDEN_DIR / SWEEP}")
+    return 1 if found else 0
+
+
 def check(results_path, golden_path) -> int:
     got = json.loads(strip_timestamp(Path(results_path).read_bytes()))
     want = json.loads(Path(golden_path).read_bytes())
@@ -158,6 +252,11 @@ def main(argv=None) -> int:
         return 0
     if len(argv) == 3 and argv[0] == "check":
         return check(argv[1], argv[2])
+    if argv == ["sweep"]:
+        sweep()
+        return 0
+    if argv == ["check-sweep"]:
+        return check_sweep()
     print(__doc__, file=sys.stderr)
     return 2
 

@@ -1,7 +1,9 @@
-"""The criterion-11 suite run against the committed goldens.
+"""The criterion-11 suite run against the committed goldens, and the first
+block of the committed seed sweep.
 
-Regenerate the goldens with ``python tests/goldens.py regen`` when a change
-is meant to move results; the diff then shows what moved.
+Regenerate the goldens with ``python tests/goldens.py regen``, and the sweep
+with ``python tests/goldens.py sweep``, when a change is meant to move
+results; the diff then shows what moved.
 """
 
 import json
@@ -9,8 +11,10 @@ import json
 import numpy as np
 import pytest
 
-from goldens import (changes, collect, golden_files, installed_versions,
-                     mismatches, recorded_versions, strip_timestamp)
+from goldens import (SWEEP_BLOCK, changes, collect, golden_files,
+                     installed_versions, mismatches, recorded_sweep,
+                     recorded_versions, strip_timestamp, sweep_changes,
+                     sweep_digests)
 
 
 def test_suite_matches_goldens_within_tolerance(suite_run):
@@ -32,6 +36,27 @@ def test_suite_matches_golden_bytes(suite_run):
     goldens = golden_files()
     for name, data in collect(out).items():
         assert data == goldens[name], name
+
+
+def test_first_sweep_block_matches_its_digests():
+    # seeds 0-19 of every experiment; CI checks all ten blocks
+    recorded = recorded_sweep()
+    pinned = {k: recorded[k] for k in ("numpy", "scipy")}
+    if installed_versions() != pinned:
+        pytest.skip(f"the sweep comes from {pinned}, "
+                    f"installed are {installed_versions()}")
+    assert recorded["seeds_per_block"] == SWEEP_BLOCK
+    assert sweep_changes(sweep_digests([0]), recorded["digests"], [0]) == []
+
+
+def test_sweep_report_names_every_moved_block():
+    old = {"a": ["0", "1", "2"], "b": ["0", "1", "2"], "c": ["0", "1", "2"]}
+    got = {"a": ["0", "x", "2"], "c": ["y", "1", "z"], "d": ["0", "1", "2"]}
+    assert sweep_changes(got, old, range(3)) == [
+        "b: removed", "a: seeds 20-39 moved", "c: seeds 0-19 moved",
+        "c: seeds 40-59 moved", "d: new"]
+    assert sweep_changes({"a": ["0"], "c": ["y"]}, old, [2]) == [
+        "b: removed", "a: seeds 40-59 moved", "c: seeds 40-59 moved"]
 
 
 def test_tolerance_check_sees_1e9_but_not_one_ulp():
