@@ -13,8 +13,8 @@ from .errors import (BracketFailure, DegenerateMeans, DimensionMismatch,
 from .rng import stream
 from .measures import (Distribution, ExpFamily, GaussianDistribution,
                        GaussianMixture1D, Laplace1D, Logistic1D, Normal1D,
-                       Exponential1D, ProductDistribution,
-                       distribution_from_spec, interdecile_box, sample)
+                       ProductDistribution, distribution_from_spec,
+                       interdecile_box, sample)
 from .transport import (AffineMap, Automorphism, CdfChainMap, ComposedMap,
                         PushforwardReport, StructureReport, TriangularMap,
                         component_wise_check, jacobian_fd,

@@ -202,25 +202,17 @@ def affine_relation_fit(stats_a, stats_b) -> AffineRelation:
                           condition_number=float(np.linalg.cond(L)))
 
 
-def fit_gaussian_kr(samples, target_prior: GaussianDistribution, *,
-                    mean=None, cov=None) -> AffineMap:
-    """Affine transport sending the prior onto a Gaussian moment fit.
+def fit_gaussian_kr(target_prior: GaussianDistribution, mean,
+                    cov) -> AffineMap:
+    """Affine transport sending the prior onto the Gaussian of moments
+    ``mean`` and ``cov``.
 
-    Moments come from ``samples`` (requiring at least ``10 * dim`` rows) or
-    may be passed directly for the population-exact path.  The returned
-    map's inverse plays the role of the fitted model's latent extraction.
+    The returned map's inverse plays the role of the fitted model's latent
+    extraction.
     """
     if not isinstance(target_prior, GaussianDistribution):
         raise TypeError("target prior must be Gaussian")
     d = target_prior.dim
-    if samples is not None:
-        S = np.atleast_2d(np.asarray(samples, dtype=float))
-        if S.shape[0] < 10 * d:
-            raise ValueError("need at least 10 * dim samples for a moment fit")
-        mean = S.mean(axis=0)
-        cov = np.cov(S, rowvar=False, ddof=1).reshape(d, d)
-    elif mean is None or cov is None:
-        raise ValueError("provide samples or explicit moments")
     mean = np.asarray(mean, dtype=float).reshape(d)
     cov = np.asarray(cov, dtype=float).reshape(d, d)
     if not np.all(np.isfinite(cov)):
@@ -280,6 +272,9 @@ class MarginalQuantileMap(TriangularMap):
 
     def inverted(self):
         raise NotImplementedError("use .inverse; the map is a fit artifact")
+
+    def log_det_jacobian(self, Z):
+        raise NotImplementedError("the map is a fit artifact with no log-det")
 
 
 def fit_marginal_quantile_transport(samples, target_prior: ProductDistribution,

@@ -371,7 +371,7 @@ def _two_labs(params):
 
         rng = stream(seed, 17)
         halves = [_exact_moments(model, n, rng) for _ in range(2)]
-        fit_1, fit_2 = (fit_gaussian_kr(None, gauss, mean=mean, cov=cov)
+        fit_1, fit_2 = (fit_gaussian_kr(gauss, mean, cov)
                         for mean, cov in halves)
         sup, _ = identity_deviation(generator_transform(fit_1, fit_2), probes)
         cell_c = bool(sup < fit_tol)

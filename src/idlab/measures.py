@@ -3,8 +3,8 @@
 The module provides a small zoo of fully supported distributions behind one
 `Distribution` interface: exact densities in log space, samplers driven by
 counter-based streams, and conditional CDFs with their inverses.  Gaussian
-laws and products of normal, Laplace, logistic or exponential marginals give
-their conditional quantiles in closed form.  The Gaussian mixture marginal is
+laws and products of normal, Laplace or logistic marginals give their
+conditional quantiles in closed form.  The Gaussian mixture marginal is
 the one law whose quantile is found iteratively: Newton steps on its exact
 CDF, started and bracketed by a cached table of that CDF.  So every
 distribution supports Rosenblatt-style resampling and triangular transport.
@@ -33,7 +33,6 @@ __all__ = [
     "Normal1D",
     "Laplace1D",
     "Logistic1D",
-    "Exponential1D",
     "GaussianMixture1D",
     "Distribution",
     "GaussianDistribution",
@@ -42,7 +41,6 @@ __all__ = [
     "sample",
     "interdecile_box",
     "interdecile_grid",
-    "univariate_from_spec",
     "distribution_from_spec",
 ]
 
@@ -112,7 +110,6 @@ class Univariate(abc.ABC):
     """A scalar distribution with exact CDF, used as a product marginal."""
 
     kind: str = ""
-    support: tuple[float, float] = (-np.inf, np.inf)
 
     @abc.abstractmethod
     def log_pdf(self, x):
@@ -201,30 +198,6 @@ class Logistic1D(_LocScale):
 
     def sample(self, rng, n):
         return rng.logistic(self.loc, self.scale, n)
-
-
-class Exponential1D(Univariate):
-    kind = "exponential"
-
-    def __init__(self, rate: float = 1.0):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        self.rate = float(rate)
-        self.support = (0.0, np.inf)
-
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, math.log(self.rate) - self.rate * x, -np.inf)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > 0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
-
-    def ppf(self, p):
-        return -np.log1p(-np.asarray(p, dtype=float)) / self.rate
-
-    def sample(self, rng, n):
-        return rng.exponential(1.0 / self.rate, n)
 
 
 class GaussianMixture1D(Univariate):
@@ -485,9 +458,6 @@ class Distribution(abc.ABC):
     def log_density(self, z):
         ...
 
-    def coordinate_support(self, m: int) -> tuple[float, float]:
-        return (-np.inf, np.inf)
-
     @abc.abstractmethod
     def conditional_cdf(self, m: int, prefix, values):
         """CDF of coordinate ``m`` given the first ``m`` coordinates.
@@ -602,9 +572,6 @@ class ProductDistribution(Distribution):
     @property
     def dim(self):
         return len(self.marginals)
-
-    def coordinate_support(self, m):
-        return self.marginals[m].support
 
     def log_density(self, z):
         z2 = _rows(z, self.dim)
@@ -770,7 +737,6 @@ def interdecile_grid(dist: Distribution, per_axis: int) -> np.ndarray:
 _UNIVARIATE_KINDS = {
     **{cls.kind: lambda s, cls=cls: cls(s.get("loc", 0.0), s.get("scale", 1.0))
        for cls in (Normal1D, Laplace1D, Logistic1D)},
-    "exponential": lambda s: Exponential1D(s.get("rate", 1.0)),
     "gaussian_mixture": lambda s: GaussianMixture1D(
         s["weights"], s["locs"], s["scales"]),
 }
@@ -780,7 +746,7 @@ _EXPFAM_FAMILIES = {
 }
 
 
-def univariate_from_spec(spec: dict) -> Univariate:
+def _marginal_from_spec(spec: dict) -> Univariate:
     kind = spec.get("kind")
     if kind not in _UNIVARIATE_KINDS:
         raise ValueError(f"unknown marginal kind: {kind!r}")
@@ -794,7 +760,7 @@ def distribution_from_spec(spec: dict) -> Distribution:
         return GaussianDistribution(spec["mean"], spec["cov"])
     if kind == "product":
         return ProductDistribution(
-            [univariate_from_spec(m) for m in spec["marginals"]])
+            [_marginal_from_spec(m) for m in spec["marginals"]])
     if kind == "expfam":
         family = spec.get("family")
         if family not in _EXPFAM_FAMILIES:

@@ -168,20 +168,11 @@ def test_exact_law_moments_match_generated_rows():
 
 
 class TestFitGaussianKr:
-    def test_recovers_known_affine_map(self):
-        rng = stream(42, 0)
-        prior = GaussianDistribution([0.0, 0.0], np.eye(2))
-        truth = AffineMap(np.array([[2.0, 0.0], [0.7, 1.5]]), np.array([1.0, -2.0]))
-        x = truth.forward(prior.sample(rng, 60_000))
-        fitted = fit_gaussian_kr(x, prior)
-        assert_allclose(fitted.matrix, truth.matrix, atol=0.03)
-        assert_allclose(fitted.offset, truth.offset, atol=0.03)
-
     def test_exact_with_given_moments(self):
         prior = GaussianDistribution([0.0, 0.0], np.eye(2))
         truth = AffineMap(np.array([[2.0, 0.0], [0.7, 1.5]]), np.array([1.0, -2.0]))
         cov = truth.matrix @ truth.matrix.T
-        fitted = fit_gaussian_kr(None, prior, mean=truth.offset, cov=cov)
+        fitted = fit_gaussian_kr(prior, truth.offset, cov)
         assert_allclose(fitted.matrix, truth.matrix, atol=1e-12)
         assert_allclose(fitted.offset, truth.offset, atol=1e-12)
 
@@ -189,18 +180,13 @@ class TestFitGaussianKr:
         # samples that overflow give an infinite or NaN covariance
         prior = GaussianDistribution([0.0, 0.0], np.eye(2))
         with pytest.raises(SingularCovariance, match="not finite"):
-            fit_gaussian_kr(None, prior, mean=[0.0, 0.0], cov=[[np.inf, 0.0], [0.0, 1.0]])
-
-    def test_rejects_tiny_samples(self):
-        prior = GaussianDistribution([0.0, 0.0], np.eye(2))
-        with pytest.raises(ValueError):
-            fit_gaussian_kr(np.zeros((5, 2)), prior)
+            fit_gaussian_kr(prior, [0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]])
 
     def test_rejects_degenerate_samples(self):
+        # the moments of samples whose rows all coincide
         prior = GaussianDistribution([0.0, 0.0], np.eye(2))
-        x = np.tile([1.0, 2.0], (100, 1))
-        with pytest.raises(SingularCovariance):
-            fit_gaussian_kr(x, prior)
+        with pytest.raises(SingularCovariance, match="not positive definite"):
+            fit_gaussian_kr(prior, [1.0, 2.0], np.zeros((2, 2)))
 
 
 def test_fit_marginal_quantile_transport(rng):
