@@ -132,10 +132,12 @@ class _LocScale(Univariate):
     """A law of ``loc + scale * u``, ``u`` drawn from a standard law."""
 
     def __init__(self, loc: float = 0.0, scale: float = 1.0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
         self.loc = float(loc)
         self.scale = float(scale)
+        if not math.isfinite(self.loc):
+            raise ValueError("loc must be finite")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite")
 
 
 class Normal1D(_LocScale):
@@ -211,6 +213,9 @@ class GaussianMixture1D(Univariate):
         self.scales = np.asarray(scales, dtype=float)
         if not (self.weights.shape == self.locs.shape == self.scales.shape):
             raise DimensionMismatch("mixture parameter arrays must align")
+        for name in ("weights", "locs", "scales"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.any(self.weights <= 0) or np.any(self.scales <= 0):
             raise ValueError("weights and scales must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-12:
@@ -504,6 +509,9 @@ class GaussianDistribution(Distribution):
             raise DimensionMismatch("need at least one coordinate")
         if self.cov.shape != (d, d):
             raise DimensionMismatch("covariance must be square and match mean")
+        for name in ("mean", "cov"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         try:
             self.cholesky = np.linalg.cholesky(self.cov)
         except np.linalg.LinAlgError as exc:

@@ -473,6 +473,23 @@ def test_spec_roundtrip():
     ({"kind": "explicit_named"}, "unknown distribution kind"),
     ({"kind": "product", "marginals": [{"kind": "cauchy"}]}, "unknown marginal kind"),
     ({"kind": "expfam", "family": "custom", "eta": [0.0]}, "unknown exponential family"),
+    # every parameter of a law is finite
+    ({"kind": "product", "marginals": [{"kind": "normal", "scale": float("nan")}]}, "scale must be"),
+    ({"kind": "product", "marginals": [{"kind": "laplace", "loc": float("inf")}]}, "loc must be finite"),
+    ({"kind": "product", "marginals": [{"kind": "logistic", "scale": float("inf")}]}, "scale must be"),
+    ({"kind": "product", "marginals": [{"kind": "gaussian_mixture", "weights": [0.5, 0.5],
+                                        "locs": [0.0, float("inf")], "scales": [1.0, 1.0]}]},
+     "locs must be finite"),
+    ({"kind": "product", "marginals": [{"kind": "gaussian_mixture", "weights": [float("nan"), 0.5],
+                                        "locs": [0.0, 1.0], "scales": [1.0, 1.0]}]},
+     "weights must be finite"),
+    ({"kind": "product", "marginals": [{"kind": "gaussian_mixture", "weights": [0.5, 0.5],
+                                        "locs": [0.0, 1.0], "scales": [1.0, float("nan")]}]},
+     "scales must be finite"),
+    ({"kind": "gaussian", "mean": [float("nan"), 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}, "mean must be finite"),
+    ({"kind": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0, float("nan")], [float("nan"), 1.0]]},
+     "cov must be finite"),
+    ({"kind": "gaussian", "mean": [0.0, 0.0], "cov": [[float("inf"), 0.0], [0.0, 1.0]]}, "cov must be finite"),
 ])
 def test_spec_rejects_unknown_kinds(spec, message):
     with pytest.raises(ValueError, match=message):
