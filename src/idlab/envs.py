@@ -215,8 +215,8 @@ def fit_gaussian_kr(target_prior: GaussianDistribution, mean,
     d = target_prior.dim
     mean = np.asarray(mean, dtype=float).reshape(d)
     cov = np.asarray(cov, dtype=float).reshape(d, d)
-    if not np.all(np.isfinite(cov)):
-        raise SingularCovariance("sample covariance is not finite")
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise SingularCovariance("sample moments are not finite")
     try:
         fitted = GaussianDistribution(mean, cov)
     except ValueError as exc:

@@ -34,7 +34,7 @@ class DimensionMismatch(IdlabError):
 
 
 class NonFiniteDerivative(IdlabError):
-    """A finite-difference derivative came out non-finite or non-positive."""
+    """A log-det, the log of a map's Jacobian determinant, is not finite."""
 
 
 class DegenerateMeans(IdlabError):

@@ -177,10 +177,12 @@ class TestFitGaussianKr:
         assert_allclose(fitted.offset, truth.offset, atol=1e-12)
 
     def test_rejects_non_finite_moments(self):
-        # samples that overflow give an infinite or NaN covariance
+        # the moments of samples that overflow are infinite or NaN
         prior = GaussianDistribution([0.0, 0.0], np.eye(2))
         with pytest.raises(SingularCovariance, match="not finite"):
             fit_gaussian_kr(prior, [0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]])
+        with pytest.raises(SingularCovariance, match="not finite"):
+            fit_gaussian_kr(prior, [np.nan, 0.0], np.eye(2))
 
     def test_rejects_degenerate_samples(self):
         # the moments of samples whose rows all coincide
