@@ -25,17 +25,16 @@ from .linear import (ComonReport, LinearGenerator, SpanReport,
                      rotation_counterexample, solve_multi_env_linear,
                      spanning_check)
 from .envs import (AffineRelation, EnvironmentData, EnvironmentSet,
-                   MarginalQuantileMap, ModelParams,
-                   ValidationReport, affine_relation_fit,
-                   fit_env_affine_generator, fit_gaussian_kr,
-                   fit_marginal_quantile_transport,
-                   generate_environment_data, validate_strong_vae_config,
-                   verify_multiview)
+                   MarginalQuantileMap, ValidationReport,
+                   affine_relation_fit, fit_env_affine_generator,
+                   fit_gaussian_kr, fit_marginal_quantile_transport,
+                   generate_environment_data, validate_strong_vae_config)
 from .indeterminacy import (FixedCoordinateReport, IndeterminacyReport,
-                            TransportedDistribution, act_on_params,
-                            fixed_coordinate_check, generator_transform,
-                            identity_deviation, indeterminacy_audit,
-                            kernel_residual)
+                            ModelParams, TransportedDistribution,
+                            act_on_params, fixed_coordinate_check,
+                            generator_transform, identity_deviation,
+                            indeterminacy_audit, kernel_residual,
+                            verify_multiview)
 from .tasks import (TaskReport, TaskSpec, abs_diff_metric,
                     independence_test_task, latent_shift_task,
                     spearman_abs, sup_point_metric,

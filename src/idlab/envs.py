@@ -6,8 +6,8 @@ which supplies the carrier and statistic every environment shares.  On top
 of that the module provides the experiment plumbing: synthetic data
 generated as one block of observations per environment, the three
 validation clauses a strongly identifiable configuration must satisfy,
-fitting routines whose outputs are triangular maps or, from the
-per-environment means alone, linear generators, and the multi-view verifier.
+and fitting routines whose outputs are triangular maps or, from the
+per-environment means alone, linear generators.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ import numpy as np
 
 from .errors import (DimensionMismatch, RankDeficient, SingularCovariance)
 from .linear import LinearGenerator, _svd_rank, spanning_check
-from .measures import (Distribution, ExpFamily, GaussianDistribution,
-                       ProductDistribution, _rows)
+from .measures import (ExpFamily, GaussianDistribution, ProductDistribution,
+                       _rows)
 from .transport import AffineMap, TriangularMap, kr_transport
 
 __all__ = [
-    "ModelParams",
     "EnvironmentSet",
     "EnvironmentData",
     "ValidationReport",
@@ -35,19 +34,7 @@ __all__ = [
     "fit_gaussian_kr",
     "fit_marginal_quantile_transport",
     "fit_env_affine_generator",
-    "verify_multiview",
 ]
-
-@dataclass
-class ModelParams:
-    """A generative model: injective generator plus latent prior.
-
-    The generator exposes ``forward``/``inverse`` (inverse exact on its
-    range) and a ``latent_dim``.
-    """
-
-    generator: object
-    prior: Distribution
 
 
 class EnvironmentSet:
@@ -320,39 +307,3 @@ def _affine_design(mus) -> np.ndarray:
         raise RankDeficient("environment means do not pin an affine generator")
     return design
 
-
-def verify_multiview(views_a: dict, views_b: dict, prior: Distribution,
-                     n: int, rng: np.random.Generator, tol: float = 1e-6):
-    """Compare the per-view latent transforms of two multi-view models.
-
-    A model is a ``{view: generator}`` dict, every view driven by a single
-    shared latent.  Each view contributes the transform linking the two
-    models' generators for that view; observationally equivalent models
-    force every view onto the same transform, and one view whose transform
-    is the identity pins the shared latent.  The report's headline
-    deviations belong to the best view; per-view deviations and the max
-    pairwise disagreement ride along in the details.
-    """
-    from .indeterminacy import (IndeterminacyReport, generator_transform,
-                                identity_deviation)
-    if set(views_a) != set(views_b):
-        raise DimensionMismatch("models must share their view labels")
-    z = prior.sample(rng, n)
-    values, sups, rmss = {}, {}, {}
-    for label in sorted(views_a):
-        transform = generator_transform(views_a[label], views_b[label],
-                                        probes=z)
-        values[label] = transform.forward(z)
-        sups[label], rmss[label] = identity_deviation(transform, z)
-    labels = sorted(values)
-    disagreement = 0.0
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            disagreement = max(disagreement,
-                               float(np.abs(values[a] - values[b]).max()))
-    best = min(labels, key=lambda v: sups[v])
-    return IndeterminacyReport(
-        identity_sup_dev=sups[best], identity_rms_dev=rmss[best],
-        structure={"is_identity_ae": bool(sups[best] < tol)}, n=n,
-        details={"view_identity_dev": sups, "best_view": best,
-                 "max_disagreement": disagreement, "tol": tol})

@@ -15,14 +15,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .envs import (EnvironmentSet, ModelParams, affine_relation_fit,
+from .envs import (EnvironmentSet, affine_relation_fit,
                    fit_env_affine_generator, fit_gaussian_kr,
-                   validate_strong_vae_config, verify_multiview,
-                   _affine_design)
+                   validate_strong_vae_config, _affine_design)
 from .errors import IdlabError
-from .indeterminacy import (act_on_params, fixed_coordinate_check,
-                            generator_transform, identity_deviation,
-                            indeterminacy_audit, kernel_residual)
+from .indeterminacy import (ModelParams, act_on_params,
+                            fixed_coordinate_check, generator_transform,
+                            identity_deviation, indeterminacy_audit,
+                            kernel_residual, verify_multiview)
 from .linear import (LinearGenerator, comon_structure_check,
                      rotation_counterexample, solve_multi_env_linear)
 from .measures import (GaussianDistribution, GaussianMixture1D, Laplace1D,
@@ -168,7 +168,7 @@ def _fa_rotation(params):
 
     def run(seed):
         dev = max(float(np.abs(gen1.forward(mu) - gen2.forward(mu)).max())
-                  for mu in (mu1, mu2))
+                  for mu in (mu1[None], mu2[None]))
         distance = float(np.linalg.norm(gen1.loading - gen2.loading))
         valid = bool(dev < params["tol_constraint"]
                      and distance > params["min_distance"])

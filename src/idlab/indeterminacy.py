@@ -1,12 +1,12 @@
-"""Residual latent transforms between observationally equivalent models.
+"""Models and the residual latent transforms between equivalent ones.
 
-Two models inducing the same observation law differ by an invertible
-self-map of the latent space.  This module constructs that transform from a
-generator pair, certifies candidates distributionally (two-direction
-pushforward checks) and structurally (Jacobian probes), measures distance
-from the identity and from constraint classes (statistic kernels, pinned
-coordinates), and applies transforms to model parameters so equivalence
-classes can be walked explicitly.
+A model, ``ModelParams``, pairs a generator with a latent prior.  Two models
+inducing the same observation law differ by an invertible self-map of the
+latent space.  This module builds that transform from a generator pair, or
+one per view of a multi-view model, certifies it distributionally and
+structurally (pushforward checks, Jacobian probes), measures distance from
+the identity and from constraint classes, and applies transforms to model
+parameters so equivalence classes can be walked explicitly.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, RangeMismatch
-from .linear import _RANK_REL_TOL, LinearGenerator
+from .linear import LinearGenerator, _rank_mask
 from .measures import Distribution
 from .transport import (Automorphism, ComposedMap, PushforwardReport,
                         TriangularMap, _check_draws, _pushforward_report,
                         component_wise_check, pushforward_check)
 
 __all__ = [
+    "ModelParams",
     "TransportedDistribution",
     "IndeterminacyReport",
     "FixedCoordinateReport",
@@ -32,6 +33,7 @@ __all__ = [
     "fixed_coordinate_check",
     "indeterminacy_audit",
     "act_on_params",
+    "verify_multiview",
 ]
 
 #: relative round-trip residual above which two generator ranges differ
@@ -43,8 +45,20 @@ _STRUCTURE_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
-# transported laws
+# models and transported laws
 # ---------------------------------------------------------------------------
+
+@dataclass
+class ModelParams:
+    """A generative model: injective generator plus latent prior.
+
+    The generator exposes ``forward``/``inverse`` (inverse exact on its
+    range) and a ``latent_dim``.
+    """
+
+    generator: object
+    prior: Distribution
+
 
 class TransportedDistribution(Distribution):
     """Image of a base law under an invertible map, sampled by pushing.
@@ -197,9 +211,7 @@ def kernel_residual(suff_stat, transform, contrasts, probes) -> float:
         raise DimensionMismatch(
             "constraint columns must match the statistic dimension")
     u, s, vt = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0.0
-    rows = vt[s > _RANK_REL_TOL * s[0]]
+    rows = vt[_rank_mask(s)]
     proj = diff @ rows.T @ rows
     return float(np.sqrt(np.sum(proj * proj, axis=1)).max())
 
@@ -218,7 +230,7 @@ def fixed_coordinate_check(transform, coords, probes,
 
 
 # ---------------------------------------------------------------------------
-# the audit
+# the audits
 # ---------------------------------------------------------------------------
 
 def _affine_fit_residual(transform, probes) -> float:
@@ -292,6 +304,41 @@ def indeterminacy_audit(theta_a, theta_b, n: int, rng: np.random.Generator,
                  "structure_tol": _STRUCTURE_TOL})
 
 
+def verify_multiview(views_a: dict, views_b: dict, prior: Distribution,
+                     n: int, rng: np.random.Generator, tol: float = 1e-6):
+    """Compare the per-view latent transforms of two multi-view models.
+
+    A model is a ``{view: generator}`` dict, every view driven by a single
+    shared latent.  Each view contributes the transform linking the two
+    models' generators for that view; observationally equivalent models
+    force every view onto the same transform, and one view whose transform
+    is the identity pins the shared latent.  The report's headline
+    deviations belong to the best view; per-view deviations and the max
+    pairwise disagreement ride along in the details.
+    """
+    if set(views_a) != set(views_b):
+        raise DimensionMismatch("models must share their view labels")
+    z = prior.sample(rng, n)
+    values, sups, rmss = {}, {}, {}
+    for label in sorted(views_a):
+        transform = generator_transform(views_a[label], views_b[label],
+                                        probes=z)
+        values[label] = transform.forward(z)
+        sups[label], rmss[label] = identity_deviation(transform, z)
+    labels = sorted(values)
+    disagreement = 0.0
+    for i, a in enumerate(labels):
+        for b in labels[i + 1:]:
+            disagreement = max(disagreement,
+                               float(np.abs(values[a] - values[b]).max()))
+    best = min(labels, key=lambda v: sups[v])
+    return IndeterminacyReport(
+        identity_sup_dev=sups[best], identity_rms_dev=rmss[best],
+        structure={"is_identity_ae": bool(sups[best] < tol)}, n=n,
+        details={"view_identity_dev": sups, "best_view": best,
+                 "max_disagreement": disagreement, "tol": tol})
+
+
 # ---------------------------------------------------------------------------
 # group action on model parameters
 # ---------------------------------------------------------------------------
@@ -319,7 +366,7 @@ def act_on_params(transform, params):
     law is untouched.  The generator is a lazy composition and the prior a
     ``TransportedDistribution``, whatever the transform.
     """
-    from .envs import ModelParams
     return ModelParams(
         generator=_TransformedGenerator(params.generator, transform),
         prior=TransportedDistribution(params.prior, transform))
+

@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import (DegenerateMeans, DimensionMismatch, RankDeficient,
                      SingularMatrix)
-from .measures import _add_offset, _matmul_rows
-from .transport import _offset
+from .measures import _add_offset, _matmul_rows, _offset, _rows
 
 __all__ = [
     "LinearGenerator",
@@ -33,22 +32,15 @@ __all__ = [
 _RANK_REL_TOL = 1e-8
 
 
+def _rank_mask(s: np.ndarray) -> np.ndarray:
+    """Which singular values ``s``, largest first, count toward the rank;
+    none of an empty or all-zero spectrum do."""
+    return s > _RANK_REL_TOL * s[0] if s.size else s > 0
+
+
 def _svd_rank(M: np.ndarray) -> int:
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > _RANK_REL_TOL * s[0]))
-
-
-def _points(A, width: int) -> np.ndarray:
-    """One ``(width,)`` point or ``(n, width)`` rows as a float array."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim not in (1, 2) or A.shape[-1] != width:
-        raise DimensionMismatch(
-            f"expected ({width},) or (n, {width}) points, got shape {A.shape}")
-    return A
+    return int(np.count_nonzero(
+        _rank_mask(np.linalg.svd(M, compute_uv=False))))
 
 
 class LinearGenerator:
@@ -65,7 +57,7 @@ class LinearGenerator:
         self.offset = _offset(offset, dx)
         # one thresholded SVD gives the rank and the left inverse on the range
         u, s, vt = np.linalg.svd(self.loading, full_matrices=False)
-        keep = s > _RANK_REL_TOL * s[0]
+        keep = _rank_mask(s)
         if np.count_nonzero(keep) < dz:
             raise RankDeficient("loading must have full column rank")
         self._pinv = (vt[keep].T / s[keep]) @ u[:, keep].T
@@ -81,12 +73,12 @@ class LinearGenerator:
     def forward(self, Z):
         """``offset + F z`` per row; the offset goes on by column."""
         return _add_offset(
-            _matmul_rows(_points(Z, self.latent_dim), self.loading.T),
+            _matmul_rows(_rows(Z, self.latent_dim), self.loading.T),
             self.offset)
 
     def inverse(self, X):
         """Left inverse, exact on offset + range(loading), by column."""
-        centred = _add_offset(np.array(_points(X, self.obs_dim)), -self.offset)
+        centred = _add_offset(np.array(_rows(X, self.obs_dim)), -self.offset)
         return _matmul_rows(centred, self._pinv.T)
 
 

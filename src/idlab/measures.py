@@ -386,6 +386,14 @@ def _rows(z, dim):
     return z
 
 
+def _offset(offset, d: int) -> np.ndarray:
+    """``offset`` as a length-``d`` float vector; zeros for ``None``."""
+    b = np.zeros(d) if offset is None else np.asarray(offset, dtype=float)
+    if b.shape != (d,):
+        raise DimensionMismatch(f"offset must have length {d}")
+    return b
+
+
 def _add_offset(out, v):
     """``out += v`` on rows, in place, one strided pass per column.
 
@@ -412,12 +420,11 @@ def _matmul_rows(X, MT):
     blocks of at most that many each.  The blocks differ in size by at most
     one row, which keeps the bits of ``X @ MT`` on every shape the tests
     cover; a short trailing block runs through another kernel and moves
-    some last bits.  One point (1-D ``X``) and a one-column ``MT`` stay one
-    ``@``: those are gemv calls, whose bits blocking moves, and a large gemv
-    still wakes a worker.
+    some last bits.  A one-column ``MT`` stays one ``@``: that is a gemv
+    call, whose bits blocking moves, and a large gemv still wakes a worker.
     """
     per_block = max(1, _BLOCK_WORK // max(1, MT.size))  # MT.size is k * m
-    if X.ndim == 1 or X.shape[0] <= per_block or MT.shape[1] == 1:
+    if X.shape[0] <= per_block or MT.shape[1] == 1:
         return X @ MT
     n = X.shape[0]
     blocks = -(-n // per_block)

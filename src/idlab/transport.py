@@ -34,7 +34,7 @@ from scipy import special
 
 from .errors import DimensionMismatch, NonFiniteDerivative
 from .measures import (Distribution, GaussianDistribution, _add_offset,
-                       _matmul_rows, _rows, _solve_lower)
+                       _matmul_rows, _offset, _rows, _solve_lower)
 
 __all__ = [
     "TriangularMap",
@@ -271,14 +271,6 @@ class Automorphism:
             return _matmul_rows(X - b, Minv.T)
 
         return cls(d, fwd, inv, float(np.linalg.slogdet(M)[1]))
-
-
-def _offset(offset, d: int) -> np.ndarray:
-    """``offset`` as a length-``d`` float vector; zeros for ``None``."""
-    b = np.zeros(d) if offset is None else np.asarray(offset, dtype=float)
-    if b.shape != (d,):
-        raise DimensionMismatch(f"offset must have length {d}")
-    return b
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from idlab import (
     spanning_check,
     stream,
     validate_strong_vae_config,
-    verify_multiview,
 )
 from idlab.errors import RankDeficient, SingularCovariance
 from idlab.experiments import (EXPERIMENTS, _equilateral_means, _exact_block_means,
@@ -255,29 +254,3 @@ def test_fit_env_means_equal_per_block_means(obs_dim, n_envs, n, seed):
     with mock.patch("numpy.linalg.lstsq", lambda a, b, rcond: seen.append(b) or lstsq(a, b, rcond=rcond)):
         fit_env_affine_generator(data.block_means, envset)
     assert np.array_equal(seen[0], data.block_means)
-
-
-class TestVerifyMultiview:
-    def setup_method(self):
-        self.prior = GaussianDistribution([0.0, 0.0], np.eye(2))
-        self.tmi = AffineMap(np.array([[1.0, 0.0], [0.4, 1.0]]))
-        self.free = LinearGenerator(np.array([[1.3, 0.2], [0.1, 0.8]]))
-
-    def test_identical_views_are_identified(self):
-        a = {"tmi": self.tmi, "free": self.free}
-        rep = verify_multiview(a, a, self.prior, 4000, stream(45, 0))
-        assert rep.structure["is_identity_ae"]
-        assert rep.identity_sup_dev < 1e-6
-        assert rep.details["max_disagreement"] < 1e-6
-
-    def test_consistent_rotation_evades_identification(self):
-        c, s = np.cos(np.pi / 5), np.sin(np.pi / 5)
-        R = np.array([[c, -s], [s, c]])
-        a = {"tmi": self.tmi, "free": self.free}
-        # both views absorb the same rotation, so no view can rule it out
-        rot_tmi = LinearGenerator(self.tmi.matrix @ R.T)
-        rot_free = LinearGenerator(self.free.loading @ R.T)
-        b = {"tmi": rot_tmi, "free": rot_free}
-        rep = verify_multiview(a, b, self.prior, 4000, stream(45, 1))
-        assert not rep.structure["is_identity_ae"]
-        assert rep.identity_sup_dev > 0.1

@@ -27,6 +27,7 @@ from idlab import (
     pushforward_check,
     spanning_check,
     stream,
+    verify_multiview,
 )
 from idlab.cli import _to_json
 from idlab.errors import RangeMismatch
@@ -360,3 +361,29 @@ def test_transported_distribution_requires_invertible_transform(rng):
     assert np.isfinite(x).all()
     with pytest.raises(NotImplementedError):
         pushed.log_density(x)
+
+
+class TestVerifyMultiview:
+    def setup_method(self):
+        self.prior = GaussianDistribution([0.0, 0.0], np.eye(2))
+        self.tmi = AffineMap(np.array([[1.0, 0.0], [0.4, 1.0]]))
+        self.free = LinearGenerator(np.array([[1.3, 0.2], [0.1, 0.8]]))
+
+    def test_identical_views_are_identified(self):
+        a = {"tmi": self.tmi, "free": self.free}
+        rep = verify_multiview(a, a, self.prior, 4000, stream(45, 0))
+        assert rep.structure["is_identity_ae"]
+        assert rep.identity_sup_dev < 1e-6
+        assert rep.details["max_disagreement"] < 1e-6
+
+    def test_consistent_rotation_evades_identification(self):
+        c, s = np.cos(np.pi / 5), np.sin(np.pi / 5)
+        R = np.array([[c, -s], [s, c]])
+        a = {"tmi": self.tmi, "free": self.free}
+        # both views absorb the same rotation, so no view can rule it out
+        rot_tmi = LinearGenerator(self.tmi.matrix @ R.T)
+        rot_free = LinearGenerator(self.free.loading @ R.T)
+        b = {"tmi": rot_tmi, "free": rot_free}
+        rep = verify_multiview(a, b, self.prior, 4000, stream(45, 1))
+        assert not rep.structure["is_identity_ae"]
+        assert rep.identity_sup_dev > 0.1

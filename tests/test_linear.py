@@ -6,15 +6,18 @@ from numpy.testing import assert_allclose
 
 from idlab import (
     AffineMap,
+    Automorphism,
     ComonReport,
     LinearGenerator,
     comon_structure_check,
     generator_transform,
+    kernel_residual,
     rotation_counterexample,
     solve_multi_env_linear,
 )
 from idlab.errors import (DegenerateMeans, DimensionMismatch, RangeMismatch, RankDeficient,
                           SingularMatrix)
+from idlab.linear import _svd_rank
 
 EMBED = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
@@ -57,18 +60,33 @@ def test_empty_loading_is_a_dimension_mismatch(loading):
     ("inverse", (3, 4)), ("inverse", (2,)), ("inverse", (2, 3, 3)),
 ])
 def test_points_of_the_wrong_width_are_a_dimension_mismatch(method, shape):
+    # points are (n, d) rows, as for every latent map and law; one point is one row
     gen = LinearGenerator(EMBED, np.array([0.5, -0.5, 1.0]))
-    with pytest.raises(DimensionMismatch, match="points"):
+    with pytest.raises(DimensionMismatch, match=r"expected \(n, \d\) rows"):
         getattr(gen, method)(np.ones(shape))
 
 
-def test_one_point_and_rows_map_alike(rng):
-    gen = LinearGenerator(EMBED, np.array([0.5, -0.5, 1.0]))
-    z = rng.normal(size=(5, 2))
-    x = gen.forward(z)
-    assert gen.forward(z[0]).shape == (3,)
-    assert_allclose(gen.forward(z[0]), x[0], rtol=0, atol=1e-15)
-    assert_allclose(gen.inverse(x[0]), gen.inverse(x)[0], rtol=0, atol=1e-15)
+@pytest.mark.parametrize("ratio", [1e-9, 1e-7])
+def test_rank_checks_share_one_cutoff(ratio):
+    # the second singular value falls below the cutoff at 1e-9 and above it at 1e-7
+    M = np.diag([1.0, ratio])
+    kept = ratio > 1e-8
+    assert _svd_rank(M) == 1 + kept
+    if kept:
+        LinearGenerator(M)
+    else:
+        with pytest.raises(RankDeficient):
+            LinearGenerator(M)
+    # the residual sees the second coordinate's move only if it is in the row space
+    shift = Automorphism(2, lambda Z: Z + [0.0, 1.0], lambda X: X - [0.0, 1.0])
+    residual = kernel_residual(lambda Z: Z, shift, M, np.zeros((1, 2)))
+    assert residual == (1.0 if kept else 0.0)
+
+
+@pytest.mark.parametrize("M", [np.zeros((0, 2)), np.zeros((2, 2))], ids=["empty", "all_zero"])
+def test_rank_of_an_empty_or_zero_spectrum_is_zero(M):
+    assert _svd_rank(M) == 0
+    assert kernel_residual(lambda Z: Z, Automorphism.identity(2), M, np.ones((3, 2))) == 0.0
 
 
 @pytest.mark.parametrize("loading, error", [
