@@ -166,8 +166,10 @@ class CdfChainMap(TriangularMap):
     def log_det_jacobian(self, Z):
         """Exact ``log p_source(z) - log p_target(T z)``."""
         Z2 = _rows(Z, self.dim)
-        out = (self.source.log_density(Z2)
-               - self.target.log_density(self.forward_prefix(Z2)))
+        X = self.forward_prefix(Z2)
+        # the finiteness check decides, not numpy's error state or warnings
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out = self.source.log_density(Z2) - self.target.log_density(X)
         if not np.all(np.isfinite(out)):
             raise NonFiniteDerivative(
                 "log-det is not finite: a log-density under- or overflows")
