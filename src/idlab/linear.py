@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (DegenerateMeans, DimensionMismatch, RankDeficient,
                      SingularMatrix)
-from .measures import _add_offset, _matmul_rows, _offset, _rows
+from .measures import _add_offset, _finite, _matmul_rows, _offset, _rows
 
 __all__ = [
     "LinearGenerator",
@@ -52,8 +52,7 @@ class LinearGenerator:
         if self.loading.size == 0:
             raise DimensionMismatch(
                 f"loading must have entries, got shape {self.loading.shape}")
-        if not np.all(np.isfinite(self.loading)):
-            raise SingularMatrix("loading has non-finite entries")
+        _finite(self.loading, "loading")
         self.offset = _offset(offset, dx)
         # one thresholded SVD gives the rank and the left inverse on the range
         u, s, vt = np.linalg.svd(self.loading, full_matrices=False)
@@ -178,9 +177,7 @@ def comon_structure_check(matrix, tol: float = 1e-6) -> ComonReport:
     A = np.atleast_2d(np.asarray(matrix, dtype=float))
     if A.shape[0] != A.shape[1]:
         raise DimensionMismatch("matrix must be square")
-    if not np.all(np.isfinite(A)):
-        raise SingularMatrix("matrix has non-finite entries")
-    cond = float(np.linalg.cond(A))
+    cond = float(np.linalg.cond(_finite(A, "matrix")))
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularMatrix(f"matrix is numerically singular (cond={cond:.3e})")
     counts = np.sum(np.abs(A) > tol, axis=0)

@@ -26,7 +26,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import BracketFailure, DimensionMismatch
+from .errors import BracketFailure, DimensionMismatch, SingularMatrix
 
 __all__ = [
     "Univariate",
@@ -386,12 +386,20 @@ def _rows(z, dim):
     return z
 
 
+def _finite(a, name: str) -> np.ndarray:
+    """``a`` unchanged; ``SingularMatrix`` naming ``name`` if an entry is not
+    finite, since a fit can build such a map or generator mid-run."""
+    if not np.all(np.isfinite(a)):
+        raise SingularMatrix(f"{name} has non-finite entries")
+    return a
+
+
 def _offset(offset, d: int) -> np.ndarray:
-    """``offset`` as a length-``d`` float vector; zeros for ``None``."""
+    """``offset`` as a finite length-``d`` float vector; zeros for ``None``."""
     b = np.zeros(d) if offset is None else np.asarray(offset, dtype=float)
     if b.shape != (d,):
         raise DimensionMismatch(f"offset must have length {d}")
-    return b
+    return _finite(b, "offset")
 
 
 def _add_offset(out, v):

@@ -34,7 +34,7 @@ from scipy import special
 
 from .errors import DimensionMismatch, NonFiniteDerivative
 from .measures import (Distribution, GaussianDistribution, _add_offset,
-                       _matmul_rows, _offset, _rows, _solve_lower)
+                       _finite, _matmul_rows, _offset, _rows, _solve_lower)
 
 __all__ = [
     "TriangularMap",
@@ -98,7 +98,7 @@ class AffineMap(TriangularMap):
     """x -> offset + L x with L lower triangular, positive diagonal."""
 
     def __init__(self, matrix, offset=None):
-        L = np.atleast_2d(np.asarray(matrix, dtype=float))
+        L = _finite(np.atleast_2d(np.asarray(matrix, dtype=float)), "matrix")
         if L.shape[0] != L.shape[1]:
             raise DimensionMismatch("matrix must be square")
         scale = max(1.0, float(np.abs(L).max()))
@@ -259,7 +259,7 @@ class Automorphism:
 
     @classmethod
     def from_matrix(cls, matrix, offset=None) -> "Automorphism":
-        M = np.atleast_2d(np.asarray(matrix, dtype=float))
+        M = _finite(np.atleast_2d(np.asarray(matrix, dtype=float)), "matrix")
         d = M.shape[0]
         if M.shape != (d, d):
             raise DimensionMismatch("matrix must be square")

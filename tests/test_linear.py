@@ -49,6 +49,24 @@ def test_offset_of_wrong_length_is_a_dimension_mismatch(make):
         make()
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: AffineMap([[NAN]]), "matrix"),
+    (lambda: AffineMap([[1.0, 0.0], [np.inf, 1.0]]), "matrix"),
+    (lambda: AffineMap(np.eye(2), [NAN, 0.0]), "offset"),
+    (lambda: Automorphism.from_matrix([[NAN, 0.0], [0.0, 1.0]]), "matrix"),
+    (lambda: Automorphism.from_matrix(np.eye(2), [0.0, -np.inf]), "offset"),
+    (lambda: LinearGenerator(np.eye(2), [NAN, 0.0]), "offset"),
+], ids=["affine_matrix", "affine_matrix_inf", "affine_offset", "automorphism_matrix",
+        "automorphism_offset", "linear_generator_offset"])
+def test_non_finite_map_parameters_are_a_numerical_error(make, name):
+    # a fit can build such a map mid-run, so it is an IdlabError, as for a loading
+    with pytest.raises(SingularMatrix, match=name):
+        make()
+
+
 @pytest.mark.parametrize("loading", [np.zeros((3, 0)), np.zeros((0, 2)), []], ids=["no_columns", "no_rows", "empty_list"])
 def test_empty_loading_is_a_dimension_mismatch(loading):
     with pytest.raises(DimensionMismatch, match="loading"):
