@@ -49,16 +49,13 @@ def test_offset_of_wrong_length_is_a_dimension_mismatch(make):
         make()
 
 
-NAN = float("nan")
-
-
 @pytest.mark.parametrize("make, name", [
-    (lambda: AffineMap([[NAN]]), "matrix"),
+    (lambda: AffineMap([[np.nan]]), "matrix"),
     (lambda: AffineMap([[1.0, 0.0], [np.inf, 1.0]]), "matrix"),
-    (lambda: AffineMap(np.eye(2), [NAN, 0.0]), "offset"),
-    (lambda: Automorphism.from_matrix([[NAN, 0.0], [0.0, 1.0]]), "matrix"),
+    (lambda: AffineMap(np.eye(2), [np.nan, 0.0]), "offset"),
+    (lambda: Automorphism.from_matrix([[np.nan, 0.0], [0.0, 1.0]]), "matrix"),
     (lambda: Automorphism.from_matrix(np.eye(2), [0.0, -np.inf]), "offset"),
-    (lambda: LinearGenerator(np.eye(2), [NAN, 0.0]), "offset"),
+    (lambda: LinearGenerator(np.eye(2), [np.nan, 0.0]), "offset"),
 ], ids=["affine_matrix", "affine_matrix_inf", "affine_offset", "automorphism_matrix",
         "automorphism_offset", "linear_generator_offset"])
 def test_non_finite_map_parameters_are_a_numerical_error(make, name):
@@ -96,7 +93,7 @@ def test_rank_checks_share_one_cutoff(ratio):
         with pytest.raises(RankDeficient):
             LinearGenerator(M)
     # the residual sees the second coordinate's move only if it is in the row space
-    shift = Automorphism(2, lambda Z: Z + [0.0, 1.0], lambda X: X - [0.0, 1.0])
+    shift = Automorphism.from_matrix(np.eye(2), [0.0, 1.0])
     residual = kernel_residual(lambda Z: Z, shift, M, np.zeros((1, 2)))
     assert residual == (1.0 if kept else 0.0)
 
