@@ -240,11 +240,11 @@ class MarginalQuantileMap(TriangularMap):
             out = np.where(hi, fp[-1] + (x - xp[-1]) * slope, out)
         return out
 
-    def forward_prefix(self, P):
-        P = np.asarray(P, dtype=float)
-        out = np.empty_like(P)
-        for m in range(P.shape[1]):
-            u = self.prior.marginals[m].cdf(P[:, m])
+    def forward(self, Z):
+        Z = _rows(Z, self.dim)
+        out = np.empty_like(Z)
+        for m in range(self.dim):
+            u = self.prior.marginals[m].cdf(Z[:, m])
             out[:, m] = self._interp(u, self.levels, self.knots[m])
         return out
 

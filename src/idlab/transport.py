@@ -5,10 +5,8 @@ Every latent map answers one protocol: ``dim``, ``forward``, ``inverse``,
 
 A triangular monotone increasing (TMI) map sends coordinate ``m`` to a value
 that depends only on coordinates ``0..m`` and increases strictly in
-coordinate ``m``.  Each is written as a sweep over coordinates:
-``forward_prefix`` maps the first ``k`` input columns to the first ``k``
-output columns, and ``forward`` and every composition are built on it.  Each
-has an exact log-det.  Three representations cover the laboratory's needs:
+coordinate ``m``; its ``forward`` maps whole ``(n, d)`` rows, and each has an
+exact log-det.  Three representations cover the laboratory's needs:
 
 * ``AffineMap`` - lower-triangular matrix with positive diagonal plus offset;
 * ``CdfChainMap`` - the conditional-CDF recursion between two distributions,
@@ -66,13 +64,9 @@ class TriangularMap(abc.ABC):
         return self.dim
 
     @abc.abstractmethod
-    def forward_prefix(self, P):
-        """Apply the map to the first ``k`` coordinates only, (n, k) rows.
-
-        Output column ``m`` reads input columns ``0..m`` alone, so the first
-        ``k`` columns of ``forward`` equal ``forward_prefix`` on the first
-        ``k`` input columns.
-        """
+    def forward(self, Z):
+        """Apply the map to ``(n, d)`` rows; output column ``m`` reads input
+        columns ``0..m`` alone."""
         ...
 
     @abc.abstractmethod
@@ -84,9 +78,6 @@ class TriangularMap(abc.ABC):
     def inverted(self) -> "TriangularMap":
         """The inverse map as a TMI object."""
         ...
-
-    def forward(self, Z):
-        return self.forward_prefix(_rows(Z, self.dim))
 
     @abc.abstractmethod
     def log_det_jacobian(self, Z):
@@ -111,13 +102,11 @@ class AffineMap(TriangularMap):
         self.offset = _offset(offset, L.shape[0])
         self.dim = L.shape[0]
 
-    def forward_prefix(self, P):
+    def forward(self, Z):
         # the offset goes on, and in inverse comes off a copy, by column,
         # which is cheaper than broadcasting (see measures._add_offset)
-        P = np.asarray(P, dtype=float)
-        k = P.shape[1]
-        return _add_offset(_matmul_rows(P, self.matrix[:k, :k].T),
-                           self.offset[:k])
+        return _add_offset(_matmul_rows(_rows(Z, self.dim), self.matrix.T),
+                           self.offset)
 
     def inverse(self, X):
         X2 = _add_offset(np.array(_rows(X, self.dim)), -self.offset)
@@ -151,12 +140,11 @@ class CdfChainMap(TriangularMap):
         self.target = target
         self.dim = source.dim
 
-    def forward_prefix(self, P):
-        P = np.asarray(P, dtype=float)
-        n, k = P.shape
-        out = np.empty((n, k))
-        for m in range(k):
-            u = self.source.conditional_cdf(m, P[:, :m], P[:, m])
+    def forward(self, Z):
+        Z = _rows(Z, self.dim)
+        out = np.empty(Z.shape)
+        for m in range(self.dim):
+            u = self.source.conditional_cdf(m, Z[:, :m], Z[:, m])
             out[:, m] = self.target.conditional_quantile(m, out[:, :m], u)
         return out
 
@@ -166,7 +154,7 @@ class CdfChainMap(TriangularMap):
     def log_det_jacobian(self, Z):
         """Exact ``log p_source(z) - log p_target(T z)``."""
         Z2 = _rows(Z, self.dim)
-        X = self.forward_prefix(Z2)
+        X = self.forward(Z2)
         # the finiteness check decides, not numpy's error state or warnings
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             out = self.source.log_density(Z2) - self.target.log_density(X)
@@ -195,10 +183,10 @@ class ComposedMap(TriangularMap):
         self.parts = flat
         self.dim = parts[0].dim
 
-    def forward_prefix(self, P):
-        out = np.asarray(P, dtype=float)
+    def forward(self, Z):
+        out = _rows(Z, self.dim)
         for p in self.parts:
-            out = p.forward_prefix(out)
+            out = p.forward(out)
         return out
 
     def inverse(self, X):
@@ -216,7 +204,7 @@ class ComposedMap(TriangularMap):
         out = np.zeros(cur.shape[0])
         for p in self.parts:
             out = out + p.log_det_jacobian(cur)
-            cur = p.forward_prefix(cur)
+            cur = p.forward(cur)
         return out
 
 
