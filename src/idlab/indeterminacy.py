@@ -185,8 +185,16 @@ def generator_transform(gen_a, gen_b, probes=None):
 # identity and constraint predicates
 # ---------------------------------------------------------------------------
 
+def _check_probes(probes) -> None:
+    """Reject zero probe rows before any map is applied."""
+    if len(probes) == 0:
+        raise ValueError(
+            f"probes must hold >= 1 row, got shape {np.shape(probes)}")
+
+
 def identity_deviation(transform, probes):
     """(sup, rms) of ``transform(z) - z`` over the ``(n, d)`` probe rows."""
+    _check_probes(probes)
     return _sup_rms(transform.forward(probes) - probes)
 
 
@@ -205,6 +213,7 @@ def kernel_residual(suff_stat, transform, contrasts, probes) -> float:
     back, so a near-zero value certifies that the transform only moves
     statistics along the constraint kernel.
     """
+    _check_probes(probes)
     diff = suff_stat(probes) - suff_stat(transform.forward(probes))
     M = np.atleast_2d(np.asarray(contrasts, dtype=float))
     if M.shape[1] != diff.shape[1]:
@@ -219,6 +228,7 @@ def kernel_residual(suff_stat, transform, contrasts, probes) -> float:
 def fixed_coordinate_check(transform, coords, probes,
                            tol: float = 1e-8) -> FixedCoordinateReport:
     """Sup deviation from the identity on each of the named coordinates."""
+    _check_probes(probes)
     coords = [int(c) for c in coords]
     if not coords:
         raise ValueError("coordinate set must be non-empty")
@@ -324,7 +334,7 @@ def verify_multiview(views_a: dict, views_b: dict, prior: Distribution,
         transform = generator_transform(views_a[label], views_b[label],
                                         probes=z)
         values[label] = transform.forward(z)
-        sups[label], rmss[label] = identity_deviation(transform, z)
+        sups[label], rmss[label] = _sup_rms(values[label] - z)
     labels = sorted(values)
     disagreement = 0.0
     for i, a in enumerate(labels):

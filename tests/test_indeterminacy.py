@@ -101,6 +101,23 @@ def test_identity_deviation_known_shift():
     assert rms == pytest.approx(np.sqrt((9.0 + 16.0) / 2.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("check", [
+    lambda spy, probes: identity_deviation(Automorphism(2, spy, spy), probes),
+    lambda spy, probes: kernel_residual(spy, Automorphism(2, spy, spy), np.eye(2), probes),
+    lambda spy, probes: fixed_coordinate_check(Automorphism(2, spy, spy), [0], probes),
+], ids=["identity_deviation", "kernel_residual", "fixed_coordinate_check"])
+def test_empty_probes_are_rejected_before_any_map(check):
+    calls = []
+
+    def spy(Z):
+        calls.append(Z)
+        return Z
+
+    with pytest.raises(ValueError, match="probes"):
+        check(spy, np.zeros((0, 2)))
+    assert calls == []
+
+
 class TestKernelResidual:
     # contrast rows against an implicit base environment at the origin
     M = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
