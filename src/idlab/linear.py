@@ -110,18 +110,13 @@ def rotation_counterexample(mu1, mu2, generator: LinearGenerator):
 class SpanReport:
     spans: bool
     contrast_rank: int
-    raw_rank: int
-    stat_dim: int
-    n_envs: int
 
 
 def spanning_check(etas) -> SpanReport:
     """Do the contrasts ``etas[e] - etas[0]`` span the parameter space?"""
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
-    n_envs, K = etas.shape
     rank = _svd_rank(etas[1:] - etas[0])
-    return SpanReport(spans=bool(rank == K), contrast_rank=rank,
-                      raw_rank=_svd_rank(etas), stat_dim=K, n_envs=n_envs)
+    return SpanReport(spans=bool(rank == etas.shape[1]), contrast_rank=rank)
 
 
 @dataclass
