@@ -39,7 +39,7 @@ from .tasks import (TaskReport, TaskSpec, abs_diff_metric,
                     independence_test_task, latent_shift_task,
                     spearman_abs, sup_point_metric,
                     task_identifiability_check)
-from .experiments import (EXPERIMENTS, ExperimentResult, experiment_info,
-                          experiment_names, run_experiment)
+from .experiments import (EXPERIMENTS, ExperimentResult, experiment_names,
+                          run_experiment)
 
 __version__ = "0.1.0"

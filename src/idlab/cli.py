@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import IdlabError
-from .experiments import EXPERIMENTS, check_params, experiment_info
+from .experiments import EXPERIMENTS, check_params
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -227,23 +227,22 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    infos = [experiment_info(n) for n in EXPERIMENTS]
     if args.json:
-        print(json.dumps([{"name": i["name"], "anchor": i["anchor"]}
-                          for i in infos], indent=2))
+        print(json.dumps([{"name": n, "anchor": spec.anchor}
+                          for n, spec in EXPERIMENTS.items()], indent=2))
         return 0
-    width = max(len(i["name"]) for i in infos)
-    for i in infos:
-        print(f"{i['name']:<{width}}  {i['anchor']}")
+    width = max(map(len, EXPERIMENTS))
+    for n, spec in EXPERIMENTS.items():
+        print(f"{n:<{width}}  {spec.anchor}")
     return 0
 
 
 def _cmd_schema(args) -> int:
     schema = dict(CONFIG_SCHEMA)
     schema["x-experiments"] = {
-        n: {"anchor": info["anchor"], "defaults": info["defaults"],
-            "csv_columns": info["columns"]}
-        for n, info in ((n, experiment_info(n)) for n in EXPERIMENTS)}
+        n: {"anchor": spec.anchor, "defaults": spec.defaults,
+            "csv_columns": spec.columns}
+        for n, spec in EXPERIMENTS.items()}
     print(json.dumps(schema, indent=2, sort_keys=True))
     return 0
 

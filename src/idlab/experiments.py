@@ -34,8 +34,7 @@ from .transport import (AffineMap, Automorphism, component_wise_check,
                         jacobian_fd, kr_transport)
 
 __all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment",
-           "experiment_names", "experiment_info",
-           "check_params"]
+           "experiment_names", "check_params"]
 
 
 @dataclass
@@ -617,12 +616,6 @@ EXPERIMENTS = {
 
 def experiment_names():
     return list(EXPERIMENTS)
-
-
-def experiment_info(name: str) -> dict:
-    d = EXPERIMENTS[name]
-    return {"name": name, "anchor": d.anchor, "defaults": d.defaults,
-            "columns": d.columns}
 
 
 #: override types accepted for a default of each type; any other default

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from idlab import EXPERIMENTS, ExperimentResult, IdlabError, experiment_info, run_experiment
+from idlab import EXPERIMENTS, ExperimentResult, IdlabError, run_experiment
 from idlab.cli import _to_json
 from idlab.experiments import check_params
 
@@ -19,11 +19,10 @@ def test_registry_has_twelve_entries():
 
 
 def test_every_entry_documents_itself():
-    for name in EXPERIMENTS:
-        info = experiment_info(name)
-        assert info["anchor"].strip()
-        assert isinstance(info["defaults"], dict)
-        assert info["columns"]
+    for spec in EXPERIMENTS.values():
+        assert spec.anchor.strip()
+        assert isinstance(spec.defaults, dict)
+        assert spec.columns
 
 
 def test_every_list_default_declares_its_shape():
