@@ -1,6 +1,7 @@
 """Experiment registry contract."""
 
 import math
+import pathlib
 import re
 from dataclasses import asdict
 
@@ -23,6 +24,23 @@ def test_every_entry_documents_itself():
         assert spec.anchor.strip()
         assert isinstance(spec.defaults, dict)
         assert spec.columns
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_rows_carry_exactly_the_registered_columns(name):
+    # the CSV writer fills a missing key with a blank cell, so a renamed row
+    # key would otherwise leave a blank column and no error
+    rows = run_experiment(name, seed=7).rows
+    assert rows
+    for row in rows:
+        assert list(row) == EXPERIMENTS[name].columns
+
+
+def test_readme_experiment_table_is_the_registry():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Experiments\n", 1)[1].split("\n## ", 1)[0]
+    table = re.findall(r"^\| `([^`]+)` \| (.+) \|$", section, re.MULTILINE)
+    assert table == [(name, spec.anchor) for name, spec in EXPERIMENTS.items()]
 
 
 def test_every_list_default_declares_its_shape():
