@@ -1,13 +1,13 @@
 """Multi-environment models and desk-scale estimation routines.
 
-An environment set holds one latent prior per environment and an eta matrix
-whose row ``e`` is environment ``e``'s natural parameter in one `ExpFamily`,
-which supplies the carrier and statistic every environment shares.  On top
-of that the module provides the experiment plumbing: synthetic data
-generated as one block of observations per environment, the three
-validation clauses a strongly identifiable configuration must satisfy,
-and fitting routines whose outputs are triangular maps or, from the
-per-environment means alone, linear generators.
+An environment set is one `ExpFamily` and an eta matrix: environment
+``e``'s latent law is the family's member at eta row ``e``, and every
+environment shares the family's carrier and statistic.  On top of that the
+module provides the experiment plumbing: synthetic data generated as one
+block of observations per environment, the three validation clauses a
+strongly identifiable configuration must satisfy, and fitting routines
+whose outputs are triangular maps or, from the per-environment means alone,
+linear generators.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, RankDeficient, SingularCovariance)
 from .linear import LinearGenerator, _svd_rank, spanning_check
-from .measures import (ExpFamily, GaussianDistribution, ProductDistribution,
-                       _rows)
+from .measures import (ExpFamily, GaussianDistribution, Normal1D,
+                       ProductDistribution, _rows)
 from .transport import AffineMap, TriangularMap, kr_transport
 
 __all__ = [
@@ -38,43 +38,45 @@ __all__ = [
 
 
 class EnvironmentSet:
-    """Latent priors indexed by environment, tied to one exponential family.
+    """Latent laws indexed by environment, all in one exponential family.
 
     Row ``e`` of ``eta_matrix`` is the natural parameter of environment
-    ``e`` in ``family``, whose carrier and statistic every environment
-    shares.
+    ``e`` in ``family``: its law is ``family.at(eta_matrix[e])``.
     """
 
-    def __init__(self, priors, eta_matrix, family: ExpFamily):
-        self.priors = list(priors)
-        if not self.priors:
-            raise DimensionMismatch("need at least one environment")
-        dims = {p.dim for p in self.priors}
-        if len(dims) != 1:
-            raise DimensionMismatch("environment priors must share a dimension")
-        self.eta_matrix = np.atleast_2d(np.asarray(eta_matrix, dtype=float))
-        if self.eta_matrix.shape[0] != len(self.priors):
-            raise DimensionMismatch("one eta row per environment required")
+    def __init__(self, family: ExpFamily, eta_matrix):
         self.family = family
+        self.eta_matrix = np.atleast_2d(np.asarray(eta_matrix, dtype=float))
+        if self.eta_matrix.ndim != 2 or self.eta_matrix.shape[1] != family.dim:
+            raise DimensionMismatch("need (n_envs, family.dim) eta rows")
+        if not self.eta_matrix.shape[0]:
+            raise DimensionMismatch("need at least one environment")
+        if not np.all(np.isfinite(self.eta_matrix)):
+            raise ValueError("eta must be finite")
 
     @property
     def n_envs(self) -> int:
-        return len(self.priors)
+        return self.eta_matrix.shape[0]
 
     @property
     def latent_dim(self) -> int:
-        return self.priors[0].dim
+        return self.family.dim
+
+    @property
+    def means(self) -> np.ndarray:
+        """``(n_envs, latent_dim)`` latent means, which are the eta rows of a
+        family of unit-variance normals at natural parameter = mean."""
+        if self.family.member is not Normal1D:
+            raise TypeError("eta rows are the means only of Normal1D members")
+        return self.eta_matrix
 
     @classmethod
     def gaussian_mean_envs(cls, means) -> "EnvironmentSet":
-        """Unit-covariance Gaussians whose natural parameters are the means.
-
-        The priors stay ``GaussianDistribution``s, which sample in closed form.
-        """
+        """Unit-covariance Gaussians whose natural parameters are the means."""
         means = np.atleast_2d(np.asarray(means, dtype=float))
-        d = means.shape[1]
-        priors = [GaussianDistribution(mu, np.eye(d)) for mu in means]
-        return cls(priors, means, ExpFamily.gaussian_mean_family(means[0]))
+        if not means.shape[0]:
+            raise DimensionMismatch("need at least one environment")
+        return cls(ExpFamily.gaussian_mean_family(means[0]), means)
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ class EnvironmentData:
     """Observations stacked in one block per environment.
 
     ``x`` has shape ``(n_envs, n_per_env, obs_dim)``; ``x[e]`` is the block
-    of environment ``e``, in prior order.
+    of environment ``e``, in eta-row order.
     """
 
     x: np.ndarray
@@ -101,7 +103,7 @@ class EnvironmentData:
 def generate_environment_data(envset: EnvironmentSet, generator,
                               n_per_env: int,
                               rng: np.random.Generator) -> EnvironmentData:
-    """Push ``n_per_env`` latent draws per prior through the generator.
+    """Push ``n_per_env`` latent draws per environment through the generator.
 
     The observations are noiseless, so every row lies on the generator's
     range.
@@ -109,8 +111,8 @@ def generate_environment_data(envset: EnvironmentSet, generator,
     if n_per_env <= 0:
         raise ValueError("n_per_env must be positive")
     return EnvironmentData(np.stack(
-        [generator.forward(prior.sample(rng, n_per_env))
-         for prior in envset.priors]))
+        [generator.forward(envset.family.at(eta).sample(rng, n_per_env))
+         for eta in envset.eta_matrix]))
 
 
 @dataclass
@@ -290,13 +292,12 @@ def fit_marginal_quantile_transport(samples, target_prior: ProductDistribution,
 def fit_env_affine_generator(means, envset: EnvironmentSet):
     """Recover an affine generator from per-environment observation means.
 
-    Solves ``means[e] ~ b + W mu_e``, one row per prior, by least squares;
-    with latent-mean anchors spanning the latent space this pins the full
-    matrix ``W`` including any rotation part.  Requires at least
+    Solves ``means[e] ~ b + W mu_e``, one row per environment, by least
+    squares; with latent-mean anchors spanning the latent space this pins
+    the full matrix ``W`` including any rotation part.  Requires at least
     ``latent_dim + 1`` environments in general position.
     """
-    mus = np.array([np.asarray(p.mean, dtype=float) for p in envset.priors])
-    coef, *_ = np.linalg.lstsq(_affine_design(mus), means, rcond=None)
+    coef, *_ = np.linalg.lstsq(_affine_design(envset.means), means, rcond=None)
     return LinearGenerator(coef[1:].T, coef[0])
 
 

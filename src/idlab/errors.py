@@ -25,8 +25,8 @@ class IdlabError(Exception):
 
 
 class BracketFailure(IdlabError):
-    """A quantile cannot be found: a tilted marginal's CDF table carries no
-    mass, or a mixture quantile is still open after its Newton step cap."""
+    """A quantile cannot be found: a mixture quantile is still open after
+    its Newton step cap."""
 
 
 class DimensionMismatch(IdlabError):

@@ -247,7 +247,7 @@ def _exact_block_means(envset, generator, n_per_env, rng):
     """Means of ``n_per_env`` rows per environment, from their exact law:
     for z ~ N(mu_e, I) and x = W z + b the mean of h rows is
     W (mu_e + xi / sqrt(h)) + b with xi ~ N(0, I)."""
-    mus = envset.eta_matrix  # a Gaussian-mean set's eta rows are its means
+    mus = envset.means
     return generator.forward(mus + rng.standard_normal(mus.shape)
                              / math.sqrt(n_per_env))
 
@@ -649,7 +649,7 @@ def _fits(value, shape, sizes) -> bool:
 
 
 #: open interval each named float param must lie in, in every experiment
-#: that registers it: tolerances and bounds are positive, alpha a level
+#: that registers it: tolerances and limits are positive, alpha a level
 _RANGES = {key: (0.0, math.inf)
            for key in ("tol", "tol_constraint", "min_distance", "max_cond",
                        "resid_factor", "ks_ratio_min", "null_bound")}

@@ -10,12 +10,11 @@ CDF, started and bracketed by a cached table of that CDF.  So every
 distribution supports Rosenblatt-style resampling and triangular transport.
 
 `ExpFamily` is the conditionally factorial exponential family of the iVAE
-prior: a product of 1-D tilted laws that share one scalar carrier, statistic
-and log-partition, each with its own natural parameter.  It carries those
+prior: a product of 1-D laws that share one scalar carrier, statistic and
+log-partition, each with its own natural parameter.  It carries those
 callables explicitly, which is what the environment and indeterminacy
-machinery consumes.  Each marginal tabulates its CDF once on a quadrature
-grid and inverts that table exactly, so the family has no dimension limit
-and takes O(d * grid) memory.
+machinery consumes, and each coordinate's law is the family's closed-form
+member at its natural parameter, so the family samples and inverts exactly.
 """
 
 from __future__ import annotations
@@ -51,10 +50,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _P_FLOOR = 1e-300
 _P_CEIL = 1.0 - 1e-16
 
-# Knots of an exponential-family marginal's CDF table, which is the law
-# itself: 64 KB of grid and CDF per marginal.
-_TABLE_POINTS = 4097
-
 # Knots of a Gaussian mixture's CDF table, which only starts the Newton
 # steps: grid, CDF and density take 48 KB.  Its bucket index splits [0, 1]
 # into _BUCKETS equal parts; a probability's segment is found by at most
@@ -62,19 +57,6 @@ _TABLE_POINTS = 4097
 _MIXTURE_POINTS = 2049
 _BUCKETS = 1024
 _BUCKET_STEPS = 4
-
-
-def _invert_table(grid, cdf, p):
-    """Invert a nondecreasing CDF table, piecewise linearly, at ``p``.
-
-    Every ``p`` must lie in ``(cdf[0], cdf[-1]]`` or be NaN.  It is solved
-    linearly on the first segment ``k`` whose right end reaches it.  A NaN
-    sorts past every knot; it is held on the last segment, where it gives
-    NaN.
-    """
-    k = np.minimum(np.searchsorted(cdf, p, side="left"), cdf.size - 1)
-    c0, x0 = cdf[k - 1], grid[k - 1]
-    return x0 + (p - c0) / (cdf[k] - c0) * (grid[k] - x0)
 
 
 def _log_sum_exp(a, b):
@@ -619,98 +601,40 @@ class ProductDistribution(Distribution):
         return self.marginals[m].ppf(p)
 
 
-def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
-    """``scipy.integrate.cumulative_simpson(y, dx=dx)`` on >= 3 points, to
-    its bits: interval k integrates its left (h1) or, at odd k and the last
-    interval, its right (h2) three-point neighbourhood."""
-    def h1(f):
-        return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
-    h2 = h1(y[::-1])[::-1]
-    parts = np.empty(y.shape[0] - 1)
-    parts[:-1:2], parts[1::2], parts[-1] = h1(y)[::2], h2[::2], h2[-1]
-    return np.cumsum(parts)
-
-
-class _TiltedMarginal(Univariate):
-    """Scalar tilted law  q(x) exp(eta T(x) - A(eta))  on a truncated interval.
-
-    Its CDF is a piecewise-linear table on ``_TABLE_POINTS`` knots, built
-    lazily.
-    """
-
-    def __init__(self, log_base, suff_stat, log_partition, eta, bounds):
-        self.log_base = log_base
-        self.suff_stat = suff_stat
-        self.eta = float(eta)
-        self.support = (float(bounds[0]), float(bounds[1]))
-        self._log_a = float(log_partition(self.eta))
-        self._table = None
-
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.log_base(x) + self.eta * self.suff_stat(x) - self._log_a
-
-    def _cdf_table(self):
-        """The grid and its normalized CDF, built once."""
-        if self._table is None:
-            grid = np.linspace(*self.support, _TABLE_POINTS)
-            cdf = np.concatenate([[0.0], _cumulative_simpson(
-                np.exp(self.log_pdf(grid)), grid[1] - grid[0])])
-            cdf = np.maximum.accumulate(cdf)
-            if cdf[-1] <= 0:
-                raise BracketFailure("tilted marginal has no mass on its box")
-            self._table = (grid, cdf / cdf[-1])
-        return self._table
-
-    def cdf(self, x):
-        grid, cdf = self._cdf_table()
-        return np.interp(x, grid, cdf, left=0.0, right=1.0)
-
-    def ppf(self, p):
-        """Exact inverse of the tabulated ``cdf``.
-
-        ``p`` is clipped to ``[_P_FLOOR, _P_CEIL]``, strictly inside the
-        table's ``[0, 1]``, so ``_invert_table`` solves it on a segment; a
-        NaN probability gives NaN.
-        """
-        grid, cdf = self._cdf_table()
-        p = np.clip(np.asarray(p, dtype=float), _P_FLOOR, _P_CEIL)
-        return _invert_table(grid, cdf, p)
-
-    def sample(self, rng, n):
-        return self.ppf(rng.random(n))
-
-
 class ExpFamily(ProductDistribution):
     """Conditionally factorial exponential family, the iVAE prior.
 
     The density is  prod_i q(z_i) exp(eta_i T(z_i) - A(eta_i)): every
     coordinate shares one scalar carrier ``log_base`` (log q), statistic
     ``suff_stat`` (T) and partition ``log_partition`` (A), and has its own
-    natural parameter and ``(lo, hi)`` bounds, chosen so the tail mass
-    outside them is below 1e-12.  Those callables act elementwise, and the
-    methods of the same names apply them across coordinates, so density
-    ratios and kernel diagnostics can be formed symbolically in eta.  Each
-    marginal tabulates its CDF once on its interval and inverts the table
-    exactly, so the family works in any dimension with O(d * grid) memory.
+    natural parameter.  Those callables act elementwise, and the methods of
+    the same names apply them across coordinates, so density ratios and
+    kernel diagnostics can be formed symbolically in eta.  ``member`` maps
+    one natural parameter to that coordinate's law in closed form, so the
+    family samples and inverts its marginals exactly in any dimension.
     """
 
-    def __init__(self, log_base, suff_stat, log_partition, eta, bounds):
+    def __init__(self, log_base, suff_stat, log_partition, eta, member):
         self.eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        bounds = np.asarray(bounds, dtype=float)
-        if self.eta.ndim != 1 or bounds.shape != (self.eta.size, 2):
-            raise DimensionMismatch("need one (lo, hi) row per eta entry")
+        if self.eta.ndim != 1:
+            raise DimensionMismatch("need one natural parameter per coordinate")
+        if not np.all(np.isfinite(self.eta)):
+            raise ValueError("eta must be finite")
         self._scalar = (log_base, suff_stat, log_partition)
-        super().__init__([_TiltedMarginal(*self._scalar, e, b)
-                          for e, b in zip(self.eta, bounds)])
+        self.member = member
+        super().__init__([member(e) for e in self.eta])
 
     @classmethod
     def gaussian_mean_family(cls, eta):
-        """Normal with identity covariance, natural parameter = mean."""
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        bounds = np.column_stack([eta - 12.0, eta + 12.0])
+        """Normal with identity covariance, natural parameter = mean: each
+        member is ``Normal1D(eta_i, 1)``."""
         return cls(lambda x: -0.5 * x * x - 0.5 * _LOG_2PI, lambda x: x,
-                   lambda e: 0.5 * e * e, eta, bounds=bounds)
+                   lambda e: 0.5 * e * e, eta, Normal1D)
+
+    def at(self, eta) -> "ExpFamily":
+        """This family (carrier, statistic, partition and ``member``) at the
+        natural parameters ``eta``."""
+        return ExpFamily(*self._scalar, eta, self.member)
 
     def log_base(self, z):
         """Log carrier  sum_i log q(z_i)  of each row."""

@@ -424,10 +424,10 @@ def test_console_entry_point(tmp_path):
 
 
 def test_import_leaves_scipy_stats_integrate_and_linalg_unloaded(tmp_path):
-    # the library computes its KS critical values, midranks, triangular
-    # solves and exponential-family tables with numpy and scipy.special, so
-    # neither a full suite run nor an ExpFamily draw loads the larger
-    # subpackages
+    # the library computes its KS critical values, midranks and triangular
+    # solves with numpy and scipy.special, and an ExpFamily draws from its
+    # closed-form members, so neither a full suite run nor an ExpFamily draw
+    # loads the larger subpackages
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"experiment": "all", "seed": 7}))
     code = "\n".join([

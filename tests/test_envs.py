@@ -17,6 +17,7 @@ from idlab import (
     GaussianDistribution,
     Laplace1D,
     LinearGenerator,
+    Normal1D,
     ProductDistribution,
     affine_relation_fit,
     fit_env_affine_generator,
@@ -27,7 +28,7 @@ from idlab import (
     stream,
     validate_strong_vae_config,
 )
-from idlab.errors import RankDeficient, SingularCovariance
+from idlab.errors import DimensionMismatch, RankDeficient, SingularCovariance
 from idlab.experiments import (EXPERIMENTS, _equilateral_means, _exact_block_means,
                                _exact_moments, _rotation)
 
@@ -40,20 +41,44 @@ class TestGaussianMeanEnvs:
     def test_priors_have_declared_means(self):
         es = EnvironmentSet.gaussian_mean_envs(MEANS)
         assert es.n_envs == 3 and es.latent_dim == 2
-        for mu, prior in zip(MEANS, es.priors):
-            assert_allclose(prior.mean, mu, atol=0)
-            assert_allclose(prior.cov, np.eye(2), atol=0)
+        assert_array_equal(es.eta_matrix, MEANS)
+        # the mean fits read the very eta array
+        assert es.means is es.eta_matrix
 
     def test_priors_are_the_family_at_each_eta_row(self):
-        # each prior is the declared family at its eta row, and a shifted
-        # eta matrix is not
+        # environment e's law is N(mean_e, I), and a shifted eta row's is not
         es = EnvironmentSet.gaussian_mean_envs(MEANS)
         z = probe_grid(2)
-        for prior, eta in zip(es.priors, es.eta_matrix):
-            fam = ExpFamily.gaussian_mean_family(eta)
-            assert_allclose(fam.log_density(z), prior.log_density(z), rtol=0, atol=1e-12)
-            shifted = ExpFamily.gaussian_mean_family(eta + 0.5)
-            assert np.abs(shifted.log_density(z) - prior.log_density(z)).max() > 0.01
+        for mu in MEANS:
+            law = es.family.at(mu)
+            ref = GaussianDistribution(mu, np.eye(2))
+            assert_allclose(law.log_density(z), ref.log_density(z), rtol=0, atol=1e-12)
+            shifted = es.family.at(mu + 0.5)
+            assert np.abs(shifted.log_density(z) - ref.log_density(z)).max() > 0.01
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_eta_in_a_later_row_is_rejected(self, bad):
+        means = MEANS.copy()
+        means[1, 0] = bad
+        with pytest.raises(ValueError, match="eta must be finite"):
+            EnvironmentSet.gaussian_mean_envs(means)
+
+    def test_empty_set_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="at least one environment"):
+            EnvironmentSet.gaussian_mean_envs(np.zeros((0, 2)))
+        with pytest.raises(DimensionMismatch, match="at least one environment"):
+            EnvironmentSet(ExpFamily.gaussian_mean_family([0.0, 0.0]), np.zeros((0, 2)))
+
+    def test_eta_rows_must_match_the_family(self):
+        with pytest.raises(DimensionMismatch):
+            EnvironmentSet(ExpFamily.gaussian_mean_family([0.0, 0.0]), np.zeros((3, 3)))
+
+    def test_means_need_mean_parametrized_members(self):
+        # N(2 eta, 1) has statistic 2x, so its eta rows are half its means
+        fam = ExpFamily(lambda x: -0.5 * x * x - 0.5 * np.log(2 * np.pi), lambda x: 2.0 * x,
+                        lambda e: 2.0 * e * e, [0.0, 0.0], lambda e: Normal1D(2.0 * e))
+        with pytest.raises(TypeError, match="Normal1D"):
+            EnvironmentSet(fam, MEANS).means
 
 
 def test_spanning_check_ranks():
@@ -86,10 +111,11 @@ class TestEnvironmentData:
         # noiseless: observations sit exactly on the generator's range
         x = data.x.reshape(-1, 3)
         assert_allclose(self.gen.forward(self.gen.inverse(x)), x, rtol=0, atol=1e-12)
-        # block e holds prior e's draws, taken in prior order from one stream
+        # block e holds environment e's draws, taken in eta-row order from
+        # one stream
         rng = stream(41, 0)
-        for block, prior in zip(data.x, self.es.priors):
-            assert_array_equal(block, self.gen.forward(prior.sample(rng, 50)))
+        for block, eta in zip(data.x, self.es.eta_matrix):
+            assert_array_equal(block, self.gen.forward(self.es.family.at(eta).sample(rng, 50)))
 
 
 def test_generation_and_split_peak_memory():
