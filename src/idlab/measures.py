@@ -7,7 +7,11 @@ laws and products of normal, Laplace or logistic marginals give their
 conditional quantiles in closed form.  The Gaussian mixture marginal is
 the one law whose quantile is found iteratively: Newton steps on its exact
 CDF, started and bracketed by a cached table of that CDF.  So every
-distribution supports Rosenblatt-style resampling and triangular transport.
+distribution supports Rosenblatt-style resampling and triangular transport:
+`rosenblatt` and `inverse_rosenblatt` sweep whole rows through the
+conditionals, with the per-coordinate methods' bits.  Elementwise work on
+rows goes by column (`_add_offset`, the mixture's component columns): it
+gives the bits of numpy's broadcast without its slow loop over short rows.
 
 `ExpFamily` is the conditionally factorial exponential family of the iVAE
 prior: a product of 1-D laws that share one scalar carrier, statistic and
@@ -20,6 +24,7 @@ member at its natural parameter, so the family samples and inverts exactly.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 
 import numpy as np
@@ -59,28 +64,30 @@ _BUCKETS = 1024
 _BUCKET_STEPS = 4
 
 
-def _log_sum_exp(a, b):
-    """``scipy.special.logsumexp(a, axis=-1, b=b)`` for real ``a`` and
-    positive weights ``b``, to its bits: SciPy 1.17's steps, op for op.
+def _log_sum_exp(cols, b):
+    """``scipy.special.logsumexp(a, axis=-1, b=b)`` for the columns ``cols``
+    of real ``a`` and positive weights ``b``, to its bits: SciPy 1.17's
+    steps, op for op, each a pass over whole columns.
 
     The largest term of each row is split off (``m`` sums the weights of
     its ties) and the rest are summed shifted by it, as
     ``log1p(s / m) + log(m) + a_max``.  Where that is not finite, as at
     ``a_max = -inf``, it is replaced by the direct ``log(sum(b exp(a)))``.
-    Floating-point errors are ignored in both, as SciPy ignores them.
+    Floating-point errors are ignored in both, as SciPy ignores them.  Sums
+    run left to right, numpy's order for fewer than eight terms.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        a_max = np.max(a, axis=-1, keepdims=True)
-        mask = a == a_max
-        m = np.sum(b * mask, axis=-1, keepdims=True)
-        s = np.sum(b * np.exp(np.where(mask, -np.inf, a) - a_max),
-                   axis=-1, keepdims=True)
+        a_max = functools.reduce(np.maximum, cols)
+        mask = [c == a_max for c in cols]
+        m = sum(w * t for w, t in zip(b, mask))
+        s = sum(w * np.exp(np.where(t, -np.inf, c) - a_max)
+                for w, t, c in zip(b, mask, cols))
         s = np.where(s == 0, s, s / m)
-        out = (np.log1p(s) + np.log(m) + a_max)[..., 0]
+        out = np.asarray(np.log1p(s) + np.log(m) + a_max)
     bad = ~np.isfinite(out)
     if np.any(bad):
         with np.errstate(all="ignore"):
-            out[bad] = np.log(np.sum(b * np.exp(a[bad]), axis=-1))
+            out[bad] = np.log(sum(w * np.exp(c[bad]) for w, c in zip(b, cols)))
     return out[()]
 
 
@@ -157,9 +164,9 @@ class Laplace1D(_LocScale):
 
     def ppf(self, p):
         p = np.asarray(p, dtype=float)
-        lower = self.loc + self.scale * np.log(2.0 * np.minimum(p, 0.5))
-        upper = self.loc - self.scale * np.log(2.0 * np.minimum(1.0 - p, 0.5))
-        return np.where(p < 0.5, lower, upper)
+        t = np.log(2.0 * np.minimum(p, 1.0 - p))  # one log: p or the exact 1 - p
+        t *= np.copysign(self.scale, p - 0.5)
+        return self.loc - t
 
     def sample(self, rng, n):
         return rng.laplace(self.loc, self.scale, n)
@@ -215,9 +222,11 @@ class GaussianMixture1D(Univariate):
         return u
 
     def log_pdf(self, x):
-        u = self._args(np.asarray(x, dtype=float))
-        comp = -0.5 * u * u - np.log(self.scales) - 0.5 * _LOG_2PI
-        return _log_sum_exp(comp, self.weights)
+        u = [(np.asarray(x, dtype=float) - loc) / scale
+             for loc, scale in zip(self.locs, self.scales)]
+        return _log_sum_exp([-0.5 * v * v - log_s - 0.5 * _LOG_2PI
+                             for v, log_s in zip(u, np.log(self.scales))],
+                            self.weights)
 
     def cdf(self, x):
         return special.ndtr(self._args(np.asarray(x, dtype=float))) @ self.weights
@@ -315,16 +324,16 @@ class GaussianMixture1D(Univariate):
         return x, lo, hi
 
     def _solve(self, q):
-        """The quantiles of ``ppf`` at clipped, non-NaN probabilities."""
+        """The quantiles of ``ppf`` at clipped, non-NaN probabilities; the
+        loop keeps the open rows alone and writes each step's ``x`` once."""
         x, lo, hi = self._start(q)
+        out, rows = x, np.arange(q.size)
         curv_w = self._dens_w / self.scales
-        live = np.arange(q.size)
         for _ in range(100):
-            xs = x[live]
-            u = self._args(xs)
-            f = special.ndtr(u) @ self.weights - q[live]
-            lo_l = np.where(f < 0, xs, lo[live])
-            hi_l = np.where(f > 0, xs, hi[live])
+            u = self._args(x)
+            f = special.ndtr(u) @ self.weights - q
+            lo = np.where(f < 0, x, lo)
+            hi = np.where(f > 0, x, hi)
             e = np.exp(-0.5 * u * u)
             slope = e @ self._dens_w
             with np.errstate(all="ignore"):
@@ -333,22 +342,22 @@ class GaussianMixture1D(Univariate):
                 left = np.abs(np.multiply(u, e, out=e) @ curv_w / slope)
                 left *= 0.5 * step * step
             del u, e, f, slope  # before the update's temporaries
-            newton = xs - step
-            tol = 1e-14 * (1.0 + np.abs(xs))
+            newton = x - step
+            tol = 1e-14 * (1.0 + np.abs(x))
             close = np.abs(step) <= tol
-            strict = (newton > lo_l) & (newton < hi_l)
-            x[live] = np.where(close | strict, np.clip(newton, lo_l, hi_l),
-                               0.5 * (lo_l + hi_l))
-            lo[live], hi[live] = lo_l, hi_l
-            done = close | (strict & (left <= 0.02 * tol)) | (hi_l - lo_l <= tol)
-            live = live[~done]
-            if not live.size:
+            strict = (newton > lo) & (newton < hi)
+            x = np.where(close | strict, np.clip(newton, lo, hi),
+                         0.5 * (lo + hi))
+            out[rows] = x
+            keep = ~(close | (strict & (left <= 0.02 * tol)) | (hi - lo <= tol))
+            if not keep.any():
                 break
+            x, lo, hi, q, rows = x[keep], lo[keep], hi[keep], q[keep], rows[keep]
         else:
             raise BracketFailure(
-                f"mixture quantile did not converge for {live.size} of "
-                f"{q.size} probabilities in 100 Newton steps")
-        return x
+                f"mixture quantile did not converge for {rows.size} of "
+                f"{out.size} probabilities in 100 Newton steps")
+        return out
 
     def sample(self, rng, n):
         idx = rng.choice(self.weights.size, size=n, p=self.weights)
@@ -489,6 +498,24 @@ class Distribution(abc.ABC):
         """
         ...
 
+    def rosenblatt(self, X):
+        """The conditional-CDF sweep of ``(n, dim)`` rows, F-ordered: column
+        ``m`` is ``conditional_cdf(m, X[:, :m], X[:, m])``."""
+        X = _rows(X, self.dim)
+        U = np.empty(X.shape, order="F")
+        for m in range(self.dim):
+            U[:, m] = self.conditional_cdf(m, X[:, :m], X[:, m])
+        return U
+
+    def inverse_rosenblatt(self, U):
+        """The rows ``X`` whose ``rosenblatt`` is ``U``, solved column by
+        column as ``conditional_quantile(m, X[:, :m], U[:, m])``."""
+        U = _rows(U, self.dim)
+        X = np.empty(U.shape)
+        for m in range(self.dim):
+            X[:, m] = self.conditional_quantile(m, X[:, :m], U[:, m])
+        return X
+
     @abc.abstractmethod
     def sample(self, rng: np.random.Generator, n: int):
         """``n`` independent rows, shape ``(n, dim)``, drawn from ``rng``."""
@@ -537,24 +564,60 @@ class GaussianDistribution(Distribution):
             self._cond_cache[m] = (beta, math.sqrt(max(var, 0.0)))
         return self._cond_cache[m]
 
-    def _cond_moments(self, m, prefix):
+    def _moments(self, m, centred, out):
+        """Coordinate ``m``'s conditional mean, in ``out``, and sd: ``mean[m]``
+        plus the gemv ``centred[:, :m] @ beta`` on the prefix columns less
+        their means, or ``mean[0]`` itself."""
         beta, sd = self._cond_coef(m)
-        mu = self.mean[m] + (prefix - self.mean[:m]) @ beta
-        return mu, sd
+        if m == 0:
+            out[...] = self.mean[0]
+        else:
+            np.matmul(centred[:, :m], beta, out=out)
+            out += self.mean[m]
+        return out, sd
+
+    def _cond_moments(self, m, prefix):
+        """``_moments`` given ``(n, m)`` prefix rows, the mean a new array."""
+        return self._moments(m, _add_offset(np.array(prefix), -self.mean[:m]),
+                             np.empty(prefix.shape[0]))
+
+    @staticmethod
+    def _cdf(mu, sd, values):
+        """``ndtr((values - mu) / sd)``, formed in ``mu``."""
+        u = np.subtract(values, mu, out=mu)
+        u /= sd
+        return special.ndtr(u, out=u)
 
     def conditional_cdf(self, m, prefix, values):
         prefix2, v2 = self._prep_conditional(m, prefix, values)
-        mu, sd = self._cond_moments(m, prefix2)
-        # mu is a fresh array: the standardized values and their CDF overwrite it
-        u = np.subtract(v2, mu, out=mu)
-        u /= sd
-        return special.ndtr(u, out=u)
+        return self._cdf(*self._cond_moments(m, prefix2), v2)
 
     def conditional_quantile(self, m, prefix, p):
         """Closed form ``mu + sd * ndtri(p)``."""
         prefix2, p2 = self._prep_conditional(m, prefix, p)
         mu, sd = self._cond_moments(m, prefix2)
         return mu + sd * special.ndtri(np.clip(p2, _P_FLOOR, _P_CEIL))
+
+    def rosenblatt(self, X):
+        """The sweep, the prefix centred once into one C-ordered block."""
+        X = _rows(X, self.dim)
+        centred = _add_offset(np.array(X[:, :-1]), -self.mean[:-1])
+        U = np.empty(X.shape, order="F")
+        for m in range(self.dim):
+            self._cdf(*self._moments(m, centred, U[:, m]), X[:, m])
+        return U
+
+    def inverse_rosenblatt(self, U):
+        """The sweep, each solved column centred into one C-ordered block."""
+        U = _rows(U, self.dim)
+        centred = np.empty((U.shape[0], self.dim - 1))
+        X = np.empty(U.shape)
+        for m in range(self.dim):
+            x, sd = self._moments(m, centred, X[:, m])
+            x += sd * special.ndtri(np.clip(U[:, m], _P_FLOOR, _P_CEIL))
+            if m < self.dim - 1:
+                np.subtract(x, self.mean[m], out=centred[:, m])
+        return X
 
     def sample(self, rng, n):
         """``mean + L e`` per row; the mean goes on by column."""
@@ -593,6 +656,22 @@ class ProductDistribution(Distribution):
         """The marginal's quantile."""
         _, p2 = self._prep_conditional(m, prefix, p)
         return self.marginals[m].ppf(np.clip(p2, _P_FLOOR, _P_CEIL))
+
+    def rosenblatt(self, X):
+        """Each marginal's CDF on its own column."""
+        X = _rows(X, self.dim)
+        U = np.empty(X.shape, order="F")
+        for m, marg in enumerate(self.marginals):
+            U[:, m] = marg.cdf(X[:, m])
+        return U
+
+    def inverse_rosenblatt(self, U):
+        """Each marginal's quantile on its own column."""
+        U = _rows(U, self.dim)
+        X = np.empty(U.shape)
+        for m, marg in enumerate(self.marginals):
+            X[:, m] = marg.ppf(np.clip(U[:, m], _P_FLOOR, _P_CEIL))
+        return X
 
     def sample(self, rng, n):
         return np.column_stack([marg.sample(rng, n) for marg in self.marginals])

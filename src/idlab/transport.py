@@ -126,11 +126,10 @@ class CdfChainMap(TriangularMap):
 
     Coordinate ``m`` sends ``x_m`` through the source conditional CDF given
     the raw prefix, then through the target conditional quantile given the
-    already-mapped prefix.  The mapped prefix acts as the per-point cache of
-    earlier components, so a full evaluation is a single coordinate sweep.
-    Gaussian and closed-form product targets give the quantile in closed
-    form; others invert their conditional CDF.  The log-det is the exact
-    density ratio ``log p_source(z) - log p_target(T z)`` of a KR map.
+    already-mapped prefix: the source's Rosenblatt sweep, then the target's
+    inverse sweep.  Gaussian and closed-form product targets give the
+    quantile in closed form; others invert their conditional CDF.  The
+    log-det is the exact KR density ratio ``log p_src(z) - log p_tgt(T z)``.
     """
 
     def __init__(self, source: Distribution, target: Distribution):
@@ -141,12 +140,7 @@ class CdfChainMap(TriangularMap):
         self.dim = source.dim
 
     def forward(self, Z):
-        Z = _rows(Z, self.dim)
-        out = np.empty(Z.shape)
-        for m in range(self.dim):
-            u = self.source.conditional_cdf(m, Z[:, :m], Z[:, m])
-            out[:, m] = self.target.conditional_quantile(m, out[:, :m], u)
-        return out
+        return self.target.inverse_rosenblatt(self.source.rosenblatt(Z))
 
     def inverse(self, X):
         return self.inverted().forward(X)
@@ -258,7 +252,7 @@ class Automorphism:
             return _add_offset(_matmul_rows(Z, M.T), b)
 
         def inv(X):
-            return _matmul_rows(X - b, Minv.T)
+            return _matmul_rows(_add_offset(np.array(X), -b), Minv.T)
 
         return cls(d, fwd, inv, float(np.linalg.slogdet(M)[1]))
 
@@ -299,12 +293,9 @@ def rosenblatt(dist: Distribution, X) -> np.ndarray:
     """Conditional-CDF transform of ``dist`` applied to rows of ``X``.
 
     Under ``X ~ dist`` every output column is i.i.d. uniform on (0, 1).
+    The columns are contiguous, for the KS sorts.
     """
-    X2 = _rows(X, dist.dim)
-    U = np.empty(X2.shape, order="F")  # columns contiguous for the KS sorts
-    for m in range(dist.dim):
-        U[:, m] = dist.conditional_cdf(m, X2[:, :m], X2[:, m])
-    return U
+    return dist.rosenblatt(X)
 
 
 def _ks_uniform_stats(U: np.ndarray) -> np.ndarray:

@@ -77,6 +77,22 @@ def test_laplace_cdf_one_exponential_equals_two():
         assert got.tobytes() == want.tobytes()
 
 
+def test_laplace_ppf_one_log_equals_two():
+    # min(p, 1 - p) is p below 1/2 and the exact 1 - p above, so one log
+    # serves both tails; signed zeros, the clip edges, p outside [0, 1]
+    # and NaN included
+    p = np.concatenate([[0.0, -0.0, 0.5, 1.0, 1e-300, 1e-17, 1.0 - 1e-16, 0.5 - 1e-17,
+                         0.5 + 2e-16, -0.1, 1.1, np.inf, -np.inf, np.nan],
+                        stream(27, 0).random(10_000)])
+    for law in (Laplace1D(), Laplace1D(-0.0, 0.4), Laplace1D(0.3, 1.3)):
+        with np.errstate(all="ignore"):
+            lower = law.loc + law.scale * np.log(2.0 * np.minimum(p, 0.5))
+            upper = law.loc - law.scale * np.log(2.0 * np.minimum(1.0 - p, 0.5))
+            want = np.where(p < 0.5, lower, upper)
+            got = law.ppf(p)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_laplace_cdf_far_tail_raises_nothing():
     # the upper tail used to form exp(u) too, which overflows at u = 710
     # although the CDF there is 1
@@ -104,11 +120,12 @@ def test_log_sum_exp_equals_scipy_bits(k):
     a, w = _log_sum_exp_cases(100_000, k, 26)
     want = scipy.special.logsumexp(a, axis=-1, b=w)
     assert np.isnan(want).any() and np.isneginf(want).any() and np.isposinf(want).any()
-    assert _log_sum_exp(a, w).tobytes() == want.tobytes()
+    cols = [a[:, j] for j in range(k)]
+    assert _log_sum_exp(cols, w).tobytes() == want.tobytes()
     with np.errstate(**_RAISE):
-        assert _log_sum_exp(a, w).tobytes() == want.tobytes()
+        assert _log_sum_exp(cols, w).tobytes() == want.tobytes()
     for row in (a[0], a[2], a[3]):
-        got = _log_sum_exp(row, w)
+        got = _log_sum_exp(list(row), w)
         assert type(got) is np.float64
         assert np.array_equal(got, scipy.special.logsumexp(row, axis=-1, b=w), equal_nan=True)
 
@@ -348,6 +365,98 @@ def test_closed_form_quantile_edges_and_scalars(dist):
         one = dist.conditional_quantile(m, z[:1, :m], np.array([0.3]))
         assert one.shape == (1,) and one.dtype == np.float64
         assert_allclose(one, dist.conditional_quantile(m, z[:, :m], np.full(2, 0.3))[:1], rtol=1e-14)
+
+
+def _sweep_rows(d, n, seed):
+    """``(n, d)`` points and probabilities with ±0, the far tails and the
+    clip edges among their rows."""
+    rng = stream(seed, d)
+    x = rng.normal(scale=2.0, size=(n, d))
+    x[:6] = np.array([0.0, -0.0, 40.0, -40.0, 1e3, -1e3])[:, None]
+    x[6, ::2] = -0.0
+    u = rng.random((n, d))
+    u[:7] = np.array([0.0, 1.0, 0.5, 1e-300, 1.0 - 1e-16, 1e-17, 1.0 - 1e-13])[:, None]
+    return x, u
+
+
+def _sweep_laws():
+    rng = stream(41, 0)
+    for d in range(1, 9):
+        a = rng.normal(size=(d, d))
+        mean = rng.normal(size=d)
+        mean[0] = -0.0  # the first conditional mean is the mean itself
+        yield f"gaussian-{d}", GaussianDistribution(mean, a @ a.T + 0.3 * np.eye(d))
+    yield "product-mixture", ProductDistribution([
+        GaussianMixture1D([0.3, 0.7], [-1.0, 1.5], [0.6, 0.9]), Laplace1D(0.2, 1.3),
+        Logistic1D(-0.5, 0.7), Normal1D(0.1, 2.0)])
+    yield "expfam", ExpFamily.gaussian_mean_family([0.7, -1.2, 0.0])
+
+
+@pytest.mark.parametrize("law", [law for _, law in _sweep_laws()],
+                         ids=[name for name, _ in _sweep_laws()])
+def test_sweeps_equal_coordinate_loops_bit_for_bit(law):
+    # each coordinate's conditional given the prefix rows, one call per
+    # coordinate, is the reference; the Gaussian sweep's gemv on a view of
+    # its centred block must give the bits of the per-call product, at
+    # any BLAS threading and on both sides of a gemv's thread threshold
+    d = law.dim
+    sizes = (1, 7, 2_000, 100_001) if d == 8 else (1, 7, 2_000)
+    rows_x, rows_u = _sweep_rows(d, sizes[-1], 42)
+    for n in sizes:
+        x, u = rows_x[:n], rows_u[:n]
+        want_u = np.empty((n, d))
+        want_x = np.empty((n, d))
+        for m in range(d):
+            want_u[:, m] = law.conditional_cdf(m, x[:, :m], x[:, m])
+            want_x[:, m] = law.conditional_quantile(m, want_x[:, :m], u[:, m])
+        got_u, got_x = law.rosenblatt(x), law.inverse_rosenblatt(u)
+        assert got_u.flags.f_contiguous and got_x.flags.c_contiguous
+        assert got_u.tobytes("A") == want_u.tobytes("F"), n
+        assert got_x.tobytes() == want_x.tobytes(), n
+
+
+def _gather_scatter_quantiles(mix, q):
+    """The mixture's Newton loop on full-size ``x``, ``lo`` and ``hi``,
+    gathered and scattered through the open rows' index every step."""
+    x, lo, hi = mix._start(q)
+    curv_w = mix._dens_w / mix.scales
+    live = np.arange(q.size)
+    for _ in range(100):
+        xs = x[live]
+        u = mix._args(xs)
+        f = scipy.special.ndtr(u) @ mix.weights - q[live]
+        lo_l = np.where(f < 0, xs, lo[live])
+        hi_l = np.where(f > 0, xs, hi[live])
+        e = np.exp(-0.5 * u * u)
+        slope = e @ mix._dens_w
+        with np.errstate(all="ignore"):
+            step = f / slope
+            left = np.abs(np.multiply(u, e, out=e) @ curv_w / slope)
+            left *= 0.5 * step * step
+        newton = xs - step
+        tol = 1e-14 * (1.0 + np.abs(xs))
+        close = np.abs(step) <= tol
+        strict = (newton > lo_l) & (newton < hi_l)
+        x[live] = np.where(close | strict, np.clip(newton, lo_l, hi_l), 0.5 * (lo_l + hi_l))
+        lo[live], hi[live] = lo_l, hi_l
+        live = live[~(close | (strict & (left <= 0.02 * tol)) | (hi_l - lo_l <= tol))]
+        if not live.size:
+            return x
+    raise AssertionError("reference loop did not converge")
+
+
+@pytest.mark.parametrize("params", TRANSPORT_MIXTURES + [THREE_COMPONENTS])
+def test_mixture_quantile_compaction_keeps_the_bits(params):
+    # the Newton loop keeps its open rows alone, compacted each step; each
+    # row must take the steps, and the bits, of the loop that gathers them
+    # from full-size arrays.  (A row solved alone is not the reference:
+    # OpenBLAS's gemv rounds a row by its position in the batch.)
+    mix = GaussianMixture1D(*params)
+    far = 10.0 ** -np.arange(1, 301, 7)
+    p = np.concatenate([stream(43, 0).random(10_000), far, 1.0 - 10.0 ** -np.arange(1, 17),
+                        [0.0, 1.0, 0.5]])
+    want = _gather_scatter_quantiles(mix, np.clip(p, _P_FLOOR, _P_CEIL))
+    assert mix.ppf(p).tobytes() == want.tobytes()
 
 
 class TestProductDistribution:
