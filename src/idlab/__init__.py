@@ -18,8 +18,7 @@ from .measures import (Distribution, ExpFamily, GaussianDistribution,
 from .transport import (AffineMap, Automorphism, CdfChainMap, ComposedMap,
                         PushforwardReport, StructureReport, TriangularMap,
                         component_wise_check, jacobian_fd,
-                        kr_transport, log_det_jacobian, pushforward_check,
-                        rosenblatt)
+                        kr_transport, log_det_jacobian, pushforward_check)
 from .linear import (ComonReport, LinearGenerator, SpanReport,
                      UniquenessReport, comon_structure_check,
                      rotation_counterexample, solve_multi_env_linear,

@@ -63,9 +63,9 @@ class ModelParams:
 class TransportedDistribution(Distribution):
     """Image of a base law under an invertible map, sampled by pushing.
 
-    Conditional CDFs are not exposed, so a pushforward check cannot take it
-    as its target.  Densities are available exactly when the map's
-    ``log_det_jacobian`` is.
+    Its Rosenblatt sweeps raise ``NotImplementedError``, so a pushforward
+    check cannot take it as its target.  Densities are available exactly
+    when the map's ``log_det_jacobian`` is.
     """
 
     def __init__(self, base: Distribution, transform):
@@ -80,11 +80,10 @@ class TransportedDistribution(Distribution):
         w = self.transform.inverse(z)
         return self.base.log_density(w) - self.transform.log_det_jacobian(w)
 
-    def conditional_cdf(self, m, prefix, values):
-        raise NotImplementedError("transported laws do not expose conditionals")
+    def rosenblatt(self, X):
+        raise NotImplementedError("transported laws have no Rosenblatt sweep")
 
-    def conditional_quantile(self, m, prefix, p):
-        raise NotImplementedError("transported laws do not expose conditionals")
+    inverse_rosenblatt = rosenblatt
 
     def sample(self, rng, n):
         return self.transform.forward(self.base.sample(rng, n))
@@ -285,12 +284,13 @@ def indeterminacy_audit(theta_a, theta_b, n: int, rng: np.random.Generator,
     identity deviations and the probes from which the transform's
     structure is classified by finite-difference Jacobians; the inverse
     check draws its own ``n`` prior-b rows after them, so a cell draws
-    ``2n`` rows.  ``n < 1`` is a ``ValueError``, raised before any draw.
+    ``2n`` rows.  ``n < 1``, or an ``alpha`` outside (0, 1) or NaN, is a
+    ``ValueError``, raised before any draw.
     """
     transform = generator_transform(theta_a.generator, theta_b.generator)
     if theta_a.prior.dim != theta_b.prior.dim:
         raise DimensionMismatch("source and target dimension differ")
-    _check_draws(n)
+    _check_draws(n, alpha)
 
     # z goes before the forward check and y before the inverse one, so no
     # more (n, d) arrays are alive at once than in either check alone

@@ -2,15 +2,15 @@
 
 The module provides a small zoo of fully supported distributions behind one
 `Distribution` interface: exact densities in log space, samplers driven by
-counter-based streams, and conditional CDFs with their inverses.  Gaussian
-laws and products of normal, Laplace or logistic marginals give their
+counter-based streams, and the Rosenblatt (1952) transform with its
+inverse.  `rosenblatt` sweeps whole rows to their conditional-CDF uniforms
+and `inverse_rosenblatt` solves them back, column by column; that pair is
+all triangular transport and the pushforward checks need.  Gaussian laws
+and products of normal, Laplace or logistic marginals give their
 conditional quantiles in closed form.  The Gaussian mixture marginal is
 the one law whose quantile is found iteratively: Newton steps on its exact
-CDF, started and bracketed by a cached table of that CDF.  So every
-distribution supports Rosenblatt-style resampling and triangular transport:
-`rosenblatt` and `inverse_rosenblatt` sweep whole rows through the
-conditionals, with the per-coordinate methods' bits.  Elementwise work on
-rows goes by column (`_add_offset`, the mixture's component columns): it
+CDF, started and bracketed by a cached table of that CDF.  Elementwise work
+on rows goes by column (`_add_offset`, the mixture's component columns): it
 gives the bits of numpy's broadcast without its slow loop over short rows.
 
 `ExpFamily` is the conditionally factorial exponential family of the iVAE
@@ -452,12 +452,13 @@ def _solve_lower(L, B):
 class Distribution(abc.ABC):
     """A fully supported probability measure on R^d.
 
-    Subclasses provide ``log_density``, a sampler, ``conditional_cdf`` and
-    its inverse ``conditional_quantile``.  Coordinates are indexed 0-based: the
-    conditional for coordinate ``m`` conditions on coordinates ``0..m-1``.
-    Points are ``(n, dim)`` float rows and per-point values ``(n,)`` arrays,
-    in every method: a single ``(dim,)`` point is rejected with
-    ``DimensionMismatch``, not broadcast.
+    Subclasses provide ``log_density``, a sampler and the Knothe-Rosenblatt
+    pair: ``rosenblatt`` sends rows to their conditional-CDF uniforms and
+    ``inverse_rosenblatt`` solves them back, each as one whole-row sweep.
+    Coordinates are indexed 0-based: column ``m`` of the sweep conditions on
+    columns ``0..m-1``.  Points are ``(n, dim)`` float rows and per-point
+    values ``(n,)`` arrays, in every method: a single ``(dim,)`` point is
+    rejected with ``DimensionMismatch``, not broadcast.
     """
 
     @property
@@ -470,51 +471,19 @@ class Distribution(abc.ABC):
         ...
 
     @abc.abstractmethod
-    def conditional_cdf(self, m: int, prefix, values):
-        """CDF of coordinate ``m`` given the first ``m`` coordinates.
-
-        ``prefix`` is an ``(n, m)`` array and ``values`` an ``(n,)`` array;
-        row ``i`` of the prefix conditions ``values[i]``, and the result is
-        an ``(n,)`` array.
-        """
-        ...
-
-    def _prep_conditional(self, m, prefix, values):
-        prefix = _rows(prefix, m)
-        values = np.asarray(values, dtype=float)
-        if values.shape != (prefix.shape[0],):
-            raise DimensionMismatch(
-                f"values must have shape ({prefix.shape[0]},), "
-                f"got {values.shape}")
-        return prefix, values
-
-    @abc.abstractmethod
-    def conditional_quantile(self, m: int, prefix, p):
-        """Inverse of ``conditional_cdf`` in ``values`` at probabilities ``p``.
-
-        ``prefix`` and ``p`` are shaped as in ``conditional_cdf``, and the
-        result is an ``(n,)`` array.  ``p`` is clipped to
-        ``[_P_FLOOR, _P_CEIL]``, so 0 and 1 give finite points.
-        """
-        ...
-
     def rosenblatt(self, X):
         """The conditional-CDF sweep of ``(n, dim)`` rows, F-ordered: column
-        ``m`` is ``conditional_cdf(m, X[:, :m], X[:, m])``."""
-        X = _rows(X, self.dim)
-        U = np.empty(X.shape, order="F")
-        for m in range(self.dim):
-            U[:, m] = self.conditional_cdf(m, X[:, :m], X[:, m])
-        return U
+        ``m`` is coordinate ``m``'s CDF given columns ``0..m-1`` of its row.
+        Under ``X`` drawn from the law the columns are i.i.d. uniform on
+        (0, 1), and contiguous, for the KS sorts."""
+        ...
 
+    @abc.abstractmethod
     def inverse_rosenblatt(self, U):
         """The rows ``X`` whose ``rosenblatt`` is ``U``, solved column by
-        column as ``conditional_quantile(m, X[:, :m], U[:, m])``."""
-        U = _rows(U, self.dim)
-        X = np.empty(U.shape)
-        for m in range(self.dim):
-            X[:, m] = self.conditional_quantile(m, X[:, :m], U[:, m])
-        return X
+        column; ``U`` is clipped to ``[_P_FLOOR, _P_CEIL]``, so 0 and 1 give
+        finite points."""
+        ...
 
     @abc.abstractmethod
     def sample(self, rng: np.random.Generator, n: int):
@@ -576,39 +545,22 @@ class GaussianDistribution(Distribution):
             out += self.mean[m]
         return out, sd
 
-    def _cond_moments(self, m, prefix):
-        """``_moments`` given ``(n, m)`` prefix rows, the mean a new array."""
-        return self._moments(m, _add_offset(np.array(prefix), -self.mean[:m]),
-                             np.empty(prefix.shape[0]))
-
-    @staticmethod
-    def _cdf(mu, sd, values):
-        """``ndtr((values - mu) / sd)``, formed in ``mu``."""
-        u = np.subtract(values, mu, out=mu)
-        u /= sd
-        return special.ndtr(u, out=u)
-
-    def conditional_cdf(self, m, prefix, values):
-        prefix2, v2 = self._prep_conditional(m, prefix, values)
-        return self._cdf(*self._cond_moments(m, prefix2), v2)
-
-    def conditional_quantile(self, m, prefix, p):
-        """Closed form ``mu + sd * ndtri(p)``."""
-        prefix2, p2 = self._prep_conditional(m, prefix, p)
-        mu, sd = self._cond_moments(m, prefix2)
-        return mu + sd * special.ndtri(np.clip(p2, _P_FLOOR, _P_CEIL))
-
     def rosenblatt(self, X):
-        """The sweep, the prefix centred once into one C-ordered block."""
+        """The sweep, the prefix centred once into one C-ordered block; column
+        ``m`` is ``ndtr((x_m - mu) / sd)``, formed in place."""
         X = _rows(X, self.dim)
         centred = _add_offset(np.array(X[:, :-1]), -self.mean[:-1])
         U = np.empty(X.shape, order="F")
         for m in range(self.dim):
-            self._cdf(*self._moments(m, centred, U[:, m]), X[:, m])
+            u, sd = self._moments(m, centred, U[:, m])
+            np.subtract(X[:, m], u, out=u)
+            u /= sd
+            special.ndtr(u, out=u)
         return U
 
     def inverse_rosenblatt(self, U):
-        """The sweep, each solved column centred into one C-ordered block."""
+        """The sweep, ``mu + sd * ndtri(u_m)`` per column, each solved column
+        centred into one C-ordered block."""
         U = _rows(U, self.dim)
         centred = np.empty((U.shape[0], self.dim - 1))
         X = np.empty(U.shape)
@@ -647,15 +599,6 @@ class ProductDistribution(Distribution):
         for m, marg in enumerate(self.marginals):
             out += marg.log_pdf(z2[:, m])
         return out
-
-    def conditional_cdf(self, m, prefix, values):
-        _, v2 = self._prep_conditional(m, prefix, values)
-        return self.marginals[m].cdf(v2)
-
-    def conditional_quantile(self, m, prefix, p):
-        """The marginal's quantile."""
-        _, p2 = self._prep_conditional(m, prefix, p)
-        return self.marginals[m].ppf(np.clip(p2, _P_FLOOR, _P_CEIL))
 
     def rosenblatt(self, X):
         """Each marginal's CDF on its own column."""

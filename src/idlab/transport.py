@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DimensionMismatch, NonFiniteDerivative
+from .errors import DimensionMismatch, NonFiniteDerivative, SingularMatrix
 from .measures import (Distribution, GaussianDistribution, _add_offset,
                        _finite, _matmul_rows, _offset, _rows, _solve_lower)
 
@@ -44,7 +44,6 @@ __all__ = [
     "StructureReport",
     "kr_transport",
     "log_det_jacobian",
-    "rosenblatt",
     "pushforward_check",
     "component_wise_check",
     "jacobian_fd",
@@ -246,7 +245,10 @@ class Automorphism:
         if M.shape != (d, d):
             raise DimensionMismatch("matrix must be square")
         b = _offset(offset, d)
-        Minv = np.linalg.inv(M)
+        try:
+            Minv = _finite(np.linalg.inv(M), "inverse")
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrix("matrix is not invertible") from exc
 
         def fwd(Z):
             return _add_offset(_matmul_rows(Z, M.T), b)
@@ -288,15 +290,6 @@ def log_det_jacobian(mapping: TriangularMap, Z):
 # ---------------------------------------------------------------------------
 # verifiers
 # ---------------------------------------------------------------------------
-
-def rosenblatt(dist: Distribution, X) -> np.ndarray:
-    """Conditional-CDF transform of ``dist`` applied to rows of ``X``.
-
-    Under ``X ~ dist`` every output column is i.i.d. uniform on (0, 1).
-    The columns are contiguous, for the KS sorts.
-    """
-    return dist.rosenblatt(X)
-
 
 def _ks_uniform_stats(U: np.ndarray) -> np.ndarray:
     """Two-sided one-sample KS statistic against U(0, 1) of each column.
@@ -350,32 +343,35 @@ def pushforward_check(mapping, source: Distribution, target: Distribution,
     """Test whether ``mapping`` pushes ``source`` onto ``target``.
 
     ``n`` source draws are mapped forward and reduced by the target's
-    conditional-CDF transform to coordinatewise uniforms, so the target
-    must evaluate conditionals.  The report holds each coordinate's
-    one-sample KS statistic and the critical value at level ``alpha`` with
-    Bonferroni correction across coordinates, not p-values: `_ks_critical`,
-    defined for any n >= 1 and never looser than the exact KS quantile by
-    more than 2e-8 relative.  ``n < 1`` is a ``ValueError``, raised before
-    anything is drawn.
+    Rosenblatt sweep to coordinatewise uniforms, so the target must have
+    one.  The report holds each coordinate's one-sample KS statistic and
+    the critical value at level ``alpha`` with Bonferroni correction across
+    coordinates, not p-values: `_ks_critical`, defined for any n >= 1 and
+    never looser than the exact KS quantile by more than 2e-8 relative.
+    ``n < 1``, or an ``alpha`` outside (0, 1) or NaN, is a ``ValueError``,
+    raised before anything is drawn.
     """
     if source.dim != target.dim:
         raise DimensionMismatch("source and target dimension differ")
-    _check_draws(n)
+    _check_draws(n, alpha)
     return _pushforward_report(
         target, mapping.forward(source.sample(rng, n)), alpha)
 
 
-def _check_draws(n: int) -> None:
-    """Reject a draw count below one before anything is drawn."""
+def _check_draws(n: int, alpha: float) -> None:
+    """Reject a draw count below one, or a level ``alpha`` outside (0, 1)
+    or NaN, before anything is drawn."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 def _pushforward_report(target: Distribution, Y,
                         alpha: float) -> PushforwardReport:
     """KS report of the pushed rows ``Y`` against ``target``; the
     Rosenblatt uniforms are sorted in place, so no copy of them is made."""
-    U = rosenblatt(target, Y)
+    U = target.rosenblatt(Y)
     n, d = U.shape
     level = alpha / d
     stats = _ks_uniform_stats(U)

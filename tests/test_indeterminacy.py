@@ -369,6 +369,15 @@ class TestAuditDraws:
             indeterminacy_audit(theta_a, theta_b, n, rng)
         assert rng_state(rng) == state
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, np.nan])
+    def test_rejects_alpha_outside_the_unit_interval(self, name, alpha):
+        theta_a, theta_b = _two_labs_pair(TWO_LABS_PRIORS[name])
+        rng = stream(57, 3)
+        state = rng_state(rng)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            indeterminacy_audit(theta_a, theta_b, 100, rng, alpha=alpha)
+        assert rng_state(rng) == state
+
 
 def test_transported_distribution_requires_invertible_transform(rng):
     base = GaussianDistribution([0.0], [[1.0]])
@@ -376,8 +385,9 @@ def test_transported_distribution_requires_invertible_transform(rng):
     pushed = TransportedDistribution(base, auto)
     x = pushed.sample(rng, 100)
     assert np.isfinite(x).all()
-    with pytest.raises(NotImplementedError):
-        pushed.log_density(x)
+    for method in (pushed.log_density, pushed.rosenblatt, pushed.inverse_rosenblatt):
+        with pytest.raises(NotImplementedError):
+            method(x)
 
 
 class TestVerifyMultiview:

@@ -299,6 +299,27 @@ def test_mixture_cdf_equals_broadcast_bits():
         assert type(got) is type(want) and got.tobytes() == want.tobytes()
 
 
+def _gaussian_moments(law, m, prefix):
+    """Coordinate ``m``'s conditional mean and sd given ``(n, m)`` prefix
+    rows, from the law's ``mean`` and ``cov`` alone: ``mean[m]`` plus the
+    prefix less its means times ``solve(cov[:m, :m], cov[:m, m])``."""
+    if m == 0:
+        return np.full(prefix.shape[0], law.mean[0]), np.sqrt(law.cov[0, 0])
+    beta = np.linalg.solve(law.cov[:m, :m], law.cov[:m, m])
+    sd = np.sqrt(max(law.cov[m, m] - law.cov[m, :m] @ beta, 0.0))
+    return (prefix - law.mean[:m]) @ beta + law.mean[m], sd
+
+
+def _column_cdf(law, rows, m):
+    """Column ``m`` of ``law``'s Rosenblatt sweep as a function of column
+    ``m`` of ``rows`` alone, the other columns held."""
+    def cdf(x):
+        y = np.array(rows)
+        y[:, m] = x
+        return law.rosenblatt(y)[:, m]
+    return cdf
+
+
 class TestGaussianDistribution:
     def test_log_density_matches_scipy(self, gauss2, rng):
         x = gauss2.sample(rng, 64)
@@ -312,24 +333,23 @@ class TestGaussianDistribution:
 
     def test_conditional_cdf_quantile_roundtrip(self, gauss2, rng):
         x = gauss2.sample(rng, 50)
+        back = gauss2.inverse_rosenblatt(gauss2.rosenblatt(x))
         for j in range(2):
-            u = gauss2.conditional_cdf(j, x[:, :j], x[:, j])
-            back = gauss2.conditional_quantile(j, x[:, :j], u)
-            assert_allclose(back, x[:, j], atol=1e-8)
+            assert_allclose(back[:, j], x[:, j], atol=1e-8)
 
     def test_conditional_cdf_is_uniform(self, gauss2):
-        # first coordinate: marginal; second: conditional given the first
-        x = gauss2.sample(stream(5, 2), 5000)
+        # first column: marginal; second: conditional given the first
+        u = gauss2.rosenblatt(gauss2.sample(stream(5, 2), 5000))
         for j in range(2):
-            u = gauss2.conditional_cdf(j, x[:, :j], x[:, j])
-            assert scipy.stats.kstest(u, "uniform").pvalue > 1e-4
+            assert scipy.stats.kstest(u[:, j], "uniform").pvalue > 1e-4
 
     def test_conditional_cdf_equals_formula_bits(self, gauss2):
         x = gauss2.sample(stream(5, 3), 1000)
+        u = gauss2.rosenblatt(x)
         for j in range(2):
-            mu, sd = gauss2._cond_moments(j, x[:, :j])
+            mu, sd = _gaussian_moments(gauss2, j, x[:, :j])
             want = scipy.special.ndtr((x[:, j] - mu) / sd)
-            assert gauss2.conditional_cdf(j, x[:, :j], x[:, j]).tobytes() == want.tobytes()
+            assert u[:, j].tobytes() == want.tobytes()
 
     def test_rejects_non_psd(self):
         with pytest.raises(Exception):
@@ -344,27 +364,36 @@ closed_form_laws = st.one_of(gaussian_laws(), product_laws(), gaussian_mean_fami
 @settings(max_examples=40, deadline=None)
 @given(dist=closed_form_laws, p=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=8))
 def test_closed_form_quantile_matches_bisection(dist, p):
+    # column m of the inverse sweep against bisection on column m of the
+    # forward sweep, given the prefix the inverse sweep solved
     p = np.array(p)
-    z = dist.sample(stream(13, 0), p.size)
+    u = dist.rosenblatt(dist.sample(stream(13, 0), p.size))
     for m in range(dist.dim):
-        v = dist.conditional_quantile(m, z[:, :m], p)
-        generic = bisect_quantile(lambda x: dist.conditional_cdf(m, z[:, :m], x), p)
+        um = np.array(u)
+        um[:, m] = p
+        x = dist.inverse_rosenblatt(um)
+        cdf = _column_cdf(dist, x, m)
+        v = x[:, m]
+        generic = bisect_quantile(cdf, p)
         assert np.all(np.abs(v - generic) <= 1e-9 * (1.0 + np.abs(v)))
-        assert_allclose(dist.conditional_cdf(m, z[:, :m], v), p, rtol=0, atol=1e-10)
+        assert_allclose(cdf(v), p, rtol=0, atol=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
 @given(dist=closed_form_laws)
 def test_closed_form_quantile_edges_and_scalars(dist):
-    z = dist.sample(stream(13, 1), 2)
+    u = dist.rosenblatt(dist.sample(stream(13, 1), 2))
     for m in range(dist.dim):
         # a source CDF can return exactly 0 or 1 in its tails
-        v = dist.conditional_quantile(m, z[:, :m], np.array([0.0, 1.0]))
-        assert np.all(np.isfinite(v))
-        # a single query is one (1, m) prefix row and one (1,) probability
-        one = dist.conditional_quantile(m, z[:1, :m], np.array([0.3]))
-        assert one.shape == (1,) and one.dtype == np.float64
-        assert_allclose(one, dist.conditional_quantile(m, z[:, :m], np.full(2, 0.3))[:1], rtol=1e-14)
+        edges = np.array(u)
+        edges[:, m] = [0.0, 1.0]
+        assert np.all(np.isfinite(dist.inverse_rosenblatt(edges)[:, m]))
+        # a single query is one (1, dim) row
+        mid = np.array(u)
+        mid[:, m] = 0.3
+        one = dist.inverse_rosenblatt(mid[:1])
+        assert one.shape == (1, dist.dim) and one.dtype == np.float64
+        assert_allclose(one[:, m], dist.inverse_rosenblatt(mid)[:1, m], rtol=1e-14)
 
 
 def _sweep_rows(d, n, seed):
@@ -392,13 +421,34 @@ def _sweep_laws():
     yield "expfam", ExpFamily.gaussian_mean_family([0.7, -1.2, 0.0])
 
 
+def _coordinate_cdf(law, m, prefix, values):
+    """Coordinate ``m``'s conditional CDF at ``values`` given the ``(n, m)``
+    prefix rows: SciPy's ``ndtr`` on `_gaussian_moments` for a Gaussian,
+    the marginal's own CDF for a product."""
+    if isinstance(law, GaussianDistribution):
+        mu, sd = _gaussian_moments(law, m, prefix)
+        return scipy.special.ndtr((values - mu) / sd)
+    return law.marginals[m].cdf(values)
+
+
+def _coordinate_quantile(law, m, prefix, p):
+    """The inverse of `_coordinate_cdf` in ``values`` at ``p``, clipped to
+    ``[_P_FLOOR, _P_CEIL]``."""
+    p = np.clip(p, _P_FLOOR, _P_CEIL)
+    if isinstance(law, GaussianDistribution):
+        mu, sd = _gaussian_moments(law, m, prefix)
+        return mu + sd * scipy.special.ndtri(p)
+    return law.marginals[m].ppf(p)
+
+
 @pytest.mark.parametrize("law", [law for _, law in _sweep_laws()],
                          ids=[name for name, _ in _sweep_laws()])
 def test_sweeps_equal_coordinate_loops_bit_for_bit(law):
     # each coordinate's conditional given the prefix rows, one call per
     # coordinate, is the reference; the Gaussian sweep's gemv on a view of
-    # its centred block must give the bits of the per-call product, at
-    # any BLAS threading and on both sides of a gemv's thread threshold
+    # its centred block must give the bits of the per-coordinate product on
+    # a fresh prefix array, at any BLAS threading and on both sides of a
+    # gemv's thread threshold
     d = law.dim
     sizes = (1, 7, 2_000, 100_001) if d == 8 else (1, 7, 2_000)
     rows_x, rows_u = _sweep_rows(d, sizes[-1], 42)
@@ -407,8 +457,8 @@ def test_sweeps_equal_coordinate_loops_bit_for_bit(law):
         want_u = np.empty((n, d))
         want_x = np.empty((n, d))
         for m in range(d):
-            want_u[:, m] = law.conditional_cdf(m, x[:, :m], x[:, m])
-            want_x[:, m] = law.conditional_quantile(m, want_x[:, :m], u[:, m])
+            want_u[:, m] = _coordinate_cdf(law, m, x[:, :m], x[:, m])
+            want_x[:, m] = _coordinate_quantile(law, m, want_x[:, :m], u[:, m])
         got_u, got_x = law.rosenblatt(x), law.inverse_rosenblatt(u)
         assert got_u.flags.f_contiguous and got_x.flags.c_contiguous
         assert got_u.tobytes("A") == want_u.tobytes("F"), n
@@ -467,7 +517,7 @@ class TestProductDistribution:
 
     def test_conditionals_reduce_to_marginals(self, laplace_product, rng):
         x = laplace_product.sample(rng, 40)
-        u = laplace_product.conditional_cdf(1, x[:, :1], x[:, 1])
+        u = laplace_product.rosenblatt(x)[:, 1]
         assert_allclose(u, laplace_product.marginals[1].cdf(x[:, 1]), atol=1e-12)
 
 

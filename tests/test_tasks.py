@@ -132,10 +132,10 @@ class _OpaqueNormal(Distribution):
     def log_density(self, z):
         return GaussianDistribution(np.zeros(2), np.eye(2)).log_density(z)
 
-    def conditional_cdf(self, m, prefix, values):
+    def rosenblatt(self, X):
         raise NotImplementedError
 
-    conditional_quantile = conditional_cdf
+    inverse_rosenblatt = rosenblatt
 
     def sample(self, rng, n):
         raise NotImplementedError

@@ -31,10 +31,9 @@ from idlab import (
     kr_transport,
     log_det_jacobian,
     pushforward_check,
-    rosenblatt,
     stream,
 )
-from idlab.errors import DimensionMismatch, NonFiniteDerivative
+from idlab.errors import DimensionMismatch, NonFiniteDerivative, SingularMatrix
 from idlab.indeterminacy import TransportedDistribution
 from idlab.measures import _solve_lower
 from idlab.transport import _ks_critical, _ks_uniform_stats
@@ -265,7 +264,7 @@ def test_compose_with_inverse_is_identity(ends):
 
 def test_rosenblatt_uniformises(gauss2):
     x = gauss2.sample(stream(21, 0), 6000)
-    u = rosenblatt(gauss2, x)
+    u = gauss2.rosenblatt(x)
     assert u.shape == x.shape
     for j in range(2):
         assert scipy.stats.kstest(u[:, j], "uniform").pvalue > 1e-4
@@ -332,6 +331,17 @@ class TestPushforwardCheck:
         state = rng_state(rng)
         with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
             pushforward_check(kr_transport(gauss2, gauss2), gauss2, gauss2, n, rng)
+        assert rng_state(rng) == state
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, np.nan])
+    def test_rejects_alpha_outside_the_unit_interval(self, alpha):
+        # at alpha = 0 the critical value is inf, and this map, which moves
+        # and triples every coordinate, would pass
+        std = GaussianDistribution([0.0, 0.0], np.eye(2))
+        rng = stream(1, 0)
+        state = rng_state(rng)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            pushforward_check(AffineMap([[3, 0], [0, 3]], [5, 5]), std, std, 2000, rng, alpha=alpha)
         assert rng_state(rng) == state
 
     @pytest.mark.parametrize("level", [0.01, 0.0125, 0.005, 0.01 / 3, 0.0025, 1e-6, 5e-7, 1e-6 / 3, 2.5e-7])
@@ -473,6 +483,12 @@ class TestAutomorphism:
         assert_allclose(auto.inverse(auto.forward(z)), z, atol=1e-12)
         assert_allclose(auto.forward(z), z @ M.T + [1.0, 2.0], rtol=0, atol=0)
 
+    @pytest.mark.parametrize("matrix", [[[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0], [0.0, 1e-320]]])
+    def test_from_matrix_rejects_a_matrix_without_a_finite_inverse(self, matrix):
+        # np.linalg.inv rejects the first; the second's inverse holds inf
+        with pytest.raises(SingularMatrix):
+            Automorphism.from_matrix(matrix)
+
     @pytest.mark.parametrize("offset", [[0.7], [0.0, 0.0, 0.0], [[1.0, 2.0]]])
     def test_from_matrix_rejects_offset_of_wrong_shape(self, offset):
         with pytest.raises(DimensionMismatch):
@@ -512,31 +528,27 @@ def _row_takers():
     affine = AffineMap([[2.0, 0.0], [0.7, 1.5]], [1.0, -2.0])
     rotation = Automorphism.from_matrix([[0.0, -1.0], [1.0, 0.0]])
     maps = ("forward", "inverse", "log_det_jacobian")
+    laws = ("log_density", "rosenblatt", "inverse_rosenblatt")
     return {
         "AffineMap": (affine, maps),
         "CdfChainMap": (CdfChainMap(product, gauss), maps),
         "ComposedMap": (ComposedMap([affine, CdfChainMap(gauss, product)]), maps),
         "Automorphism": (rotation, maps),
-        "GaussianDistribution": (gauss, ("log_density",)),
-        "ProductDistribution": (product, ("log_density",)),
-        "ExpFamily": (ExpFamily.gaussian_mean_family([0.5, -1.0]), ("log_density",)),
+        "GaussianDistribution": (gauss, laws),
+        "ProductDistribution": (product, laws),
+        "ExpFamily": (ExpFamily.gaussian_mean_family([0.5, -1.0]), laws),
         "TransportedDistribution": (TransportedDistribution(gauss, rotation), ("log_density",)),
     }
 
 
 @pytest.mark.parametrize("name", sorted(_row_takers()))
 def test_points_are_rows_only(name):
-    # (n, d) rows in, arrays out; a (d,) point or a scalar p is not broadcast
+    # (n, d) rows in, arrays out; a (d,) point is not broadcast
     obj, methods = _row_takers()[name]
     for method in methods:
         assert getattr(obj, method)(np.zeros((1, 2))).shape[0] == 1
         with pytest.raises(DimensionMismatch):
             getattr(obj, method)(np.zeros(2))
-    if name in ("GaussianDistribution", "ProductDistribution", "ExpFamily"):
-        assert obj.conditional_quantile(1, np.zeros((1, 1)), np.array([0.3])).shape == (1,)
-        for prefix, p in [(np.zeros((1, 1)), 0.3), (np.zeros(1), np.array([0.3])), (np.zeros((1, 1)), np.full(2, 0.3))]:
-            with pytest.raises(DimensionMismatch):
-                obj.conditional_quantile(1, prefix, p)
 
 
 def test_kr_rejects_dimension_mismatch(gauss2):
