@@ -2,14 +2,18 @@
 
 An experiment's setup builds everything its claim needs from the params and
 draws nothing, so a config it cannot build is rejected before any
-computation.  It returns ``run(seed)``, which draws, fits and checks, and
-gives a pass/fail verdict, a JSON-serializable summary and plot-ready CSV
-rows with a fixed column set.  ``check_params`` runs the setup.
+computation.  It returns ``run(seed, claim) -> (summary, rows)``, which
+draws, fits and checks: a JSON-serializable summary, and plot-ready CSV rows,
+each a tuple in the registry's ``columns`` order.  Every check goes through
+``claim``, which records a ``Claim`` and returns its verdict; a row's claims
+share its cell name, cells come in row order, and the experiment passes when
+all its claims hold.  ``check_params`` runs the setup.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
@@ -33,8 +37,27 @@ from .tasks import (independence_test_task, latent_shift_task, spearman_abs,
 from .transport import (AffineMap, Automorphism, component_wise_check,
                         jacobian_fd, kr_transport)
 
-__all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment",
+__all__ = ["Claim", "ExperimentResult", "EXPERIMENTS", "run_experiment",
            "experiment_names", "check_params"]
+
+_OPS = {"<": operator.lt, ">": operator.gt, ">=": operator.ge,
+        "==": operator.eq}
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One check of a result cell: ``measured op bound``, or with no ``op``
+    a boolean verdict recorded as itself."""
+    cell: str
+    measured: object
+    op: str | None = None
+    bound: float | None = None
+
+    @property
+    def holds(self) -> bool:
+        if self.op is None:
+            return bool(self.measured)
+        return bool(_OPS[self.op](self.measured, self.bound))
 
 
 @dataclass
@@ -44,6 +67,7 @@ class ExperimentResult:
     summary: dict
     rows: list
     columns: list
+    claims = ()  # the run's ``Claim`` records; no field, so asdict skips it
 
 
 def _rotation(angle_deg: float) -> np.ndarray:
@@ -96,21 +120,20 @@ def _kr_identity(params):
             prior = _identity_prior(family, d)
             cells.append((family, d, prior, kr_transport(prior, prior)))
 
-    def run(seed):
+    def run(seed, claim):
         rows = []
         for sid, (family, d, prior, mapping) in enumerate(cells):
             z = prior.sample(stream(seed, sid), params["n_probes"])
             sup, rms = identity_deviation(mapping, z)
-            rows.append({"family": family, "dim": d, "sup_dev": sup,
-                         "rms_dev": rms, "passed": bool(sup < params["tol"])})
-        passed = all(r["passed"] for r in rows)
-        worst = max(r["sup_dev"] for r in rows)
-        return passed, {"max_sup_dev": worst, "tol": params["tol"]}, rows
+            rows.append((family, d, sup, rms,
+                         claim(f"{family} d={d}", sup, "<", params["tol"])))
+        return {"max_sup_dev": max(r[2] for r in rows),
+                "tol": params["tol"]}, rows
     return run
 
 
 def _kr_gaussian(params):
-    def run(seed):
+    def run(seed, claim):
         rows = []
         for i in range(params["n_pairs"]):
             rng = stream(seed, i)
@@ -124,11 +147,10 @@ def _kr_gaussian(params):
             chain = kr_transport(source, target, method="cdf_chain")
             z = source.sample(rng, params["n_probes"])
             diff = float(np.abs(closed.forward(z) - chain.forward(z)).max())
-            rows.append({"pair": i, "dim": d, "sup_diff": diff,
-                         "passed": bool(diff < params["tol"])})
-        passed = all(r["passed"] for r in rows)
-        worst = max(r["sup_diff"] for r in rows)
-        return passed, {"max_sup_diff": worst, "tol": params["tol"]}, rows
+            rows.append((i, d, diff,
+                         claim(f"pair {i}", diff, "<", params["tol"])))
+        return {"max_sup_diff": max(r[2] for r in rows),
+                "tol": params["tol"]}, rows
     return run
 
 
@@ -137,20 +159,19 @@ def _ica_comon(params):
     target = ProductDistribution([Logistic1D(-0.2, 0.8), Logistic1D(0.4, 1.1)])
     mapping = kr_transport(source, target)
 
-    def run(seed):
+    def run(seed, claim):
         probes = source.sample(stream(seed), params["n_probes"])
         report = component_wise_check(mapping, probes, tol=params["tol"])
         # the Jacobian at the sample median should be a diagonal matrix
         J = jacobian_fd(mapping.forward,
                         np.median(probes, axis=0, keepdims=True))[0]
         comon = comon_structure_check(J, tol=params["tol"])
-        passed = bool(report.passed and comon.component_wise)
-        row = {"max_offdiag": report.max_offdiag,
-               "max_upper": report.max_upper,
-               "jacobian_component_wise": bool(comon.component_wise),
-               "passed": passed}
-        return passed, {"structure": asdict(report),
-                        "jacobian_check": asdict(comon)}, [row]
+        row = (report.max_offdiag, report.max_upper, comon.component_wise,
+               all([claim("component_wise", comon.component_wise),
+                    claim("component_wise", report.max_offdiag, "<",
+                          report.tol)]))
+        return {"structure": asdict(report),
+                "jacobian_check": asdict(comon)}, [row]
     return run
 
 
@@ -165,18 +186,16 @@ def _fa_rotation(params):
         gen1 = LinearGenerator(params["loading"])
     gen2, R = rotation_counterexample(mu1, mu2, gen1)
 
-    def run(seed):
+    def run(seed, claim):
         dev = max(float(np.abs(gen1.forward(mu) - gen2.forward(mu)).max())
                   for mu in (mu1[None], mu2[None]))
         distance = float(np.linalg.norm(gen1.loading - gen2.loading))
-        valid = bool(dev < params["tol_constraint"]
-                     and distance > params["min_distance"])
-        row = {"constraint_dev": dev, "loading_distance": distance,
-               "counterexample_valid": valid}
-        summary = {"counterexample_valid": valid, "constraint_dev": dev,
-                   "loading_distance": distance,
-                   "rotation": np.asarray(R).tolist()}
-        return valid, summary, [row]
+        valid = all([
+            claim("counterexample", distance, ">", params["min_distance"]),
+            claim("counterexample", dev, "<", params["tol_constraint"])])
+        return {"counterexample_valid": valid, "constraint_dev": dev,
+                "loading_distance": distance,
+                "rotation": np.asarray(R).tolist()}, [(dev, distance, valid)]
     return run
 
 
@@ -187,20 +206,17 @@ def _fa_three_env(params):
     if mus.shape[0] < 2:
         raise ValueError("env_means needs at least 2 rows")
 
-    def run(seed):
+    def run(seed, claim):
         rows = []
         for count in (2, mus.shape[0]):
             rep = solve_multi_env_linear(gen, mus[:count])
-            rows.append({"n_envs": count, "contrast_rank": rep.contrast_rank,
-                         "unique": bool(rep.unique),
-                         "deviation": (-1.0 if rep.deviation is None
-                                       else rep.deviation)})
-        two_env, full = rows[0], rows[-1]
-        passed = bool(full["unique"]
-                      and 0.0 <= full["deviation"] < params["tol"]
-                      and not two_env["unique"])
-        return passed, {"deviation": full["deviation"],
-                        "tol": params["tol"]}, rows
+            rows.append((count, rep.contrast_rank, bool(rep.unique),
+                         -1.0 if rep.deviation is None else rep.deviation))
+        (_, _, two_unique, _), (_, _, unique, deviation) = rows
+        claim("two_envs", not two_unique)
+        claim("all_envs", unique)
+        claim("all_envs", deviation, "<", params["tol"])
+        return {"deviation": deviation, "tol": params["tol"]}, rows
     return run
 
 
@@ -213,22 +229,20 @@ def _expfam_kernel(params):
     suff = lambda z: z
     tol = params["tol"]
 
-    def run(seed):
+    def run(seed, claim):
         probes = prior.sample(stream(seed), params["n_probes"])
         r_flip = kernel_residual(suff, flip, M, probes)
         fixed = fixed_coordinate_check(flip, [0, 1], probes, tol=1e-10)
         r_shift = kernel_residual(suff, shift, M, probes)
         rows = [
-            {"case": "coordinate_flip", "residual": r_flip,
-             "fixed_coords_pass": bool(fixed.passed),
-             "passed": bool(r_flip < tol and fixed.passed)},
-            {"case": "translation", "residual": r_shift,
-             "fixed_coords_pass": False,
-             "passed": bool(r_shift >= params["shift"] - tol)},
+            ("coordinate_flip", r_flip, fixed.passed, all([
+                claim("coordinate_flip", r_flip, "<", tol),
+                claim("coordinate_flip", fixed.passed)])),
+            ("translation", r_shift, False,
+             claim("translation", r_shift, ">=", params["shift"] - tol)),
         ]
-        passed = all(r["passed"] for r in rows)
-        return passed, {"flip_residual": r_flip, "shift_residual": r_shift,
-                        "fixed_coord_dev": asdict(fixed)}, rows
+        return {"flip_residual": r_flip, "shift_residual": r_shift,
+                "fixed_coord_dev": asdict(fixed)}, rows
     return run
 
 
@@ -247,9 +261,8 @@ def _exact_block_means(envset, generator, n_per_env, rng):
     """Means of ``n_per_env`` rows per environment, from their exact law:
     for z ~ N(mu_e, I) and x = W z + b the mean of h rows is
     W (mu_e + xi / sqrt(h)) + b with xi ~ N(0, I)."""
-    mus = envset.means
-    return generator.forward(mus + rng.standard_normal(mus.shape)
-                             / math.sqrt(n_per_env))
+    return generator.forward(envset.means + rng.standard_normal(
+        envset.means.shape) / math.sqrt(n_per_env))
 
 
 def _exact_moments(model: AffineMap, n, rng):
@@ -283,19 +296,18 @@ def _strong_vae(params):
     tol = 5.0 / math.sqrt(n)
     probes = interdecile_grid(_STANDARD_NORMAL, params["grid"])
 
-    def run(seed):
+    def run(seed, claim):
         rows = []
         for s in range(params["n_seeds"]):
             sup, _, _ = _fit_pair_deviation(envset, generator, n,
                                             stream(seed, s), probes)
-            rows.append({"seed": s, "sup_dev": sup, "tol": tol,
-                         "passed": bool(sup < tol)})
-        n_pass = sum(r["passed"] for r in rows)
-        passed = bool(config.passed and n_pass >= params["min_passes"])
-        summary = {"config_valid": config.passed, "n_pass": n_pass,
-                   "n_seeds": params["n_seeds"], "tol": tol,
-                   "max_sup_dev": max(r["sup_dev"] for r in rows)}
-        return passed, summary, rows
+            rows.append((s, sup, tol, sup < tol))
+        n_pass = sum(r[3] for r in rows)
+        claim("config", config.passed)
+        claim("n_pass", n_pass, ">=", params["min_passes"])
+        return {"config_valid": config.passed, "n_pass": n_pass,
+                "n_seeds": params["n_seeds"], "tol": tol,
+                "max_sup_dev": max(r[1] for r in rows)}, rows
     return run
 
 
@@ -314,23 +326,21 @@ def _ivae_affine(params):
     # these are the probes around each environment mean, where the data lie
     x = generator.forward((means[:, None, :] + probes).reshape(-1, 2))
 
-    def run(seed):
+    def run(seed, claim):
         rng = stream(seed)
         frozen_dev, fit_a, _ = _fit_pair_deviation(envset, generator, n, rng,
                                                    probes)
         fit_b = fit_env_affine_generator(
             _exact_block_means(envset, generator, n, rng), envset_b)
         relation = affine_relation_fit(fit_a.inverse(x), fit_b.inverse(x))
-
-        passed = bool(relation.residual < params["resid_factor"] * frozen_dev
-                      and relation.condition_number < params["max_cond"])
-        row = {"residual": relation.residual,
-               "cond_L": relation.condition_number, "frozen_dev": frozen_dev,
-               "matrix_err": float(np.abs(relation.matrix.T - G).max()),
-               "offset_err": float(np.abs(relation.offset - h).max()),
-               "passed": passed}
-        return passed, {"relation": asdict(relation),
-                        "frozen_dev": frozen_dev}, [row]
+        return {"relation": asdict(relation), "frozen_dev": frozen_dev}, [
+            (relation.residual, relation.condition_number, frozen_dev,
+             float(np.abs(relation.matrix.T - G).max()),
+             float(np.abs(relation.offset - h).max()), all([
+                 claim("relation", relation.condition_number, "<",
+                       params["max_cond"]),
+                 claim("relation", relation.residual, "<",
+                       params["resid_factor"] * frozen_dev)]))]
     return run
 
 
@@ -349,49 +359,39 @@ def _two_labs(params):
     probes = interdecile_grid(_STANDARD_NORMAL, 21)
     fit_tol = 10.0 / math.sqrt(n)
 
-    def run(seed):
+    def run(seed, claim):
         def audit_cell(sid, prior):
             report = indeterminacy_audit(ModelParams(gen_a, prior),
                                          ModelParams(gen_b, prior),
                                          n, stream(seed, sid),
                                          alpha=params["alpha"])
-            ratio = float(max(np.max(report.forward_check.statistics)
-                              / report.forward_check.critical_value,
-                              np.max(report.inverse_check.statistics)
-                              / report.inverse_check.critical_value))
-            return report, ratio
+            return report, float(max(
+                np.max(c.statistics) / c.critical_value
+                for c in (report.forward_check, report.inverse_check)))
 
         gauss_report, gauss_ratio = audit_cell(0, gauss)
-        cell_a = bool(gauss_report.pushforward_pass
-                      and not gauss_report.structure["is_identity_ae"])
         lap_report, lap_ratio = audit_cell(1, laplace)
-        cell_b = bool(not lap_report.pushforward_pass
-                      and lap_ratio >= params["ks_ratio_min"])
-
-        rng = stream(seed, 17)
-        halves = [_exact_moments(model, n, rng) for _ in range(2)]
-        fit_1, fit_2 = (fit_gaussian_kr(gauss, mean, cov)
-                        for mean, cov in halves)
+        rng = stream(seed, 17)  # the fits draw nothing, so order is kept
+        fit_1, fit_2 = (fit_gaussian_kr(gauss, *_exact_moments(model, n, rng))
+                        for _ in range(2))
         sup, _ = identity_deviation(generator_transform(fit_1, fit_2), probes)
-        cell_c = bool(sup < fit_tol)
 
         rows = [
-            {"cell": "gaussian_rotation",
-             "pushforward_pass": bool(gauss_report.pushforward_pass),
-             "identity_sup_dev": gauss_report.identity_sup_dev,
-             "max_ks_ratio": gauss_ratio, "fit_dev": -1.0, "passed": cell_a},
-            {"cell": "laplace_rotation",
-             "pushforward_pass": bool(lap_report.pushforward_pass),
-             "identity_sup_dev": lap_report.identity_sup_dev,
-             "max_ks_ratio": lap_ratio, "fit_dev": -1.0, "passed": cell_b},
-            {"cell": "fit_halves", "pushforward_pass": True,
-             "identity_sup_dev": sup, "max_ks_ratio": -1.0,
-             "fit_dev": sup, "passed": cell_c},
+            ("gaussian_rotation", gauss_report.pushforward_pass,
+             gauss_report.identity_sup_dev, gauss_ratio, -1.0, all([
+                 claim("gaussian_rotation", gauss_report.pushforward_pass),
+                 claim("gaussian_rotation",
+                       not gauss_report.structure["is_identity_ae"])])),
+            ("laplace_rotation", lap_report.pushforward_pass,
+             lap_report.identity_sup_dev, lap_ratio, -1.0, all([
+                 claim("laplace_rotation", not lap_report.pushforward_pass),
+                 claim("laplace_rotation", lap_ratio, ">=",
+                       params["ks_ratio_min"])])),
+            ("fit_halves", True, sup, -1.0, sup,
+             claim("fit_halves", sup, "<", fit_tol)),
         ]
-        passed = cell_a and cell_b and cell_c
-        summary = {"gaussian_ratio": gauss_ratio, "laplace_ratio": lap_ratio,
-                   "fit_dev": sup, "fit_tol": fit_tol}
-        return passed, summary, rows
+        return {"gaussian_ratio": gauss_ratio, "laplace_ratio": lap_ratio,
+                "fit_dev": sup, "fit_tol": fit_tol}, rows
     return run
 
 
@@ -404,38 +404,34 @@ def _task_shift(params):
     theta = ModelParams(gen, GaussianDistribution(np.zeros(2), np.eye(2)))
     task = latent_shift_task(params["delta"], params["k"], gen.latent_dim)
     obs = np.asarray(params["obs"], dtype=float)
-    rot = Automorphism.from_matrix([[0.0, -1.0], [1.0, 0.0]])
+    rotation = Automorphism.from_matrix([[0.0, -1.0], [1.0, 0.0]])
     # translations commute with the shift; certification would reject them
     # (no probability prior is translation invariant), so compare raw outputs
     twisted = act_on_params(
         Automorphism.from_matrix(np.eye(2), [0.7, -0.4]), theta)
     target = math.sqrt(2.0)
 
-    def run(seed):
-        rot_report = task_identifiability_check(task, theta, [rot], obs,
-                                                tol=1e-6)
-        id_report = task_identifiability_check(
+    def run(seed, claim):
+        rot = task_identifiability_check(task, theta, [rotation], obs,
+                                         tol=1e-6)
+        ident = task_identifiability_check(
             task, theta, [Automorphism.identity(2)], obs, tol=1e-6)
         base = task.evaluate(theta, obs, task.select(theta, obs))
         moved = task.evaluate(twisted, obs, task.select(twisted, obs))
         trans_dist = float(task.output_metric(base, moved))
         rows = [
-            {"cell": "rotation", "distance": rot_report.max_distance,
-             "identifiable": bool(rot_report.identifiable),
-             "passed": bool(abs(rot_report.max_distance - target)
-                            < params["tol"]
-                            and not rot_report.identifiable)},
-            {"cell": "identity_only", "distance": id_report.max_distance,
-             "identifiable": bool(id_report.identifiable),
-             "passed": bool(id_report.max_distance == 0.0
-                            and id_report.identifiable)},
-            {"cell": "translation_raw", "distance": trans_dist,
-             "identifiable": bool(trans_dist < 1e-12),
-             "passed": bool(trans_dist < 1e-12)},
+            ("rotation", rot.max_distance, rot.identifiable, all([
+                claim("rotation", abs(rot.max_distance - target), "<",
+                      params["tol"]),
+                claim("rotation", not rot.identifiable)])),
+            ("identity_only", ident.max_distance, ident.identifiable, all([
+                claim("identity_only", ident.max_distance, "==", 0.0),
+                claim("identity_only", ident.identifiable)])),
+            ("translation_raw", trans_dist, trans_dist < 1e-12,
+             claim("translation_raw", trans_dist, "<", 1e-12)),
         ]
-        passed = all(r["passed"] for r in rows)
-        return passed, {"rotation_distance": rot_report.max_distance,
-                        "expected": target}, rows
+        return {"rotation_distance": rot.max_distance,
+                "expected": target}, rows
     return run
 
 
@@ -448,24 +444,20 @@ def _task_indep(params):
     task = independence_test_task(tuple(params["pair"]), n, gen.dim)
     flip = Automorphism.from_matrix(-np.eye(2))
 
-    def run(seed):
+    def run(seed, claim):
         z = prior.sample(stream(seed), n)
         obs = gen.forward(z)
         report = task_identifiability_check(task, theta, [flip], obs,
                                             tol=1e-15)
         null_stat = spearman_abs(obs[:, 0], z[:, 1])
-        perfect_stat = spearman_abs(z[:, 0], z[:, 0])
-        rows = [
-            {"cell": "flip_invariance", "value": report.max_distance,
-             "passed": bool(report.max_distance == 0.0)},
-            {"cell": "independent_pair", "value": null_stat,
-             "passed": bool(null_stat < params["null_bound"])},
-            {"cell": "perfect_dependence", "value": perfect_stat,
-             "passed": bool(perfect_stat == 1.0)},
-        ]
-        passed = all(r["passed"] for r in rows)
-        return passed, {"flip_distance": report.max_distance,
-                        "null_stat": null_stat}, rows
+        checks = [("flip_invariance", report.max_distance, "==", 0.0),
+                  ("independent_pair", null_stat, "<", params["null_bound"]),
+                  ("perfect_dependence", spearman_abs(z[:, 0], z[:, 0]),
+                   "==", 1.0)]
+        rows = [(cell, value, claim(cell, value, op, bound))
+                for cell, value, op, bound in checks]
+        return {"flip_distance": report.max_distance,
+                "null_stat": null_stat}, rows
     return run
 
 
@@ -482,27 +474,23 @@ def _multiview(params):
     lin_b = {"tmi": LinearGenerator(lin_a["tmi"].loading @ R.T),
              "free": LinearGenerator(free_view.loading @ R.T)}
 
-    def run(seed):
+    def run(seed, claim):
         pinned = verify_multiview(model_a, model_a, prior, n,
                                   stream(seed, 0), tol=tol)
         rotated = verify_multiview(lin_a, lin_b, prior, n, stream(seed, 1),
                                    tol=tol)
+        gap = pinned.details["max_disagreement"]
+        pinned_id = pinned.structure["is_identity_ae"]
+        rotated_id = rotated.structure["is_identity_ae"]
         rows = [
-            {"config": "tmi_plus_free", "identified":
-                bool(pinned.structure["is_identity_ae"]),
-             "best_view_dev": pinned.identity_sup_dev,
-             "max_disagreement": pinned.details["max_disagreement"],
-             "passed": bool(pinned.structure["is_identity_ae"]
-                            and pinned.details["max_disagreement"] < tol)},
-            {"config": "consistent_rotation", "identified":
-                bool(rotated.structure["is_identity_ae"]),
-             "best_view_dev": rotated.identity_sup_dev,
-             "max_disagreement": rotated.details["max_disagreement"],
-             "passed": bool(not rotated.structure["is_identity_ae"])},
+            ("tmi_plus_free", pinned_id, pinned.identity_sup_dev, gap,
+             all([claim("tmi_plus_free", pinned_id),
+                  claim("tmi_plus_free", gap, "<", tol)])),
+            ("consistent_rotation", rotated_id, rotated.identity_sup_dev,
+             rotated.details["max_disagreement"],
+             claim("consistent_rotation", not rotated_id)),
         ]
-        passed = all(r["passed"] for r in rows)
-        return passed, {"pinned": asdict(pinned),
-                        "rotated": asdict(rotated)}, rows
+        return {"pinned": asdict(pinned), "rotated": asdict(rotated)}, rows
     return run
 
 
@@ -512,7 +500,8 @@ def _multiview(params):
 
 @dataclass
 class ExperimentDef:
-    #: ``setup(params)`` returns ``run(seed) -> (passed, summary, rows)``
+    #: ``setup(params)`` returns ``run(seed, claim) -> (summary, rows)``,
+    #: each row a tuple in ``columns`` order
     setup: object
     anchor: str
     defaults: dict
@@ -665,15 +654,10 @@ def _non_finite(value, where: str):
         items = ((f"{where}.{k}", v) for k, v in value.items())
     elif isinstance(value, (list, tuple)):
         items = ((f"{where}[{i}]", v) for i, v in enumerate(value))
-    elif isinstance(value, (float, np.floating, np.ndarray)):
-        return None if np.all(np.isfinite(value)) else where
     else:
-        return None
-    for item_where, item in items:
-        found = _non_finite(item, item_where)
-        if found is not None:
-            return found
-    return None
+        numeric = isinstance(value, (float, np.floating, np.ndarray))
+        return where if numeric and not np.all(np.isfinite(value)) else None
+    return next(filter(None, (_non_finite(v, w) for w, v in items)), None)
 
 
 def check_params(name: str, params: dict):
@@ -683,7 +667,9 @@ def check_params(name: str, params: dict):
     stand for a float, a bool not for an int), list entries alike; finite
     floats; >= 1 where the default is a positive int; ``_RANGES``; the
     ``shapes``; a setup that overflows, divides by zero or operates
-    invalidly.  Returns ``run(seed) -> ExperimentResult``, which raises
+    invalidly.  Returns ``run(seed) -> ExperimentResult``: it calls the
+    setup's ``run(seed, claim) -> (summary, rows)``, keys each row by the
+    ``columns`` and passes when every recorded claim holds.  It raises
     ``IdlabError`` on such an exception or a non-finite float in the
     summary or rows; raises ``KeyError`` for an unregistered name, else
     ``ValueError``."""
@@ -732,15 +718,24 @@ def check_params(name: str, params: dict):
         raise ValueError(f"{name}: {exc}") from exc
 
     def checked(seed):
+        claims = []
+
+        def claim(cell, measured, op=None, bound=None):
+            claims.append(Claim(cell, measured, op, bound))
+            return claims[-1].holds
         try:  # errstate is context-local: set here, in the caller's thread
             with np.errstate(**_RAISE):
-                passed, summary, rows = run(seed)
+                summary, rows = run(seed, claim)
         except FloatingPointError as exc:
             raise IdlabError(str(exc)) from exc
+        rows = [dict(zip(spec.columns, row, strict=True)) for row in rows]
         where = _non_finite(summary, "summary") or _non_finite(rows, "rows")
         if where:
             raise IdlabError(f"{where} is not finite")
-        return ExperimentResult(name, passed, summary, rows, spec.columns)
+        result = ExperimentResult(name, all(c.holds for c in claims),
+                                  summary, rows, spec.columns)
+        result.claims = claims
+        return result
     return checked
 
 

@@ -226,11 +226,20 @@ def kernel_residual(suff_stat, transform, contrasts, probes) -> float:
 
 def fixed_coordinate_check(transform, coords, probes,
                            tol: float = 1e-8) -> FixedCoordinateReport:
-    """Sup deviation from the identity on each of the named coordinates."""
+    """Sup deviation from the identity on each of the named coordinates.
+
+    Each coordinate is an int in [0, d) for ``(n, d)`` probes; an empty set
+    or any other coordinate is a ``ValueError``, raised before the map is
+    applied."""
     _check_probes(probes)
-    coords = [int(c) for c in coords]
+    coords, d = list(coords), np.shape(probes)[1]
     if not coords:
         raise ValueError("coordinate set must be non-empty")
+    bad = [c for c in coords if isinstance(c, bool)
+           or not isinstance(c, (int, np.integer)) or not 0 <= c < d]
+    if bad:
+        raise ValueError(f"coordinates must be ints in [0, {d}), got {bad}")
+    coords = [int(c) for c in coords]
     dev = np.abs(transform.forward(probes) - probes).max(axis=0)
     devs = {c: float(dev[c]) for c in coords}
     return FixedCoordinateReport(deviations=devs,
@@ -324,10 +333,15 @@ def verify_multiview(views_a: dict, views_b: dict, prior: Distribution,
     force every view onto the same transform, and one view whose transform
     is the identity pins the shared latent.  The report's headline
     deviations belong to the best view; per-view deviations and the max
-    pairwise disagreement ride along in the details.
+    pairwise disagreement ride along in the details.  Models without a
+    view, or ``n < 1``, are a ``ValueError``, raised before any draw.
     """
     if set(views_a) != set(views_b):
         raise DimensionMismatch("models must share their view labels")
+    if not views_a:
+        raise ValueError("models must hold >= 1 view")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     z = prior.sample(rng, n)
     values, sups, rmss = {}, {}, {}
     for label in sorted(views_a):

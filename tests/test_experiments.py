@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from idlab import EXPERIMENTS, ExperimentResult, IdlabError, run_experiment
 from idlab.cli import _to_json
-from idlab.experiments import check_params
+from idlab.experiments import Claim, check_params
 
 
 def test_registry_has_twelve_entries():
@@ -34,6 +34,74 @@ def test_rows_carry_exactly_the_registered_columns(name):
     assert rows
     for row in rows:
         assert list(row) == EXPERIMENTS[name].columns
+
+
+#: the column holding each row's verdict; fa-three-env's rows hold none, and
+#: strong-vae's per-seed ``passed`` is a statistic its claims count
+VERDICT_COLUMN = {"fa-rotation": "counterexample_valid", "fa-three-env": None,
+                  "strong-vae": None}
+
+
+def _assert_verdicts_derive_from_claims(result):
+    assert result.claims and all(isinstance(c, Claim) for c in result.claims)
+    assert result.passed == all(c.holds for c in result.claims)
+    # a row's claims share its cell name, and the cells come in row order
+    cells = {}
+    for c in result.claims:
+        cells.setdefault(c.cell, []).append(c.holds)
+    column = VERDICT_COLUMN.get(result.name, "passed")
+    if column:
+        assert len(cells) == len(result.rows)
+        for row, holds in zip(result.rows, cells.values()):
+            assert row[column] == all(holds)
+    if result.name == "strong-vae":
+        assert result.summary["n_pass"] == sum(row["passed"] for row in result.rows)
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_verdicts_derive_from_the_recorded_claims(name):
+    result = run_experiment(name, seed=7)
+    assert list(asdict(result)) == ["name", "passed", "summary", "rows", "columns"]
+    _assert_verdicts_derive_from_claims(result)
+
+
+#: overrides that break claims, with the (cell, op, bound) of each claim
+#: broken; where a cell makes two claims, the first one breaks where params
+#: allow, so a claim skipped after a failing one (``claim(a) and claim(b)``)
+#: shows as a missing record
+BROKEN = [
+    ("kr-identity", {"tol": 1e-12}, [("laplace_product d=2", "<", 1e-12)]),
+    ("kr-gaussian", {"tol": 3e-13}, [("pair 3", "<", 3e-13)]),
+    ("ica-comon", {"tol": 1e9}, [("component_wise", None, None)]),
+    ("fa-rotation", {"min_distance": 1e9}, [("counterexample", ">", 1e9)]),
+    ("fa-three-env", {"env_means": [[0.0, 0.0], [1.0, 0.0]]}, [("all_envs", None, None)]),
+    ("fa-three-env", {"loading": [[1.0], [0.5], [-0.25]], "env_means": [[0.0], [1.0], [2.0]]},
+     [("two_envs", None, None)]),
+    ("expfam-kernel", {"contrasts": [[0.0, 1.0, 0.0]]}, [("translation", ">=", 0.1 - 1e-12)]),
+    ("strong-vae", {"min_passes": 21}, [("n_pass", ">=", 21)]),
+    ("ivae-affine", {"max_cond": 1.0}, [("relation", "<", 1.0)]),
+    ("two-labs", {"alpha": 0.999999}, [("gaussian_rotation", None, None)]),
+    ("two-labs", {"ks_ratio_min": 1e9}, [("laplace_rotation", ">=", 1e9)]),
+    ("task-shift", {"delta": 2.0}, [("rotation", "<", 1e-9)]),
+    ("task-indep", {"null_bound": 1e-9}, [("independent_pair", "<", 1e-9)]),
+    ("multiview", {"tol": 1e-300}, [("tmi_plus_free", None, None), ("tmi_plus_free", "<", 1e-300)]),
+    ("multiview", {"angle_deg": 0.0}, [("consistent_rotation", None, None)]),
+]
+
+
+def test_every_experiment_has_a_claim_broken_by_an_override():
+    assert {name for name, _, _ in BROKEN} == set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name, params, broken", BROKEN,
+                         ids=[f"{name}-{'-'.join(params)}" for name, params, _ in BROKEN])
+def test_an_override_that_breaks_a_claim_fails_the_run_and_names_it(name, params, broken):
+    at_defaults = run_experiment(name, seed=7)
+    result = run_experiment(name, params, seed=7)
+    assert at_defaults.passed and result.passed is False
+    assert [(c.cell, c.op, c.bound) for c in result.claims if not c.holds] == broken
+    assert len(result.claims) == len(at_defaults.claims)
+    _assert_verdicts_derive_from_claims(result)
 
 
 def test_readme_experiment_table_is_the_registry():
@@ -91,13 +159,15 @@ def test_huge_fa_rotation_means_build_a_finite_counterexample():
 
 
 @pytest.mark.parametrize("summary, rows, where", [
-    ({"m": np.array([[1.0, np.nan]])}, [{"v": 1.0}], "summary.m"),
-    ({"m": {"r": (0.0, float("-inf"))}}, [{"v": 1.0}], "summary.m.r[1]"),
-    ({"m": 1.0}, [{"v": 1.0}, {"v": np.float64("inf")}], "rows[1].v"),
+    ({"m": np.array([[1.0, np.nan]])}, [(1.0,)], "summary.m"),
+    ({"m": {"r": (0.0, float("-inf"))}}, [(1.0,)], "summary.m.r[1]"),
+    ({"m": 1.0}, [(1.0,), (np.float64("inf"),)], "rows[1].v"),
 ])
 def test_run_rejects_a_non_finite_result(monkeypatch, summary, rows, where):
+    # rows are keyed by the registry's columns before the check reads them
+    monkeypatch.setattr(EXPERIMENTS["fa-rotation"], "columns", ["v"])
     monkeypatch.setattr(EXPERIMENTS["fa-rotation"], "setup",
-                        lambda params: lambda seed: (True, summary, rows))
+                        lambda params: lambda seed, claim: (summary, rows))
     with pytest.raises(IdlabError, match=rf"^{re.escape(where)} is not finite$"):
         check_params("fa-rotation", {})(7)
 
@@ -109,7 +179,8 @@ def test_a_floating_point_exception_rejects_a_setup_and_fails_a_run(monkeypatch)
     monkeypatch.setattr(EXPERIMENTS["fa-rotation"], "setup", overflow)
     with pytest.raises(ValueError, match="^fa-rotation: overflow encountered"):
         check_params("fa-rotation", {})
-    monkeypatch.setattr(EXPERIMENTS["fa-rotation"], "setup", lambda params: overflow)
+    monkeypatch.setattr(EXPERIMENTS["fa-rotation"], "setup",
+                        lambda params: lambda seed, claim: overflow())
     with pytest.raises(IdlabError, match="^overflow encountered"):
         check_params("fa-rotation", {})(7)
 

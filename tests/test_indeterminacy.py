@@ -118,6 +118,21 @@ def test_empty_probes_are_rejected_before_any_map(check):
     assert calls == []
 
 
+@pytest.mark.parametrize("coords", [[-1], [2], [5], [0.7], [True], [0, 1.0]], ids=str)
+def test_coordinates_outside_the_probe_dimension_are_rejected_before_any_map(coords):
+    # a negative index, a float or a bool would pick some other coordinate
+    # silently, and one past the end would fail inside numpy
+    calls = []
+
+    def spy(Z):
+        calls.append(Z)
+        return Z
+
+    with pytest.raises(ValueError, match=r"coordinates must be ints in \[0, 2\)"):
+        fixed_coordinate_check(Automorphism(2, spy, spy), coords, np.zeros((3, 2)))
+    assert calls == []
+
+
 class TestKernelResidual:
     # contrast rows against an implicit base environment at the origin
     M = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -402,6 +417,19 @@ class TestVerifyMultiview:
         assert rep.structure["is_identity_ae"]
         assert rep.identity_sup_dev < 1e-6
         assert rep.details["max_disagreement"] < 1e-6
+
+    @pytest.mark.parametrize("n, views, message", [
+        (0, "both", "n must be >= 1, got 0"),
+        (-1, "both", "n must be >= 1, got -1"),
+        (100, "none", "models must hold >= 1 view"),
+    ])
+    def test_rejects_bad_input_before_any_draw(self, n, views, message):
+        model = {"tmi": self.tmi, "free": self.free} if views == "both" else {}
+        rng = stream(45, 2)
+        state = rng_state(rng)
+        with pytest.raises(ValueError, match=message):
+            verify_multiview(model, model, self.prior, n, rng)
+        assert rng_state(rng) == state
 
     def test_consistent_rotation_evades_identification(self):
         c, s = np.cos(np.pi / 5), np.sin(np.pi / 5)
