@@ -261,8 +261,9 @@ def _exact_block_means(envset, generator, n_per_env, rng):
     """Means of ``n_per_env`` rows per environment, from their exact law:
     for z ~ N(mu_e, I) and x = W z + b the mean of h rows is
     W (mu_e + xi / sqrt(h)) + b with xi ~ N(0, I)."""
-    return generator.forward(envset.means + rng.standard_normal(
-        envset.means.shape) / math.sqrt(n_per_env))
+    mus = envset.means
+    return generator.forward(mus + rng.standard_normal(mus.shape)
+                             / math.sqrt(n_per_env))
 
 
 def _exact_moments(model: AffineMap, n, rng):
@@ -371,9 +372,10 @@ def _two_labs(params):
 
         gauss_report, gauss_ratio = audit_cell(0, gauss)
         lap_report, lap_ratio = audit_cell(1, laplace)
-        rng = stream(seed, 17)  # the fits draw nothing, so order is kept
-        fit_1, fit_2 = (fit_gaussian_kr(gauss, *_exact_moments(model, n, rng))
-                        for _ in range(2))
+        rng = stream(seed, 17)
+        halves = [_exact_moments(model, n, rng) for _ in range(2)]
+        fit_1, fit_2 = (fit_gaussian_kr(gauss, mean, cov)
+                        for mean, cov in halves)
         sup, _ = identity_deviation(generator_transform(fit_1, fit_2), probes)
 
         rows = [
@@ -404,7 +406,7 @@ def _task_shift(params):
     theta = ModelParams(gen, GaussianDistribution(np.zeros(2), np.eye(2)))
     task = latent_shift_task(params["delta"], params["k"], gen.latent_dim)
     obs = np.asarray(params["obs"], dtype=float)
-    rotation = Automorphism.from_matrix([[0.0, -1.0], [1.0, 0.0]])
+    rot = Automorphism.from_matrix([[0.0, -1.0], [1.0, 0.0]])
     # translations commute with the shift; certification would reject them
     # (no probability prior is translation invariant), so compare raw outputs
     twisted = act_on_params(
@@ -412,25 +414,25 @@ def _task_shift(params):
     target = math.sqrt(2.0)
 
     def run(seed, claim):
-        rot = task_identifiability_check(task, theta, [rotation], obs,
-                                         tol=1e-6)
-        ident = task_identifiability_check(
+        rot_report = task_identifiability_check(task, theta, [rot], obs,
+                                                tol=1e-6)
+        id_report = task_identifiability_check(
             task, theta, [Automorphism.identity(2)], obs, tol=1e-6)
         base = task.evaluate(theta, obs, task.select(theta, obs))
         moved = task.evaluate(twisted, obs, task.select(twisted, obs))
         trans_dist = float(task.output_metric(base, moved))
         rows = [
-            ("rotation", rot.max_distance, rot.identifiable, all([
-                claim("rotation", abs(rot.max_distance - target), "<",
-                      params["tol"]),
-                claim("rotation", not rot.identifiable)])),
-            ("identity_only", ident.max_distance, ident.identifiable, all([
-                claim("identity_only", ident.max_distance, "==", 0.0),
-                claim("identity_only", ident.identifiable)])),
+            ("rotation", rot_report.max_distance, rot_report.identifiable,
+             all([claim("rotation", abs(rot_report.max_distance - target),
+                        "<", params["tol"]),
+                  claim("rotation", not rot_report.identifiable)])),
+            ("identity_only", id_report.max_distance, id_report.identifiable,
+             all([claim("identity_only", id_report.max_distance, "==", 0.0),
+                  claim("identity_only", id_report.identifiable)])),
             ("translation_raw", trans_dist, trans_dist < 1e-12,
              claim("translation_raw", trans_dist, "<", 1e-12)),
         ]
-        return {"rotation_distance": rot.max_distance,
+        return {"rotation_distance": rot_report.max_distance,
                 "expected": target}, rows
     return run
 
