@@ -154,13 +154,23 @@ class Laplace1D(_LocScale):
         return -u - math.log(2.0 * self.scale)
 
     def cdf(self, x):
-        u = (np.asarray(x, dtype=float) - self.loc) / self.scale
-        lower = u < 0
-        # one exponential serves both tails, since -|u| is u where u < 0; u
-        # goes before the upper tail is formed
-        h = 0.5 * np.exp(-np.abs(u))
-        del u
-        return np.where(lower, h, 1.0 - h)
+        """``h = exp(-|u|) / 2`` where ``u < 0``, else ``1 - h`` (NaN too),
+        formed in one buffer, a copy of ``x``: an array, 0-d for a scalar.
+        One exponential serves both tails, since -|u| is u where u < 0.
+        ``upper - sign * h``, with ``sign`` -1 below and 1 above, gives
+        ``np.where``'s bits without holding ``h`` and ``1 - h`` at once."""
+        u = np.array(x, dtype=float)
+        u -= self.loc
+        u /= self.scale
+        upper = ~(u < 0)
+        sign = np.multiply(upper, 2, dtype=np.int8)
+        sign -= 1
+        np.abs(u, out=u)
+        np.negative(u, out=u)
+        np.exp(u, out=u)
+        u *= 0.5
+        u *= sign
+        return np.subtract(upper, u, out=u)
 
     def ppf(self, p):
         p = np.asarray(p, dtype=float)

@@ -184,6 +184,11 @@ class TestUsageErrors:
         # found by test_a_config_fails_at_the_boundary_or_numerically
         ("all", {"two-labs": {"n": 1}}, "two-labs: n must be >= 20 for the moment fits, got 1"),
         ("kr-identity", {"dims": [0]}, "kr-identity: need at least one coordinate"),
+        # a zero on the diagonal is a config error, as a negative one is
+        ("two-labs", {"loading": [[1.0, 0.0], [0.6, 0.0]]},
+         "two-labs: loading rejected: diagonal entries must be strictly positive"),
+        ("task-indep", {"loading": [[1.0, 0.0], [0.6, 0.0]]},
+         "task-indep: loading rejected: diagonal entries must be strictly positive"),
     ])
     def test_bad_override_value_writes_nothing(self, tmp_path, capsys, experiment, params, message):
         cfg = write_config(tmp_path / "cfg.json", experiment=experiment, params=params)

@@ -63,6 +63,14 @@ def test_laplace_quantile_closed_form():
     assert Laplace1D(0.0, 1.0).ppf(np.array([0.75]))[0] == pytest.approx(np.log(2.0), abs=1e-12)
 
 
+def _laplace_cdf_two_exponentials(law, x):
+    """The CDF as both tails, each from its own exponential, and an
+    ``np.where`` between them."""
+    u = (np.asarray(x, dtype=float) - law.loc) / law.scale
+    with np.errstate(all="ignore"):
+        return np.where(u < 0, 0.5 * np.exp(u), 1.0 - 0.5 * np.exp(-np.abs(u)))
+
+
 def test_laplace_cdf_one_exponential_equals_two():
     # -|u| is u itself where u < 0, so one exponential gives both tails'
     # bits, signed zeros, infinities and NaN included
@@ -70,11 +78,9 @@ def test_laplace_cdf_one_exponential_equals_two():
                            np.logspace(-12, 300, 2000)])
     x = np.concatenate([mags, -mags, [np.nan]])
     for law in (Laplace1D(), Laplace1D(0.3, 1.3)):
-        u = (x - law.loc) / law.scale
         with np.errstate(all="ignore"):
-            want = np.where(u < 0, 0.5 * np.exp(u), 1.0 - 0.5 * np.exp(-np.abs(u)))
             got = law.cdf(x)
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == _laplace_cdf_two_exponentials(law, x).tobytes()
 
 
 def test_laplace_ppf_one_log_equals_two():
@@ -91,6 +97,39 @@ def test_laplace_ppf_one_log_equals_two():
             want = np.where(p < 0.5, lower, upper)
             got = law.ppf(p)
         assert got.tobytes() == want.tobytes()
+
+
+def _laplace_cdf_inputs(kind, values):
+    """The values as Python floats, numpy scalars, 0-d arrays, one list, or
+    one strided column of a C-ordered block."""
+    if kind == "float":
+        return [float(v) for v in values]
+    if kind == "numpy scalar":
+        return [np.float64(v) for v in values]
+    if kind == "0-d array":
+        return [np.array(v) for v in values]
+    if kind == "list":
+        return [list(values)]
+    block = stream(27, 1).normal(size=(len(values), 3))
+    block[:, 1] = values
+    return [block[:, 1]]
+
+
+@pytest.mark.parametrize("kind", ["float", "numpy scalar", "0-d array", "list", "strided column"])
+@pytest.mark.parametrize("law", [Laplace1D(), Laplace1D(0.3, 1.3)])
+def test_laplace_cdf_keeps_type_shape_bits_and_input(law, kind):
+    # the CDF, formed in one buffer, answers every input as the np.where
+    # form does: the same type (an array, 0-d for a scalar), shape and
+    # bytes, NaN's sign included, and it writes nothing into its input
+    values = [0.0, -0.0, law.loc, np.inf, -np.inf, np.nan, 1e-300, -0.7, 2.5, 745.0, -1e300]
+    for x in _laplace_cdf_inputs(kind, values):
+        base = x.base if isinstance(x, np.ndarray) and x.base is not None else x
+        before = np.array(base, copy=True)
+        got, want = law.cdf(x), _laplace_cdf_two_exponentials(law, x)
+        assert type(got) is type(want) is np.ndarray
+        assert got.shape == want.shape == np.shape(x)
+        assert got.tobytes() == want.tobytes()
+        assert np.array(base).tobytes() == before.tobytes()
 
 
 def test_laplace_cdf_far_tail_raises_nothing():

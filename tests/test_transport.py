@@ -35,7 +35,7 @@ from idlab import (
 )
 from idlab.errors import DimensionMismatch, NonFiniteDerivative, SingularMatrix
 from idlab.indeterminacy import TransportedDistribution
-from idlab.measures import _solve_lower
+from idlab.measures import _add_offset, _matmul_rows, _solve_lower
 from idlab.transport import _ks_critical, _ks_uniform_stats
 
 from conftest import gaussian_laws, gaussian_mixtures, probe_grid, product_laws, rng_state
@@ -493,6 +493,26 @@ class TestAutomorphism:
     def test_from_matrix_rejects_offset_of_wrong_shape(self, offset):
         with pytest.raises(DimensionMismatch):
             Automorphism.from_matrix(np.eye(2), offset)
+
+    @pytest.mark.parametrize("offset", [None, [0.0, 0.0], [-0.0, 0.0], [0.5, -1.2]])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided columns", "strided rows"])
+    def test_from_matrix_inverse_equals_copy_then_product(self, offset, layout):
+        # the inverse takes a copy only to subtract an offset that is not all
+        # +0.0; either way its bits are those of the product on a C-ordered
+        # copy, on a size that splits into row blocks too, and X is untouched
+        M = np.array([[0.7, -0.9], [0.4, 1.3]])
+        b = np.zeros(2) if offset is None else np.array(offset)
+        rows = stream(61, 0).normal(size=(2 * 70_001, 4))
+        rows[:3, :] = [[0.0, -0.0, np.nan, np.inf], [-0.0, -0.0, -np.inf, 0.0], [np.nan, 1.0, -0.0, 2.0]]
+        X = {"C": np.ascontiguousarray(rows[:70_001, :2]),
+             "F": np.asfortranarray(rows[:70_001, :2]),
+             "strided columns": rows[:70_001, 1:3],
+             "strided rows": rows[::2, :2]}[layout]
+        before = rows.tobytes(), X.tobytes()
+        got = Automorphism.from_matrix(M, offset).inverse(X)
+        want = _matmul_rows(_add_offset(np.array(X), -b), np.linalg.inv(M).T)
+        assert got.tobytes() == want.tobytes()
+        assert (rows.tobytes(), X.tobytes()) == before
 
     def test_identity(self, rng):
         auto = Automorphism.identity(3)
